@@ -404,6 +404,11 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
         reference_cache[key] = reference_solve(problem)
     ref = reference_cache[key]
     trace.attach_reference(ref.x, ref.f)
+    if not ref.converged:
+        trace.meta.setdefault("warnings", []).append(
+            f"reference did not converge: {ref.sweeps} sweeps, "
+            f"last objective change {ref.last_change:.6g}"
+        )
 
     result = RunResult(
         run_id=cfg.run_id, config=cfg, problem=problem, trace=trace,

@@ -23,42 +23,45 @@ from .problem import (
     IrlsData,
     NonsmoothBlock,
     Problem,
+    SeparableLoss,
     SmoothPart,
     SvmData,
     UnsupportedCombination,
     all_space,
+    linear_smooth,
     make_partition,
 )
 from .surrogate import prox_block
 
 
 # ---------------------------------------------------------------------------
-# spectral helpers
-
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10000
+# spectral helpers and separable losses
 
 
-def spectral_norm_psd(S: Array, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    if n == 1:
-        return float(abs(S[0, 0]))
-    v = 1.0 + 0.001 * np.arange(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = S @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (S @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+def spectral_norm_psd(S: Array) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix (its spectral norm)."""
+    return float(np.linalg.eigvalsh(np.asarray(S, dtype=float))[-1])
+
+
+def _hinge(r: Array) -> Array:
+    return np.maximum(0.0, -r)
+
+
+def _squared_hinge_value(r: Array) -> float:
+    q = _hinge(r)
+    return float(q @ q)
+
+
+# phi(r) = ||r||^2
+SQUARES = SeparableLoss(value=lambda r: float(r @ r), grad=lambda r: 2.0 * r,
+                        pointwise=np.square)
+# phi(z) = sum_i log(1 + exp(-z_i)), z_i the signed margins
+LOGISTIC = SeparableLoss(value=lambda z: float(np.sum(np.logaddexp(0.0, -z))),
+                         grad=lambda z: -expit(-z),
+                         pointwise=lambda z: np.logaddexp(0.0, -z))
+# phi(r) = sum_i max(0, -r_i)^2, r_i = <a_i, x> - 1
+SQUARED_HINGE = SeparableLoss(value=_squared_hinge_value, grad=lambda r: -2.0 * _hinge(r),
+                              pointwise=lambda r: np.square(_hinge(r)))
 
 
 def _constraint_interval(cs: ConstraintSet) -> tuple[float, float]:
@@ -82,10 +85,6 @@ def _default_constraints(partition: BlockPartition, constraints) -> tuple[Constr
     if len(constraints) != partition.n_blocks:
         raise ValueError("one constraint set per block required")
     return constraints
-
-
-def _quad_sum(A: Array, x: Array) -> Array:
-    return A @ x
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +216,6 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
     cons = _default_constraints(part, constraints)
     gram = A.T @ A
 
-    def value(x):
-        r = A @ x - b
-        return float(r @ r)
-
-    def grad(x):
-        return 2.0 * (A.T @ (A @ x - b))
-
-    def block_grad(k, x):
-        sl = part.block_slice(k)
-        return 2.0 * (A[:, sl].T @ (A @ x - b))
-
     big_m = 2.0 * spectral_norm_psd(gram)
     mk, curv = [], []
     for k in range(part.n_blocks):
@@ -242,8 +230,7 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
             curv.append(2.0 * max(float(ev[0]), 0.0))
 
     nonsmooth = tuple(NonsmoothBlock(kind="l1", weight=lam) for _ in range(part.n_blocks))
-    smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m,
-                        block_lipschitz=tuple(mk), block_grad_fn=block_grad)
+    smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
 
     solver = None
     scalar = all(s == 1 for s in part.sizes)
@@ -305,17 +292,6 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     A = np.hstack(mats)
     gram = A.T @ A
 
-    def value(x):
-        r = A @ x - b
-        return float(r @ r)
-
-    def grad(x):
-        return 2.0 * (A.T @ (A @ x - b))
-
-    def block_grad(k, x):
-        sl = part.block_slice(k)
-        return 2.0 * (A[:, sl].T @ (A @ x - b))
-
     big_m = 2.0 * spectral_norm_psd(gram)
     mk, curv, eigs = [], [], []
     for k, Ak in enumerate(mats):
@@ -328,8 +304,7 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     nonsmooth = tuple(
         NonsmoothBlock(kind="group-l2", weight=float(w)) for w in weights
     )
-    smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m,
-                        block_lipschitz=tuple(mk), block_grad_fn=block_grad)
+    smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
 
     def solver(k, x, shift=None):
         if cons[k].kind != "all-space":
@@ -367,16 +342,6 @@ def build_logistic(A, y, weight: float, block_sizes=None, constraints=None) -> P
     Ay = A * y[:, None]
     gram = A.T @ A
 
-    def value(x):
-        return float(np.sum(np.logaddexp(0.0, -(Ay @ x))))
-
-    def grad(x):
-        return -(Ay.T @ expit(-(Ay @ x)))
-
-    def block_grad(k, x):
-        sl = part.block_slice(k)
-        return -(Ay[:, sl].T @ expit(-(Ay @ x)))
-
     # sigmoid curvature bound: the Hessian is dominated by (1/2) A^T A
     big_m = 0.5 * spectral_norm_psd(gram)
     mk = []
@@ -389,8 +354,7 @@ def build_logistic(A, y, weight: float, block_sizes=None, constraints=None) -> P
     nonsmooth = tuple(
         NonsmoothBlock(kind="l1", weight=float(weight)) for _ in range(part.n_blocks)
     )
-    smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m,
-                        block_lipschitz=tuple(mk), block_grad_fn=block_grad)
+    smooth = linear_smooth(LOGISTIC, Ay, np.zeros(rows), part, big_m, mk)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
         name="logistic", block_curvature=(0.0,) * part.n_blocks,
@@ -413,19 +377,6 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
     cons = _default_constraints(part, constraints)
     gram = rows.T @ rows
 
-    def value(x):
-        q = np.maximum(0.0, 1.0 - rows @ x)
-        return float(q @ q)
-
-    def grad(x):
-        q = np.maximum(0.0, 1.0 - rows @ x)
-        return -2.0 * (rows.T @ q)
-
-    def block_grad(k, x):
-        sl = part.block_slice(k)
-        q = np.maximum(0.0, 1.0 - rows @ x)
-        return -2.0 * (rows[:, sl].T @ q)
-
     big_m = 2.0 * spectral_norm_psd(gram)
     mk = []
     for k in range(part.n_blocks):
@@ -438,8 +389,7 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
     nonsmooth = tuple(
         NonsmoothBlock(kind=kind, weight=float(l1_weight)) for _ in range(part.n_blocks)
     )
-    smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m,
-                        block_lipschitz=tuple(mk), block_grad_fn=block_grad)
+    smooth = linear_smooth(SQUARED_HINGE, rows, np.ones(n_rows), part, big_m, mk)
 
     solver = None
     if all(s == 1 for s in part.sizes):

@@ -202,10 +202,112 @@ class SmoothPart:
     lipschitz: float  # full-gradient Lipschitz constant
     block_lipschitz: tuple[float, ...]  # per-block gradient Lipschitz constants
     block_grad_fn: Optional[Callable[[int, Array], Array]] = None
+    linear: Optional["LinearLoss"] = None  # g = phi(Ax - b), when declared
 
     @property
     def max_block_lipschitz(self) -> float:
         return max(self.block_lipschitz)
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableLoss:
+    """phi(r) = sum_i ell(r_i): its value, gradient and per-entry terms ell."""
+
+    value: Callable[[Array], float]
+    grad: Callable[[Array], Array]
+    pointwise: Callable[[Array], Array]
+
+
+@dataclass(frozen=True, eq=False)
+class LinearLoss:
+    """g(x) = phi(A x - b) for a separable loss phi."""
+
+    phi: SeparableLoss
+    A: Array
+    b: Array
+
+
+def linear_smooth(phi: SeparableLoss, A: Array, b: Array, partition: BlockPartition,
+                  lipschitz: float, block_lipschitz) -> SmoothPart:
+    """The smooth part g(x) = phi(A x - b), its oracles derived from the declaration."""
+
+    def value(x):
+        return phi.value(A @ x - b)
+
+    def grad(x):
+        return A.T @ phi.grad(A @ x - b)
+
+    def block_grad(k, x):
+        return A[:, partition.block_slice(k)].T @ phi.grad(A @ x - b)
+
+    return SmoothPart(value=value, grad=grad, lipschitz=lipschitz,
+                      block_lipschitz=tuple(block_lipschitz), block_grad_fn=block_grad,
+                      linear=LinearLoss(phi=phi, A=A, b=b))
+
+
+@dataclass(frozen=True, eq=False)
+class BlockLayout:
+    """Blocks grouped by regularizer and constraint kind, for whole-array oracles.
+
+    Coordinates of l1 blocks (grouped by block size), of box blocks and of
+    nonnegative blocks are handled as arrays.  A block whose array form would
+    not reproduce the per-block arithmetic bit for bit keeps its per-block
+    call: group-l2 norms (a BLAS dot per block), balls and unknown kinds.
+    """
+
+    block_of: Array  # block index of every coordinate
+    l1_weight: Array  # l1 weight of every coordinate, 0 outside weighted l1 blocks
+    l1_groups: tuple[tuple[Array, Array, Array], ...]  # (blocks, weights, coords) per size
+    value_blocks: tuple[int, ...]  # blocks whose h_k is evaluated per block
+    box: Array  # (n,) bool: coordinates of box blocks
+    nonneg: Array  # (n,) bool: coordinates of nonnegative blocks
+    lo: Array  # box bounds of every coordinate, -inf/inf outside box blocks
+    hi: Array
+    project_blocks: tuple[int, ...]  # blocks projected per block
+    coordwise: Array  # (K,) bool: prox and projection act coordinate by coordinate
+    scalar: Array  # blocks of size 1
+    scalar_coords: Array  # their coordinates
+    wide: tuple[int, ...]  # blocks of size > 1
+
+
+def make_layout(partition: BlockPartition, nonsmooth, constraints) -> BlockLayout:
+    n, K = partition.dim, partition.n_blocks
+    l1_weight = np.zeros(n)
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    box_mask, nonneg_mask = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    coordwise = np.zeros(K, dtype=bool)
+    l1_by_size: dict[int, list[int]] = {}
+    value_blocks, project_blocks = [], []
+    for k, (h, c) in enumerate(zip(nonsmooth, constraints)):
+        sl = partition.block_slice(k)
+        zero = h.kind in ("zero", "indicator") or h.weight == 0.0
+        if h.kind == "l1" and not zero:
+            l1_weight[sl] = h.weight
+            l1_by_size.setdefault(partition.sizes[k], []).append(k)
+        elif not zero:
+            value_blocks.append(k)
+        if c.kind == "box":
+            box_mask[sl] = True
+            lo[sl], hi[sl] = c.lo, c.hi
+        elif c.kind == "nonneg":
+            nonneg_mask[sl] = True
+        elif c.kind != "all-space":
+            project_blocks.append(k)
+        coordwise[k] = (zero or h.kind == "l1") and c.kind in ("all-space", "box", "nonneg")
+    offsets = np.asarray(partition.offsets)
+    l1_groups = tuple(
+        (np.array(ks), np.array([nonsmooth[k].weight for k in ks]),
+         offsets[ks][:, None] + np.arange(size))
+        for size, ks in sorted(l1_by_size.items())
+    )
+    sizes = np.asarray(partition.sizes)
+    return BlockLayout(
+        block_of=np.repeat(np.arange(K), sizes), l1_weight=l1_weight, l1_groups=l1_groups,
+        value_blocks=tuple(value_blocks), box=box_mask, nonneg=nonneg_mask, lo=lo, hi=hi,
+        project_blocks=tuple(project_blocks), coordwise=coordwise,
+        scalar=np.flatnonzero(sizes == 1), scalar_coords=offsets[sizes == 1],
+        wide=tuple(int(k) for k in np.flatnonzero(sizes > 1)),
+    )
 
 
 @dataclass(eq=False)
@@ -230,6 +332,7 @@ class Problem:
     reference_solver: Optional[Callable[[], tuple[Array, float]]] = None
     inner_unique: Optional[Callable[[int], bool]] = None
     meta: dict = field(default_factory=dict)
+    layout: BlockLayout = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.partition.n_blocks
@@ -238,6 +341,7 @@ class Problem:
         for j, (c, s) in enumerate(zip(self.constraints, self.partition.sizes)):
             if c.dim != s:
                 raise ValueError(f"constraint set of block {j} has dim {c.dim}, block size {s}")
+        self.layout = make_layout(self.partition, self.nonsmooth, self.constraints)
 
     @property
     def n_blocks(self) -> int:
@@ -302,15 +406,25 @@ class IrlsData:
 # oracles
 
 
+def block_values(problem: Problem, x: Array) -> Array:
+    """h_k(x_k) for every block k."""
+    lay = problem.layout
+    vals = np.zeros(problem.n_blocks)
+    for blocks, weights, coords in lay.l1_groups:
+        vals[blocks] = weights * np.sum(np.abs(x[coords]), axis=1)
+    for k in lay.value_blocks:
+        vals[k] = problem.nonsmooth[k].value(problem.partition.block(x, k))
+    return vals
+
+
 def eval_objective(problem: Problem, x) -> float:
     """f(x) = g(x) + sum_k h_k(x_k); +inf outside the domain of f."""
     v = as_vector(x, problem.dim)
-    total = float(problem.smooth.value(v))
-    if not np.isfinite(total):
+    g = float(problem.smooth.value(v))
+    if not np.isfinite(g):
         return float("inf")
-    for k, h in enumerate(problem.nonsmooth):
-        total += h.value(problem.partition.block(v, k))
-    return total
+    # left to right over the blocks, as a loop adding h_k one by one would
+    return float(np.add.accumulate(np.concatenate(([g], block_values(problem, v))))[-1])
 
 
 def block_gradient(problem: Problem, k: int, x) -> Array:
@@ -339,25 +453,41 @@ def objective_with_block(problem: Problem, x: Array, k: int, v_k: Array) -> floa
 
 def feasible_start(problem: Problem) -> Array:
     """Deterministic feasible initial point: the projection of the origin."""
-    x = np.zeros(problem.dim)
-    for k, c in enumerate(problem.constraints):
-        sl = problem.partition.block_slice(k)
-        x[sl] = c.project(x[sl])
-    return x
+    return project_feasible(problem, np.zeros(problem.dim))
+
+
+def project_coordinates(problem: Problem, coords: Array, u: Array) -> Array:
+    """Project u, the values at coords, onto the box and nonnegative sets of
+    their blocks, in place; ConstraintSet.project's arithmetic, entry by entry."""
+    lay = problem.layout
+    box = lay.box[coords]
+    u[box] = np.clip(u[box], lay.lo[coords][box], lay.hi[coords][box])
+    nonneg = lay.nonneg[coords]
+    u[nonneg] = np.maximum(u[nonneg], 0.0)
+    return u
 
 
 def project_feasible(problem: Problem, v: Array) -> Array:
-    x = np.array(v, dtype=float)
-    for k, c in enumerate(problem.constraints):
+    x = project_coordinates(problem, np.arange(problem.dim), np.array(v, dtype=float))
+    for k in problem.layout.project_blocks:
         sl = problem.partition.block_slice(k)
-        x[sl] = c.project(x[sl])
+        x[sl] = problem.constraints[k].project(x[sl])
     return x
 
 
+def block_norms(problem: Problem, d: Array) -> Array:
+    """||d_k|| for every block k, as np.linalg.norm gives it block by block."""
+    lay = problem.layout
+    norms = np.empty(problem.n_blocks)
+    single = d[lay.scalar_coords]
+    norms[lay.scalar] = np.sqrt(single * single)
+    for k in lay.wide:
+        norms[k] = np.linalg.norm(problem.partition.block(d, k))
+    return norms
+
+
 def nonsmooth_value(problem: Problem, x: Array) -> float:
-    return sum(
-        h.value(problem.partition.block(x, k)) for k, h in enumerate(problem.nonsmooth)
-    )
+    return float(np.add.accumulate(block_values(problem, x))[-1])
 
 
 def nonsmooth_lipschitz(problem: Problem) -> float:

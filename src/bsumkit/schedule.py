@@ -7,11 +7,20 @@ RNG).  One schedule instance belongs to one run; build a fresh one per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .problem import Array, Problem, full_gradient, objective_with_block
+from .problem import (
+    Array,
+    Problem,
+    block_norms,
+    block_values,
+    eval_objective,
+    full_gradient,
+    objective_with_block,
+)
+from .surrogate import prox_coordinates
 
 RULES = (
     "gauss-seidel",
@@ -26,35 +35,75 @@ class MissingVirtualUpdate(ValueError):
     """A greedy rule was asked to select without the virtual update it needs."""
 
 
-@dataclass(eq=False)
 class VirtualUpdate:
     """All-blocks candidate updates anchored at the same point.
 
     x_hat stacks the per-block minimizers of u_k(.; anchor) + h_k computed
     jointly (all anchored at the anchor), step_norms holds
     ||x_hat_k - anchor_k|| and objectives holds f(x_hat_k, anchor_{-k}).
+    objectives may be given as an array or as a function that computes it;
+    the function runs on the first read, so a rule that never reads the
+    objectives (Gauss-Southwell) never pays for them.
     """
 
-    anchor: Array
-    x_hat: Array
-    step_norms: Array
-    objectives: Array
+    def __init__(self, anchor: Array, x_hat: Array, step_norms: Array,
+                 objectives: Union[Array, Callable[[], Array]]):
+        self.anchor = anchor
+        self.x_hat = x_hat
+        self.step_norms = step_norms
+        self._objectives = objectives
+
+    @property
+    def objectives(self) -> Array:
+        if callable(self._objectives):
+            self._objectives = self._objectives()
+        return self._objectives
 
 
 def virtual_updates(problem: Problem, surrogate, x) -> VirtualUpdate:
     x = np.asarray(x, dtype=float)
     grad = full_gradient(problem, x)
     x_hat = np.array(x)
-    K = problem.n_blocks
-    norms = np.zeros(K)
-    objs = np.zeros(K)
-    for k in range(K):
+    lay = problem.layout
+    # prox-linear steps of coordinatewise blocks run as one array operation;
+    # every other block (exact, model-custom, group-l2, ball) is solved alone
+    arrayed = lay.coordwise & (np.asarray(surrogate.kinds) == "prox-linear")
+    coords = np.flatnonzero(arrayed[lay.block_of])
+    if coords.size:
+        lip = np.asarray(surrogate.lip, dtype=float)[lay.block_of[coords]]
+        x_hat[coords] = prox_coordinates(problem, coords, lip, x[coords] - grad[coords] / lip)
+    for k in np.flatnonzero(~arrayed).tolist():
         sl = problem.partition.block_slice(k)
-        cand = surrogate.argmin(k, x, grad_k=grad[sl])
-        x_hat[sl] = cand
-        norms[k] = np.linalg.norm(cand - x[sl])
-        objs[k] = objective_with_block(problem, x, k, cand)
-    return VirtualUpdate(anchor=x, x_hat=x_hat, step_norms=norms, objectives=objs)
+        x_hat[sl] = surrogate.argmin(k, x, grad_k=grad[sl])
+    return VirtualUpdate(
+        anchor=x, x_hat=x_hat, step_norms=block_norms(problem, x_hat - x),
+        objectives=lambda: candidate_objectives(problem, x, x_hat),
+    )
+
+
+def candidate_objectives(problem: Problem, x: Array, x_hat: Array) -> Array:
+    """f(x_hat_k, x_{-k}) for every block k.
+
+    With g = phi(Ax - b) declared, all K candidates are scored in one array
+    operation from the residual r = Ax - b:
+    f(x) + [phi(r + A_k d_k) - phi(r)] + [h_k(x_hat_k) - h_k(x_k)].
+    """
+    lin = problem.smooth.linear
+    if lin is None:
+        part = problem.partition
+        return np.array([
+            objective_with_block(problem, x, k, part.block(x_hat, k))
+            for k in range(problem.n_blocks)
+        ])
+    r = lin.A @ x - lin.b
+    moved = lin.A * (x_hat - x)  # column j scaled by its coordinate's step
+    if problem.layout.wide:
+        moved = np.add.reduceat(moved, np.asarray(problem.partition.offsets), axis=1)
+    moved += r[:, None]  # column k: the residual after block k's step
+    ell = lin.phi.pointwise
+    d_phi = np.sum(ell(moved) - ell(r)[:, None], axis=0)
+    d_h = block_values(problem, x_hat) - block_values(problem, x)
+    return eval_objective(problem, x) + d_phi + d_h
 
 
 @dataclass(eq=False)

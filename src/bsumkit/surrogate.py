@@ -21,6 +21,7 @@ from .problem import (
     Problem,
     UnsupportedCombination,
     block_gradient,
+    project_coordinates,
     project_feasible,
 )
 
@@ -56,6 +57,22 @@ def prox_block(h: NonsmoothBlock, xset: ConstraintSet, beta: float, v) -> Array:
             return v * (t / nv)
         raise UnsupportedCombination(f"group-l2 prox with {xset.kind!r} constraint")
     raise ValueError(f"unknown nonsmooth kind {h.kind!r}")
+
+
+def prox_coordinates(problem: Problem, coords: Array, beta: Array, v: Array) -> Array:
+    """prox_block on the given coordinates of coordinatewise blocks, in one pass.
+
+    beta and v hold one entry per coordinate.  Every operation is
+    prox_block's, coordinate by coordinate, so the result equals the
+    per-block calls bit for bit.
+    """
+    if np.any(beta <= 0):
+        raise ValueError(f"prox requires beta > 0, got {float(np.min(beta))}")
+    u = np.array(v, dtype=float)
+    w = problem.layout.l1_weight[coords]
+    l1 = w > 0.0
+    u[l1] = np.sign(u[l1]) * np.maximum(np.abs(u[l1]) - w[l1] / beta[l1], 0.0)
+    return project_coordinates(problem, coords, u)
 
 
 @dataclass(eq=False)

@@ -5,8 +5,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bsumkit import cli
+
+# Property tests draw the same examples on every run, keep no example
+# database and never time out on a slow or busy host, so their outcome does
+# not depend on the machine or on earlier runs.
+settings.register_profile("bsumkit", derandomize=True, database=None, deadline=None,
+                          max_examples=40)
+settings.load_profile("bsumkit")
 
 MATRIX_MODELS = {
     "lasso": {"family": "lasso", "m": 20, "n": 50, "lam": 2.0, "seed": 101},

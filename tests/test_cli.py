@@ -121,6 +121,34 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_unconverged_reference_is_reported(tmp_path, monkeypatch):
+    solve = cli.reference_solve
+
+    def unconverged(problem):
+        ref = solve(problem)
+        ref.converged, ref.sweeps, ref.last_change = False, 17, 2.5e-7
+        return ref
+
+    monkeypatch.setattr(cli, "reference_solve", unconverged)
+    spec = cli.parse_config(write(tmp_path, MINIMAL.replace("n = 12", "n = 4")))
+    out = tmp_path / "out"
+    cli.run_experiment(spec, output_dir=str(out))
+    report = json.loads((out / "demo.report.json").read_text())
+    assert report["reference"]["converged"] is False
+    assert report["warnings"] == [
+        "reference did not converge: 17 sweeps, last objective change 2.5e-07"
+    ]
+
+
+def test_converged_reference_adds_no_warning(tmp_path):
+    spec = cli.parse_config(write(tmp_path, MINIMAL.replace("n = 12", "n = 4")))
+    out = tmp_path / "out"
+    cli.run_experiment(spec, output_dir=str(out))
+    report = json.loads((out / "demo.report.json").read_text())
+    assert report["reference"]["converged"] is True
+    assert report["warnings"] == []
+
+
 def test_compare_traces(tmp_path):
     spec = cli.parse_config(write(tmp_path, TWO_RUN))
     out = tmp_path / "out"

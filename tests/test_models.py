@@ -41,6 +41,16 @@ def test_quadratic_lipschitz_matches_eigensolver():
     assert abs(p.smooth.lipschitz - want) <= 1e-8 * want
 
 
+def test_spectral_norm_is_the_largest_eigenvalue_200_gram_matrices():
+    # the declared M must bound the true constant, not approach it from below
+    rng = np.random.default_rng(2013)
+    for _ in range(200):
+        G = rng.standard_normal((30, 30))
+        S = G.T @ G
+        want = np.linalg.norm(S, 2)
+        assert abs(models.spectral_norm_psd(S) - want) <= 1e-12 * want
+
+
 def test_quadratic_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         models.build_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
