@@ -4,7 +4,6 @@ from .problem import (
     BlockPartition,
     ConstraintSet,
     NonsmoothBlock,
-    Point,
     Problem,
     SmoothPart,
     UnsupportedCombination,
@@ -16,14 +15,12 @@ from .problem import (
     feasible_start,
     make_partition,
     nonneg,
-    project,
 )
 from .surrogate import Surrogate, make_surrogate, prox_block, validate_upper_bound
 from .schedule import (
     Schedule,
     VirtualUpdate,
     make_schedule,
-    round_robin_period_map,
     virtual_updates,
 )
 from .engine import (
@@ -51,12 +48,12 @@ from .diagnostics import (
 from . import models
 
 __all__ = [
-    "BlockPartition", "ConstraintSet", "NonsmoothBlock", "Point", "Problem",
+    "BlockPartition", "ConstraintSet", "NonsmoothBlock", "Problem",
     "SmoothPart", "UnsupportedCombination", "all_space", "ball", "box",
     "nonneg", "block_gradient", "eval_objective", "feasible_start",
-    "make_partition", "project",
+    "make_partition",
     "Surrogate", "make_surrogate", "prox_block", "validate_upper_bound",
-    "Schedule", "VirtualUpdate", "make_schedule", "round_robin_period_map",
+    "Schedule", "VirtualUpdate", "make_schedule",
     "virtual_updates",
     "Trace", "bsum_sweep", "reduce_two_block", "reference_solve",
     "run_a2bsum", "run_bsum", "run_sum",

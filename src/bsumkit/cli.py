@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -30,11 +30,12 @@ from .diagnostics import (
     estimate_constants,
     fd_gradient_check,
     fit_decay_exponent,
+    plan_checks,
     sigma_for,
 )
 from .engine import ReferenceSolution, Trace, reference_solve, run_a2bsum, run_bsum, run_sum
 from .problem import Problem, project_feasible
-from .schedule import RULES, make_schedule
+from .schedule import make_schedule
 from .surrogate import make_surrogate
 
 OUTPUT_DIR_ENV = "BSUMKIT_OUTPUT_DIR"
@@ -42,22 +43,6 @@ TRACE_HEADER = "r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks,descent_slack
 SUITES = ("descent", "cost-to-go", "envelope", "nesterov", "fd")
 SURROGATE_KINDS = ("exact", "prox-linear", "mixed", "model-custom")
 ALGORITHMS = ("bsum", "sum", "a2bsum")
-
-MODEL_KEYS = {
-    "lasso": {"family", "seed", "m", "n", "lam", "density", "blocks", "file_A", "file_b"},
-    "group-lasso": {"family", "seed", "m", "sizes", "weight", "deficient"},
-    "logistic": {"family", "seed", "rows", "n", "weight"},
-    "l2svm": {"family", "seed", "rows", "n", "l1_weight", "file_rows"},
-    "quadratic": {"family", "seed", "sizes", "rank_deficit", "file_Q", "file_c", "blocks"},
-    "two-block-quadratic": {"family", "seed", "n_inner", "n_outer", "zero_eigs", "min_pos"},
-    "fermat-weber": {"family", "seed", "terms", "n", "eta"},
-}
-
-RUN_KEYS = {
-    "model", "surrogate", "surrogate_kinds", "rule", "q", "period_map",
-    "iterations", "tolerance", "algorithm", "outer", "inner",
-    "record_virtual", "record_grad_diffs", "compute_auxiliary", "schedule_seed",
-}
 
 
 class ConfigError(ValueError):
@@ -82,6 +67,9 @@ class RunConfig:
     record_grad_diffs: Optional[bool] = None
     compute_auxiliary: bool = False
     schedule_seed: Optional[int] = None
+
+
+RUN_KEYS = {f.name for f in fields(RunConfig)} - {"run_id"}
 
 
 @dataclass
@@ -133,27 +121,6 @@ def _parse_lines(path: str) -> dict:
     return flat
 
 
-def _expected_block_count(model: dict) -> Optional[int]:
-    fam = model.get("family")
-    if fam == "lasso":
-        if "blocks" in model:
-            return len(model["blocks"])
-        return model.get("n")
-    if fam == "group-lasso":
-        return len(model["sizes"]) if "sizes" in model else None
-    if fam in ("logistic", "l2svm"):
-        return model.get("n")
-    if fam == "quadratic":
-        if "blocks" in model:
-            return len(model["blocks"])
-        return len(model["sizes"]) if "sizes" in model else 1
-    if fam == "two-block-quadratic":
-        return 2
-    if fam == "fermat-weber":
-        return 1
-    return None
-
-
 def parse_config(path: str) -> ExperimentSpec:
     """Strict parse: unknown keys rejected, rule parameters validated."""
     flat = _parse_lines(path)
@@ -196,21 +163,14 @@ def parse_config(path: str) -> ExperimentSpec:
         model = bucket.get("model")
         if not model or "family" not in model:
             raise ConfigError(f"run {run_id!r}: model.family is required")
-        fam = model["family"]
-        if fam not in MODEL_KEYS:
+        family = models.FAMILIES.get(model["family"])
+        if family is None:
             raise ConfigError(
-                f"run {run_id!r}: unsupported model family {fam!r}"
+                f"run {run_id!r}: unsupported model family {model['family']!r}"
             )
-        bad = set(model) - MODEL_KEYS[fam]
-        if bad:
-            raise ConfigError(f"run {run_id!r}: unknown model fields {sorted(bad)}")
 
         rule = bucket.get("rule", "gauss-seidel")
-        if rule not in RULES:
-            raise ConfigError(f"run {run_id!r}: unknown rule {rule!r}")
         q = float(bucket.get("q", 1.0))
-        if rule == "gauss-southwell" and not 0.0 < q <= 1.0:
-            raise ConfigError(f"run {run_id!r}: q must lie in (0,1]")
         surrogate = bucket.get("surrogate", "prox-linear")
         if surrogate not in SURROGATE_KINDS:
             raise ConfigError(f"run {run_id!r}: unknown surrogate {surrogate!r}")
@@ -223,31 +183,29 @@ def parse_config(path: str) -> ExperimentSpec:
         tolerance = float(bucket.get("tolerance", 0.0))
         if tolerance < 0:
             raise ConfigError(f"run {run_id!r}: tolerance must be >= 0")
+        if algorithm != "bsum" and rule != "gauss-seidel":
+            raise ConfigError(f"run {run_id!r}: algorithm {algorithm!r} runs gauss-seidel "
+                              f"only, not {rule!r}")
+        if algorithm == "a2bsum" and tolerance > 0:
+            raise ConfigError(f"run {run_id!r}: algorithm 'a2bsum' has no gap tolerance")
 
         period_map = bucket.get("period_map")
-        if rule == "essentially-cyclic":
-            if period_map is None:
-                raise ConfigError(
-                    f"run {run_id!r}: essentially-cyclic rule needs period_map"
-                )
-            n_blocks = _expected_block_count(model)
-            if n_blocks is not None:
-                covered = set()
-                for slot in period_map:
-                    covered.update(int(i) for i in slot)
-                missing = sorted(set(range(n_blocks)) - covered)
-                if missing:
-                    raise ConfigError(
-                        f"run {run_id!r}: period map does not cover block "
-                        f"indices {missing}"
-                    )
-            period_map = tuple(tuple(int(i) for i in slot) for slot in period_map)
+        try:
+            family.check_keys(model)
+            n_blocks = family.block_count(model)
+            if n_blocks is None:  # only the files fix it
+                n_blocks = 1 + max((int(i) for slot in period_map or () for i in slot),
+                                   default=0)
+            schedule = make_schedule(rule, n_blocks, period_map=period_map, q=q,
+                                     seed=bucket.get("schedule_seed"))
+        except ValueError as exc:
+            raise ConfigError(f"run {run_id!r}: {exc}") from None
 
         kinds = bucket.get("surrogate_kinds")
         runs.append(RunConfig(
             run_id=run_id, model=model, surrogate=surrogate,
             surrogate_kinds=None if kinds is None else tuple(kinds),
-            rule=rule, q=q, period_map=period_map, iterations=iterations,
+            rule=rule, q=q, period_map=schedule.period_map, iterations=iterations,
             tolerance=tolerance, algorithm=algorithm,
             outer=int(bucket.get("outer", 1)), inner=int(bucket.get("inner", 0)),
             record_virtual=bucket.get("record_virtual"),
@@ -265,131 +223,36 @@ def parse_config(path: str) -> ExperimentSpec:
 
 
 def build_model(model: dict, default_seed: int) -> Problem:
-    fam = model["family"]
-    seed = int(model.get("seed", default_seed))
-    if fam == "lasso":
-        if "file_A" in model:
-            A = models.read_matrix(model["file_A"])
-            b = models.read_matrix(model["file_b"]).ravel()
-            lam = float(model["lam"])
-        else:
-            A, b, lam = models.gen_lasso(
-                int(model["m"]), int(model["n"]), float(model["lam"]),
-                seed, density=float(model.get("density", 1.0)),
-            )
-        return models.build_lasso(A, b, lam, block_sizes=model.get("blocks"))
-    if fam == "group-lasso":
-        mats, b, weights = models.gen_group_lasso(
-            int(model["m"]), [int(s) for s in model["sizes"]],
-            float(model.get("weight", 0.0)), seed,
-            deficient=model.get("deficient", ()),
-        )
-        return models.build_group_lasso(mats, b, weights)
-    if fam == "logistic":
-        A, y, w = models.gen_logistic(
-            int(model["rows"]), int(model["n"]), float(model.get("weight", 0.0)), seed
-        )
-        return models.build_logistic(A, y, w)
-    if fam == "l2svm":
-        if "file_rows" in model:
-            rows = models.read_matrix(model["file_rows"])
-        else:
-            rows = models.gen_l2svm(int(model["rows"]), int(model["n"]), seed)
-        return models.build_l2svm(rows, l1_weight=float(model.get("l1_weight", 0.0)))
-    if fam == "quadratic":
-        if "file_Q" in model:
-            Q = models.read_matrix(model["file_Q"])
-            c = models.read_matrix(model["file_c"]).ravel()
-            sizes = model.get("blocks")
-        else:
-            sizes = [int(s) for s in model["sizes"]]
-            Q, c = models.gen_quadratic(sizes, seed,
-                                        rank_deficit=int(model.get("rank_deficit", 0)))
-        return models.build_quadratic(Q, c, block_sizes=sizes)
-    if fam == "two-block-quadratic":
-        Q, c, sizes = models.gen_two_block_quadratic(
-            int(model["n_inner"]), int(model["n_outer"]), seed,
-            zero_eigs=int(model.get("zero_eigs", 1)),
-            min_pos=float(model.get("min_pos", 1e-4)),
-        )
-        return models.build_quadratic(Q, c, block_sizes=list(sizes))
-    if fam == "fermat-weber":
-        mats, offsets = models.gen_fermat_weber(int(model["terms"]), int(model["n"]), seed)
-        return models.build_irls(mats, offsets, float(model["eta"]))
-    raise ConfigError(f"unsupported model family {fam!r}")
+    family = models.FAMILIES[model["family"]]
+    if family.file_keys & set(model):
+        arrays = {key[len("file_"):]: models.read_matrix(model[key]) for key in family.file_keys}
+    else:
+        arrays = family.generate(model, int(model.get("seed", default_seed)))
+    return family.build(arrays, model)
 
 
 # ---------------------------------------------------------------------------
 # per-run execution and checks
 
 
-def _run_algorithm(cfg: RunConfig, problem: Problem, surrogate) -> Trace:
+def _run_algorithm(cfg: RunConfig, problem: Problem, surrogate,
+                   f_star: Optional[float]) -> Trace:
     meta = {"run_id": cfg.run_id, "seed": cfg.model.get("seed")}
     if cfg.algorithm == "a2bsum":
         return run_a2bsum(problem, outer=cfg.outer, inner=cfg.inner,
                           iterations=cfg.iterations, meta=meta)
     if cfg.algorithm == "sum":
         return run_sum(problem, surrogate, iterations=cfg.iterations,
-                       tol=cfg.tolerance, compute_auxiliary=cfg.compute_auxiliary,
-                       meta=meta)
+                       tol=cfg.tolerance, f_star=f_star,
+                       compute_auxiliary=cfg.compute_auxiliary, meta=meta)
     schedule = make_schedule(cfg.rule, problem.n_blocks, period_map=cfg.period_map,
                              q=cfg.q, seed=cfg.schedule_seed)
     return run_bsum(
         problem, surrogate, schedule, iterations=cfg.iterations, tol=cfg.tolerance,
-        record_virtual=cfg.record_virtual, record_grad_diffs=cfg.record_grad_diffs,
-        meta=meta,
+        f_star=f_star, record_virtual=cfg.record_virtual,
+        record_grad_diffs=cfg.record_grad_diffs,
+        compute_auxiliary=cfg.compute_auxiliary, meta=meta,
     )
-
-
-def _plan_descent_variants(rule: str, kind: str) -> list[str]:
-    plan = ["gs-ec" if rule in ("gauss-seidel", "essentially-cyclic",
-                                "random-permutation") else "gso-mbi"]
-    if kind == "exact" and rule in ("gauss-seidel", "essentially-cyclic",
-                                    "random-permutation"):
-        plan.append("bcm")
-    return plan
-
-
-def _plan_cost_variants(rule: str, kind: str, cert) -> list[str]:
-    plan = []
-    if rule in ("gauss-seidel", "random-permutation"):
-        if cert.g_max is not None:
-            plan.append("gs")
-        if kind == "exact":
-            plan.append("bcm-gs")
-    elif rule == "essentially-cyclic":
-        if cert.g_max is not None:
-            plan.append("ec")
-    else:
-        plan.append("gso-mbi")
-    return plan
-
-
-def _plan_envelopes(cfg: RunConfig, problem: Problem, surrogate, cert) -> list[tuple[str, dict]]:
-    plan: list[tuple[str, dict]] = []
-    if cfg.algorithm == "sum":
-        plan.append(("sum", {"lip": surrogate.l_max}))
-        return plan
-    rule, kind = cfg.rule, surrogate.kind
-    strongly = cert.gamma > 0 and cert.g_max is not None
-    if rule in ("gauss-seidel", "random-permutation") and strongly:
-        plan.append(("bsum-gs", {}))
-    if rule == "essentially-cyclic" and strongly:
-        plan.append(("bsum-ec", {}))
-    if rule == "gauss-southwell" and cert.gamma > 0:
-        plan.append(("bsum-gso", {}))
-    if rule == "mbi" and cert.gamma > 0:
-        plan.append(("bsum-mbi", {}))
-    if kind == "exact":
-        if rule in ("gauss-seidel", "random-permutation"):
-            plan.append(("bcm-gs", {}))
-            if problem.composite is not None:
-                plan.append(("composite-gs", {"composite": problem.composite}))
-            if problem.svm is not None:
-                plan.append(("l2svm-gs", {"svm": problem.svm}))
-        if rule == "essentially-cyclic":
-            plan.append(("bcm-ec", {}))
-    return plan
 
 
 def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> RunResult:
@@ -397,12 +260,14 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
     surrogate = None
     if cfg.algorithm != "a2bsum":
         surrogate = make_surrogate(problem, cfg.surrogate, kinds=cfg.surrogate_kinds)
-    trace = _run_algorithm(cfg, problem, surrogate)
 
+    # the reference comes first, so that a gap tolerance can stop the run
     key = json.dumps(cfg.model, sort_keys=True) + f"|{spec.seed}"
     if key not in reference_cache:
         reference_cache[key] = reference_solve(problem)
     ref = reference_cache[key]
+    trace = _run_algorithm(cfg, problem, surrogate,
+                           f_star=ref.f if cfg.tolerance > 0 else None)
     trace.attach_reference(ref.x, ref.f)
     if not ref.converged:
         trace.meta.setdefault("warnings", []).append(
@@ -425,18 +290,19 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
 
     cert = estimate_constants(problem, surrogate, trace)
     result.certificate = cert
-    if "descent" in spec.suites:
-        for variant in _plan_descent_variants(cfg.rule, surrogate.kind):
+    for check, variant in plan_checks(trace.meta, cert, problem):
+        if check not in spec.suites:
+            continue
+        if check == "descent":
             result.checks.append(check_sufficient_descent(trace, cert, variant))
-    if "cost-to-go" in spec.suites:
-        for variant in _plan_cost_variants(cfg.rule, surrogate.kind, cert):
+        elif check == "cost-to-go":
             result.checks.append(check_cost_to_go(trace, cert, variant))
-    if "envelope" in spec.suites:
-        for rate_id, extra in _plan_envelopes(cfg, problem, surrogate, cert):
-            sigma, c, offset = sigma_for(rate_id, cert, problem.n_blocks, **extra)
-            rep = check_rate_envelope(trace, sigma, c, offset, label=rate_id)
+        else:
+            sigma, c, offset = sigma_for(variant, cert, problem.n_blocks,
+                                         composite=problem.composite, svm=problem.svm)
+            rep = check_rate_envelope(trace, sigma, c, offset, label=variant)
             result.envelopes.append(
-                {"id": rate_id, "sigma": sigma, "c": c, "offset": offset,
+                {"id": variant, "sigma": sigma, "c": c, "offset": offset,
                  "max_violation": rep.max_violation, "passed": rep.passed}
             )
     if "nesterov" in spec.suites:
@@ -633,52 +499,13 @@ def certify(trace_path: str, config_path: str, run_id: Optional[str] = None) -> 
 
 
 def generate_instance(family: str, params: dict, prefix: str) -> list[str]:
-    seed = int(params.get("seed", 0))
-    written = []
-
-    def put(tag, M):
-        path = f"{prefix}_{tag}.txt"
-        models.write_matrix(path, M)
-        written.append(path)
-
-    if family == "lasso":
-        A, b, _ = models.gen_lasso(int(params["m"]), int(params["n"]),
-                                   float(params.get("lam", 1.0)), seed,
-                                   density=float(params.get("density", 1.0)))
-        put("A", A)
-        put("b", b.reshape(-1, 1))
-    elif family == "l2svm":
-        rows = models.gen_l2svm(int(params["rows"]), int(params["n"]), seed)
-        put("rows", rows)
-    elif family == "logistic":
-        A, y, _ = models.gen_logistic(int(params["rows"]), int(params["n"]), 0.0, seed)
-        put("A", A)
-        put("y", y.reshape(-1, 1))
-    elif family == "quadratic":
-        Q, c = models.gen_quadratic([int(s) for s in params["sizes"]], seed,
-                                    rank_deficit=int(params.get("rank_deficit", 0)))
-        put("Q", Q)
-        put("c", c.reshape(-1, 1))
-    elif family == "two-block-quadratic":
-        Q, c, _ = models.gen_two_block_quadratic(
-            int(params["n_inner"]), int(params["n_outer"]), seed,
-            zero_eigs=int(params.get("zero_eigs", 1)),
-            min_pos=float(params.get("min_pos", 1e-4)))
-        put("Q", Q)
-        put("c", c.reshape(-1, 1))
-    elif family == "group-lasso":
-        mats, b, _ = models.gen_group_lasso(
-            int(params["m"]), [int(s) for s in params["sizes"]],
-            float(params.get("weight", 0.0)), seed,
-            deficient=params.get("deficient", ()))
-        for k, Ak in enumerate(mats):
-            put(f"A{k}", Ak)
-        put("b", b.reshape(-1, 1))
-    elif family == "fermat-weber":
-        mats, offsets = models.gen_fermat_weber(int(params["terms"]), int(params["n"]), seed)
-        put("P", -np.array(offsets))
-    else:
+    if family not in models.FAMILIES:
         raise ConfigError(f"unsupported model family {family!r}")
+    written = []
+    for tag, M in models.FAMILIES[family].generate(params, int(params.get("seed", 0))).items():
+        written.append(f"{prefix}_{tag}.txt")
+        # vectors are written as columns
+        models.write_matrix(written[-1], M.reshape(-1, 1) if M.ndim == 1 else M)
     return written
 
 

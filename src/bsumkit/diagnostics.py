@@ -32,11 +32,6 @@ from .problem import (
 
 DEFAULT_TOLERANCE = 1e-9
 
-RATE_IDS = (
-    "bsum-gs", "bsum-ec", "bsum-gso", "bsum-mbi",
-    "sum", "two-block", "bcm-gs", "bcm-ec", "composite-gs", "l2svm-gs",
-)
-
 
 @dataclass(eq=False)
 class RateCertificate:
@@ -183,6 +178,104 @@ def estimate_constants(
 
 
 # ---------------------------------------------------------------------------
+# which certificates cover a run
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One certificate: the runs it covers and what it needs to hold.
+
+    check is the suite that runs it ("descent", "cost-to-go" or
+    "envelope") and variant its check variant or rate id.  A run is covered
+    when its algorithm, rule and surrogate kind are listed (surrogates None
+    admits every kind).  needs names what the certificate assumes:
+    "gamma>0" (curvature of every block bound), "G_max" (anchor Lipschitz
+    constant), "L_max" (step constant), "composite" (g as a composite of
+    block-strongly-convex losses) and "svm" (the squared-hinge row data).
+    """
+
+    check: str
+    variant: str
+    algorithms: tuple[str, ...]
+    rules: tuple[str, ...]
+    surrogates: Optional[tuple[str, ...]] = None
+    needs: tuple[str, ...] = ()
+
+
+_BLOCK_RUNS = ("bsum", "sum")  # the single-block run is one-block BSUM
+_CYCLIC = ("gauss-seidel", "essentially-cyclic", "random-permutation")
+_GS = ("gauss-seidel", "random-permutation")  # every block once per iteration
+_EC = ("essentially-cyclic",)
+_GREEDY = ("gauss-southwell", "mbi")
+_EXACT = ("exact",)
+
+# In plan order: descent checks, then cost-to-go checks, then envelopes.
+THEOREMS = (
+    # BSUM with strongly convex block bounds (BCPG/BCGD and BCM alike)
+    Theorem("descent", "gs-ec", _BLOCK_RUNS, _CYCLIC),
+    Theorem("descent", "gso-mbi", _BLOCK_RUNS, _GREEDY),
+    # exact block minimization without per-block strong convexity
+    Theorem("descent", "bcm", _BLOCK_RUNS, _CYCLIC, _EXACT),
+    Theorem("cost-to-go", "gs", _BLOCK_RUNS, _GS, needs=("G_max",)),
+    Theorem("cost-to-go", "bcm-gs", _BLOCK_RUNS, _GS, _EXACT),
+    Theorem("cost-to-go", "ec", _BLOCK_RUNS, _EC, needs=("G_max",)),
+    Theorem("cost-to-go", "gso-mbi", _BLOCK_RUNS, _GREEDY, needs=("L_max",)),
+    Theorem("envelope", "bsum-gs", ("bsum",), _GS, needs=("gamma>0", "G_max")),
+    Theorem("envelope", "bsum-ec", ("bsum",), _EC, needs=("gamma>0", "G_max")),
+    Theorem("envelope", "bsum-gso", ("bsum",), ("gauss-southwell",), needs=("gamma>0", "L_max")),
+    Theorem("envelope", "bsum-mbi", ("bsum",), ("mbi",), needs=("gamma>0", "L_max")),
+    Theorem("envelope", "bcm-gs", ("bsum",), _GS, _EXACT),
+    # composite g(Ax) and squared-hinge structure sharpen the BCM rate
+    Theorem("envelope", "composite-gs", ("bsum",), _GS, _EXACT, ("composite",)),
+    Theorem("envelope", "l2svm-gs", ("bsum",), _GS, _EXACT, ("svm",)),
+    Theorem("envelope", "bcm-ec", ("bsum",), _EC, _EXACT),
+    Theorem("envelope", "sum", ("sum",), ("gauss-seidel",), needs=("L_max",)),
+    # the two-block alternation certifies with the outer block's step
+    # constant, which only its caller knows, so no run plans it
+    Theorem("envelope", "two-block", (), ("gauss-seidel",), ("mixed",), ("L_max",)),
+)
+
+def _unmet(t: Theorem, cert: RateCertificate, composite=None, svm=None,
+           lip: Optional[float] = None) -> list[str]:
+    """The needs of t that the certificate and the model structure leave open."""
+    step = cert.l_max if lip is None else lip
+    held = {
+        "gamma>0": cert.gamma > 0,
+        "G_max": cert.g_max is not None,
+        "L_max": step is not None and step > 0,
+        "composite": composite is not None,
+        "svm": svm is not None,
+    }
+    return [need for need in t.needs if not held[need]]
+
+
+def _check_theorem(check: str, variant: str, cert: RateCertificate, **structure) -> None:
+    """Raise ValueError for an unknown variant or a need the certificate leaves open."""
+    rows = [t for t in THEOREMS if (t.check, t.variant) == (check, variant)]
+    if not rows:
+        what = "rate id" if check == "envelope" else f"{check} variant"
+        known = [t.variant for t in THEOREMS if t.check == check]
+        raise ValueError(f"unknown {what} {variant!r}; expected one of {known}")
+    missing = _unmet(rows[0], cert, **structure)
+    if missing:
+        raise ValueError(f"{check} {variant!r} needs {', '.join(missing)}, "
+                         f"which the certificate lacks")
+
+
+def plan_checks(meta: dict, cert: RateCertificate, problem: Problem) -> list[tuple[str, str]]:
+    """(check, variant) of every certificate that covers a run, in THEOREMS order.
+
+    The run is described by its trace's meta (algorithm, rule, surrogate).
+    """
+    return [
+        (t.check, t.variant) for t in THEOREMS
+        if meta["algorithm"] in t.algorithms and meta["rule"] in t.rules
+        and (t.surrogates is None or meta["surrogate"] in t.surrogates)
+        and not _unmet(t, cert, problem.composite, problem.svm)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # sigma / c table
 
 
@@ -206,28 +299,21 @@ def sigma_for(
     The envelope certified is gap(r) <= (c / sigma) / (r - offset) for all
     r > offset.
     """
+    _check_theorem("envelope", rate_id, cert, composite=composite, svm=svm, lip=lip)
     K = float(n_blocks)
     R = cert.radius
     if rate_id == "bsum-gs":
-        if cert.gamma <= 0 or cert.g_max is None:
-            raise ValueError("certificate lacks curvature or anchor constants")
         return _pair(cert.gamma / (K * cert.g_max**2 * R**2), cert, 0)
     if rate_id == "bsum-ec":
-        if cert.gamma <= 0 or cert.g_max is None:
-            raise ValueError("certificate lacks curvature or anchor constants")
         return _pair(
             cert.gamma / (K * cert.period * R**2 * cert.g_max**2), cert, cert.period
         )
     if rate_id in ("bsum-gso", "bsum-mbi"):
-        if cert.gamma <= 0 or cert.l_max is None:
-            raise ValueError("certificate lacks curvature constants")
         qq = cert.q if rate_id == "bsum-gso" else 1.0
         denom = 2.0 * K * ((cert.grad_bound + cert.l_h) ** 2 + cert.l_max**2 * K * R**2)
         return _pair(cert.gamma * qq / denom, cert, 0)
     if rate_id in ("sum", "two-block"):
         step = lip if lip is not None else cert.l_max
-        if step is None or step <= 0:
-            raise ValueError("single-block certificate needs the bound's step constant")
         return _pair(1.0 / (32.0 * R**2 * step), cert, 1 if rate_id == "sum" else 2)
     if rate_id == "bcm-gs":
         return _pair(1.0 / (2.0 * cert.big_m * K**2 * R**2), cert, 0)
@@ -236,20 +322,15 @@ def sigma_for(
             1.0 / (2.0 * K**2 * cert.period * R**2 * cert.big_m), cert, cert.period
         )
     if rate_id == "composite-gs":
-        if composite is None:
-            raise ValueError("composite certificate needs the composite structure")
         worst = float(np.max(composite.map_gram_norms * composite.cross_lipschitz**2))
         sigma = float(np.min(composite.moduli)) / (
             2.0 * K * composite.n_terms * R**2 * worst
         )
         return _pair(sigma, cert, 0)
-    if rate_id == "l2svm-gs":
-        if svm is None:
-            raise ValueError("squared-hinge certificate needs the row data")
-        row_sum = sum(svm.block_row_norm_max(k) for k in range(n_blocks))
-        n_rows = svm.rows.shape[0]
-        return _pair(1.0 / (8.0 * row_sum**2 * K * n_rows * R**2), cert, 0)
-    raise ValueError(f"unknown rate id {rate_id!r}; expected one of {RATE_IDS}")
+    # l2svm-gs
+    row_sum = sum(svm.block_row_norm_max(k) for k in range(n_blocks))
+    n_rows = svm.rows.shape[0]
+    return _pair(1.0 / (8.0 * row_sum**2 * K * n_rows * R**2), cert, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +353,7 @@ def check_sufficient_descent(
     "gso-mbi" (squared virtual step, scaled by the selection constant),
     "bcm" (summed squared gradient differences against 1/2M).
     """
+    _check_theorem("descent", variant, cert)
     recs = trace.records
     if len(recs) < 2:
         raise ValueError("trace needs at least one iteration")
@@ -284,11 +366,9 @@ def check_sufficient_descent(
         c1 = cert.q if trace.meta.get("rule") == "gauss-southwell" else 1.0
         K = trace.meta["n_blocks"]
         rhs = (c1 / K) * cert.gamma * virt
-    elif variant == "bcm":
+    else:  # bcm
         grads = _require([r.grad_diff_sq for r in recs[1:]], "gradient differences")
         rhs = grads / (2.0 * cert.big_m)
-    else:
-        raise ValueError(f"unknown descent variant {variant!r}")
     slacks = np.asarray(drops) - rhs
     return _report("sufficient-descent", variant, slacks, tolerance)
 
@@ -302,6 +382,7 @@ def check_cost_to_go(
     Variants: "gs", "ec" (window of squared steps), "gso-mbi" (squared
     virtual step at the current point), "bcm-gs" (gradient differences).
     """
+    _check_theorem("cost-to-go", variant, cert)
     if trace.f_star is None:
         raise ValueError("attach the reference solution first")
     recs = trace.records
@@ -310,15 +391,11 @@ def check_cost_to_go(
     R2 = cert.radius**2
     slacks = []
     if variant == "gs":
-        if cert.g_max is None:
-            raise ValueError("certificate lacks the anchor Lipschitz constant")
         steps = _require([r.step_sq for r in recs[1:]], "step norms")
         for j in range(1, len(recs)):
             bound = R2 * K * cert.g_max**2 * steps[j - 1]
             slacks.append(bound - deltas[j] ** 2)
     elif variant == "ec":
-        if cert.g_max is None:
-            raise ValueError("certificate lacks the anchor Lipschitz constant")
         T = cert.period
         steps = _require([r.step_sq for r in recs[1:]], "step norms")
         for j in range(T, len(recs)):
@@ -326,20 +403,16 @@ def check_cost_to_go(
             bound = T * R2 * K * cert.g_max**2 * window
             slacks.append(bound - deltas[j] ** 2)
     elif variant == "gso-mbi":
-        if cert.l_max is None:
-            raise ValueError("certificate lacks the step Lipschitz constant")
         virt = _require([r.virt_step_sq for r in recs[1:]], "virtual step norms")
         coeff = 2.0 * ((cert.grad_bound + cert.l_h) ** 2 + cert.l_max**2 * K * R2)
         # bounds the squared gap at the anchor by the virtual step computed
         # from it (the next record holds that virtual step)
         for j in range(1, len(recs) - 1):
             slacks.append(coeff * virt[j] - deltas[j] ** 2)
-    elif variant == "bcm-gs":
+    else:  # bcm-gs
         grads = _require([r.grad_diff_sq for r in recs[1:]], "gradient differences")
         for j in range(1, len(recs)):
             slacks.append(2.0 * K**2 * R2 * grads[j - 1] - deltas[j] ** 2)
-    else:
-        raise ValueError(f"unknown cost-to-go variant {variant!r}")
     return _report("cost-to-go", variant, slacks, tolerance)
 
 

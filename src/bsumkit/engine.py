@@ -18,6 +18,7 @@ from .problem import (
     Problem,
     SmoothPart,
     UnsupportedCombination,
+    block_gradient,
     eval_objective,
     feasible_start,
     make_partition,
@@ -299,8 +300,7 @@ def run_a2bsum(
         v1 = (1.0 - theta) * x1_prev + theta * w1
         work[sl_out] = v1
         work[sl_in] = problem.exact_solver(inner, work)
-        grad1 = problem.smooth.grad(work)[sl_out] if problem.smooth.block_grad_fn is None \
-            else problem.smooth.block_grad_fn(outer, work)
+        grad1 = block_gradient(problem, outer, work)
         x1 = prox_block(h_out, cs_out, m1, v1 - grad1 / m1)
         w1 = x1_prev + (x1 - x1_prev) / theta
         trace.acc_states.append(AccState(r=r, theta=theta, v1=v1.copy(), w1=w1.copy()))
@@ -349,10 +349,7 @@ def reduce_two_block(problem: Problem, outer: int = 1, inner: int = 0) -> Proble
         return float(problem.smooth.value(y)) + h_in.value(y[sl_in])
 
     def grad(x1):
-        y = assemble(x1)
-        if problem.smooth.block_grad_fn is not None:
-            return problem.smooth.block_grad_fn(outer, y)
-        return problem.smooth.grad(y)[sl_out]
+        return block_gradient(problem, outer, assemble(x1))
 
     reference = None
     if problem.reference_solver is not None:

@@ -9,7 +9,8 @@ throughout; instances are desk scale.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,7 +32,7 @@ from .problem import (
     linear_smooth,
     make_partition,
 )
-from .surrogate import prox_block
+from .surrogate import Surrogate, prox_block
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +42,23 @@ from .surrogate import prox_block
 def spectral_norm_psd(S: Array) -> float:
     """Largest eigenvalue of a symmetric PSD matrix (its spectral norm)."""
     return float(np.linalg.eigvalsh(np.asarray(S, dtype=float))[-1])
+
+
+def _block_gram_eigs(gram: Array, part: BlockPartition) -> tuple[list[float], list[float]]:
+    """Largest and smallest (clipped at 0) eigenvalue of each diagonal block of a Gram matrix."""
+    top, bottom = [], []
+    for k in range(part.n_blocks):
+        sl = part.block_slice(k)
+        sub = gram[sl, sl]
+        ev = sub[0] if sub.shape[0] == 1 else np.linalg.eigvalsh(sub)
+        top.append(float(ev[-1]))
+        bottom.append(max(float(ev[0]), 0.0))
+    return top, bottom
+
+
+def _block_eighs(blocks) -> list[tuple[Array, Array]]:
+    """Eigendecomposition of each symmetric PSD block, eigenvalues clipped at 0."""
+    return [(np.maximum(evals, 0.0), vecs) for evals, vecs in map(np.linalg.eigh, blocks)]
 
 
 def _hinge(r: Array) -> Array:
@@ -217,17 +235,9 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
     gram = A.T @ A
 
     big_m = 2.0 * spectral_norm_psd(gram)
-    mk, curv = [], []
-    for k in range(part.n_blocks):
-        sl = part.block_slice(k)
-        sub = gram[sl, sl]
-        if sub.shape[0] == 1:
-            mk.append(2.0 * float(sub[0, 0]))
-            curv.append(2.0 * float(sub[0, 0]))
-        else:
-            ev = np.linalg.eigvalsh(sub)
-            mk.append(2.0 * float(ev[-1]))
-            curv.append(2.0 * max(float(ev[0]), 0.0))
+    top, bottom = _block_gram_eigs(gram, part)
+    mk = [2.0 * t for t in top]
+    curv = [2.0 * t for t in bottom]
 
     nonsmooth = tuple(NonsmoothBlock(kind="l1", weight=lam) for _ in range(part.n_blocks))
     smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
@@ -293,13 +303,9 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     gram = A.T @ A
 
     big_m = 2.0 * spectral_norm_psd(gram)
-    mk, curv, eigs = [], [], []
-    for k, Ak in enumerate(mats):
-        evals, vecs = np.linalg.eigh(Ak.T @ Ak)
-        evals = np.maximum(evals, 0.0)
-        eigs.append((evals, vecs))
-        mk.append(2.0 * float(evals[-1]))
-        curv.append(2.0 * float(evals[0]))
+    eigs = _block_eighs(Ak.T @ Ak for Ak in mats)
+    mk = [2.0 * float(evals[-1]) for evals, _ in eigs]
+    curv = [2.0 * float(evals[0]) for evals, _ in eigs]
 
     nonsmooth = tuple(
         NonsmoothBlock(kind="group-l2", weight=float(w)) for w in weights
@@ -344,12 +350,7 @@ def build_logistic(A, y, weight: float, block_sizes=None, constraints=None) -> P
 
     # sigmoid curvature bound: the Hessian is dominated by (1/2) A^T A
     big_m = 0.5 * spectral_norm_psd(gram)
-    mk = []
-    for k in range(part.n_blocks):
-        sl = part.block_slice(k)
-        sub = gram[sl, sl]
-        top = float(sub[0, 0]) if sub.shape[0] == 1 else float(np.linalg.eigvalsh(sub)[-1])
-        mk.append(0.5 * top)
+    mk = [0.5 * t for t in _block_gram_eigs(gram, part)[0]]
 
     nonsmooth = tuple(
         NonsmoothBlock(kind="l1", weight=float(weight)) for _ in range(part.n_blocks)
@@ -378,12 +379,7 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
     gram = rows.T @ rows
 
     big_m = 2.0 * spectral_norm_psd(gram)
-    mk = []
-    for k in range(part.n_blocks):
-        sl = part.block_slice(k)
-        sub = gram[sl, sl]
-        top = float(sub[0, 0]) if sub.shape[0] == 1 else float(np.linalg.eigvalsh(sub)[-1])
-        mk.append(2.0 * top)
+    mk = [2.0 * t for t in _block_gram_eigs(gram, part)[0]]
 
     kind = "l1" if l1_weight > 0.0 else "zero"
     nonsmooth = tuple(
@@ -415,41 +411,22 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
 # smoothed sum of norms, solved by reweighted least squares
 
 
-class ReweightingBound:
+class ReweightingBound(Surrogate):
     """Model-specific upper bound for the smoothed sum-of-norms objective.
 
     Freezing each term's denominator at the anchor gives a convex quadratic
     that dominates the objective (arithmetic-geometric mean inequality) and
-    touches it at the anchor; minimizing it is one reweighting step.
+    touches it at the anchor; minimizing it is one reweighting step.  It
+    declares no curvature and no anchor constant.
     """
 
     def __init__(self, problem: Problem):
-        self.problem = problem
         data = problem.irls
+        super().__init__(problem=problem, kinds=("model-custom",),
+                         lip=(data.grad_lipschitz,), gamma_blocks=(None,), anchor_lip=(None,))
         self.data = data
-        self.kinds = ("model-custom",)
-        self.lip = (data.grad_lipschitz,)
-        self.gamma_blocks = (None,)
-        self.anchor_lip = (None,)
         self._grams = tuple(A.T @ A for A in data.mats)
         self._cross = tuple(A.T @ b for A, b in zip(data.mats, data.offsets))
-        self._bsq = tuple(float(b @ b) for b in data.offsets)
-
-    @property
-    def kind(self) -> str:
-        return "model-custom"
-
-    @property
-    def gamma(self) -> float:
-        return 0.0
-
-    @property
-    def l_max(self) -> float:
-        return self.lip[0]
-
-    @property
-    def g_max(self):
-        return None
 
     def value(self, k: int, v, anchor, grad_k=None) -> float:
         v = np.asarray(v, dtype=float)
@@ -573,6 +550,8 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
     if np.max(np.abs(Q - Q.T)) > 1e-10 * scale:
         raise ValueError("Q must be symmetric")
     part = make_partition(block_sizes if block_sizes is not None else [n])
+    if part.dim != n:
+        raise ValueError("block sizes must partition the rows of Q")
     cons = _default_constraints(part, constraints)
 
     def value(x):
@@ -581,15 +560,9 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
     def grad(x):
         return 2.0 * (Q @ x) + c
 
-    eigs = []
-    mk, curv = [], []
-    for k in range(part.n_blocks):
-        sl = part.block_slice(k)
-        evals, vecs = np.linalg.eigh(Q[sl, sl])
-        evals = np.maximum(evals, 0.0)
-        eigs.append((evals, vecs))
-        mk.append(2.0 * float(evals[-1]))
-        curv.append(2.0 * float(evals[0]))
+    eigs = _block_eighs(Q[sl, sl] for sl in map(part.block_slice, range(part.n_blocks)))
+    mk = [2.0 * float(evals[-1]) for evals, _ in eigs]
+    curv = [2.0 * float(evals[0]) for evals, _ in eigs]
     big_m = 2.0 * spectral_norm_psd(Q)
 
     smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m, block_lipschitz=tuple(mk))
@@ -616,13 +589,8 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
             return np.array([t])
         if cons[k].kind != "all-space":
             raise UnsupportedCombination("exact quadratic solve needs an unconstrained block")
-        evals, vecs = eigs[k]
-        dvals = 2.0 * evals + gamma
-        rhs = -rest + (gamma * gc if gc is not None else 0.0)
-        z = vecs.T @ rhs
-        cut = 1e-12 * max(float(np.max(dvals)), 1.0)
-        coef = np.where(dvals > cut, z / np.where(dvals > cut, dvals, 1.0), 0.0)
-        return vecs @ coef  # minimum-norm solution of the block optimality system
+        # minimum-norm solution of the block optimality system
+        return group_l2_block_min(*eigs[k], -0.5 * rest, 0.0, shift=(gamma, gc))
 
     def reference():
         x_star, *_ = np.linalg.lstsq(2.0 * Q, -c, rcond=None)
@@ -761,3 +729,105 @@ def read_matrix(path) -> Array:
     if data.size != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {data.size}")
     return data.reshape(rows, cols)
+
+
+# ---------------------------------------------------------------------------
+# model families as experiment configs name them
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """A model family: its config keys, generator, builder and block count.
+
+    generate(params, seed) returns the named arrays that `bsumkit gen` writes
+    and that a run's file keys (file_<name>) replace.  build(arrays, params)
+    makes the Problem.  block_count(params) is None when only files fix it.
+    """
+
+    gen_keys: frozenset
+    generate: Callable[[dict, int], dict]
+    build: Callable[[dict, dict], Problem]
+    block_count: Callable[[dict], Optional[int]]
+    build_keys: frozenset = frozenset()
+    file_keys: frozenset = frozenset()
+
+    def check_keys(self, params: dict) -> None:
+        """Raise ValueError for an unknown key or file keys given in part or with generator keys."""
+        given = set(params)
+        unknown = given - {"family", "seed"} - self.gen_keys - self.build_keys - self.file_keys
+        if unknown:
+            raise ValueError(f"unknown model fields {sorted(unknown)}")
+        files = given & self.file_keys
+        if files and (files != self.file_keys or given & self.gen_keys):
+            raise ValueError(f"model files {sorted(self.file_keys)} come together and "
+                             f"replace the fields {sorted(self.gen_keys)}")
+
+
+def _group_lasso_arrays(p: dict, seed: int) -> dict:
+    mats, b, _ = gen_group_lasso(int(p["m"]), [int(s) for s in p["sizes"]], 0.0, seed,
+                                 deficient=p.get("deficient", ()))
+    return {**{f"A{k}": Ak for k, Ak in enumerate(mats)}, "b": b}
+
+
+# dict(zip(names, gen_...)) names a generator's leading outputs and drops its pass-through weight
+FAMILIES = {
+    "lasso": Family(
+        gen_keys=frozenset({"m", "n", "density"}), build_keys=frozenset({"lam", "blocks"}),
+        file_keys=frozenset({"file_A", "file_b"}),
+        generate=lambda p, seed: dict(zip(("A", "b"), gen_lasso(
+            int(p["m"]), int(p["n"]), 0.0, seed, density=float(p.get("density", 1.0))))),
+        build=lambda a, p: build_lasso(a["A"], a["b"].ravel(), float(p["lam"]),
+                                       block_sizes=p.get("blocks")),
+        block_count=lambda p: len(p["blocks"]) if "blocks" in p else p.get("n"),
+    ),
+    "group-lasso": Family(
+        gen_keys=frozenset({"m", "sizes", "deficient"}), build_keys=frozenset({"weight"}),
+        generate=_group_lasso_arrays,
+        build=lambda a, p: build_group_lasso([a[f"A{k}"] for k in range(len(a) - 1)],
+                                             a["b"].ravel(), float(p.get("weight", 0.0))),
+        block_count=lambda p: len(p["sizes"]) if "sizes" in p else None,
+    ),
+    "logistic": Family(
+        gen_keys=frozenset({"rows", "n"}), build_keys=frozenset({"weight"}),
+        generate=lambda p, seed: dict(zip(("A", "y"), gen_logistic(
+            int(p["rows"]), int(p["n"]), 0.0, seed))),
+        build=lambda a, p: build_logistic(a["A"], a["y"].ravel(), float(p.get("weight", 0.0))),
+        block_count=lambda p: p.get("n"),
+    ),
+    "l2svm": Family(
+        gen_keys=frozenset({"rows", "n"}), build_keys=frozenset({"l1_weight"}),
+        file_keys=frozenset({"file_rows"}),
+        generate=lambda p, seed: {"rows": gen_l2svm(int(p["rows"]), int(p["n"]), seed)},
+        build=lambda a, p: build_l2svm(a["rows"], l1_weight=float(p.get("l1_weight", 0.0))),
+        block_count=lambda p: p.get("n"),
+    ),
+    "quadratic": Family(
+        gen_keys=frozenset({"sizes", "rank_deficit"}), build_keys=frozenset({"blocks"}),
+        file_keys=frozenset({"file_Q", "file_c"}),
+        generate=lambda p, seed: dict(zip(("Q", "c"), gen_quadratic(
+            [int(s) for s in p["sizes"]], seed, rank_deficit=int(p.get("rank_deficit", 0))))),
+        # blocks partitions Q whether it was generated or read; sizes is the default
+        build=lambda a, p: build_quadratic(a["Q"], a["c"].ravel(),
+                                           block_sizes=p.get("blocks", p.get("sizes"))),
+        block_count=lambda p: (len(p["blocks"]) if "blocks" in p
+                               else len(p["sizes"]) if "sizes" in p else 1),
+    ),
+    "two-block-quadratic": Family(
+        gen_keys=frozenset({"n_inner", "n_outer", "zero_eigs", "min_pos"}),
+        generate=lambda p, seed: dict(zip(("Q", "c"), gen_two_block_quadratic(
+            int(p["n_inner"]), int(p["n_outer"]), seed, zero_eigs=int(p.get("zero_eigs", 1)),
+            min_pos=float(p.get("min_pos", 1e-4))))),
+        build=lambda a, p: build_quadratic(a["Q"], a["c"].ravel(),
+                                           block_sizes=[int(p["n_inner"]), int(p["n_outer"])]),
+        block_count=lambda p: 2,
+    ),
+    "fermat-weber": Family(
+        gen_keys=frozenset({"terms", "n"}), build_keys=frozenset({"eta"}),
+        # the anchor points, which gen writes as P
+        generate=lambda p, seed: {"P": -np.array(gen_fermat_weber(
+            int(p["terms"]), int(p["n"]), seed)[1])},
+        build=lambda a, p: build_irls([np.eye(a["P"].shape[1])] * len(a["P"]),
+                                      [-pt for pt in a["P"]], float(p["eta"])),
+        block_count=lambda p: 1,
+    ),
+}

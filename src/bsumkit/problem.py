@@ -21,7 +21,7 @@ class UnsupportedCombination(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# partition and points
+# partition
 
 
 @dataclass(frozen=True)
@@ -58,28 +58,9 @@ def make_partition(sizes) -> BlockPartition:
     return BlockPartition(sizes=sizes, offsets=offsets)
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A vector tied to a partition, with contiguous block views."""
-
-    partition: BlockPartition
-    values: Array
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.shape[0] != self.partition.dim:
-            raise ValueError(
-                f"point has length {v.shape}, partition expects {self.partition.dim}"
-            )
-        object.__setattr__(self, "values", v)
-
-    def block(self, k: int) -> Array:
-        return self.partition.block(self.values, k)
-
-
 def as_vector(x, dim: int) -> Array:
-    """Accept a Point or array-like and return a float vector of length dim."""
-    v = x.values if isinstance(x, Point) else np.asarray(x, dtype=float)
+    """Accept an array-like and return a float vector of length dim."""
+    v = np.asarray(x, dtype=float)
     if v.shape != (dim,):
         raise ValueError(f"expected vector of length {dim}, got shape {v.shape}")
     return v
@@ -115,9 +96,6 @@ class ConstraintSet:
                 return v.copy()
             return self.center + d * (self.radius / nd)
         raise ValueError(f"unknown constraint kind {self.kind!r}")
-
-    def contains(self, v: Array, tol: float = 1e-10) -> bool:
-        return bool(np.linalg.norm(self.project(v) - v) <= tol * (1.0 + np.linalg.norm(v)))
 
     def is_bounded(self) -> bool:
         if self.kind == "box":
@@ -438,10 +416,6 @@ def block_gradient(problem: Problem, k: int, x) -> Array:
 
 def full_gradient(problem: Problem, x) -> Array:
     return problem.smooth.grad(as_vector(x, problem.dim))
-
-
-def project(constraint: ConstraintSet, v) -> Array:
-    return constraint.project(np.asarray(v, dtype=float))
 
 
 def objective_with_block(problem: Problem, x: Array, k: int, v_k: Array) -> float:

@@ -137,14 +137,6 @@ class Schedule:
         raise ValueError(f"unknown rule {self.rule!r}")
 
 
-def round_robin_period_map(n_blocks: int, period: int) -> tuple[tuple[int, ...], ...]:
-    """Split the blocks over `period` consecutive slots, covering every index."""
-    if period < 1 or period > n_blocks:
-        raise ValueError("period must lie in [1, n_blocks]")
-    chunks = np.array_split(np.arange(n_blocks), period)
-    return tuple(tuple(int(i) for i in c) for c in chunks)
-
-
 def _validate_period_map(period_map, n_blocks: int) -> tuple[tuple[int, ...], ...]:
     cleaned = []
     for slot in period_map:

@@ -243,3 +243,134 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))
     cli.run_experiment(spec)
     assert (target / "demo.trace.csv").exists()
+
+
+# family -> (generator params, builder and run fields shared by both runs,
+#            file keys -> generated array names)
+GEN_FILE_CASES = {
+    "lasso": ({"m": 10, "n": 6, "density": 0.7}, {"model.lam": 0.4, "surrogate": "exact"},
+              {"file_A": "A", "file_b": "b"}),
+    "l2svm": ({"rows": 25, "n": 4}, {"model.l1_weight": 0.2, "surrogate": "exact"},
+              {"file_rows": "rows"}),
+    "quadratic": ({"sizes": [2, 3], "rank_deficit": 1}, {"model.blocks": [2, 3]},
+                  {"file_Q": "Q", "file_c": "c"}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GEN_FILE_CASES))
+def test_run_from_gen_files_writes_the_generated_runs_trace(tmp_path, family):
+    gen_params, shared, file_keys = GEN_FILE_CASES[family]
+    prefix = str(tmp_path / "inst")
+    cli.generate_instance(family, dict(gen_params, seed=21), prefix)
+    lines = ["seed = 1"]
+    for run_id, model in (("generated", dict(gen_params, seed=21)),
+                          ("filed", {k: f"{prefix}_{v}.txt" for k, v in file_keys.items()})):
+        lines.append(f"run.{run_id}.model.family = {json.dumps(family)}")
+        for key, value in model.items():
+            lines.append(f"run.{run_id}.model.{key} = {json.dumps(value)}")
+        for key, value in shared.items():
+            lines.append(f"run.{run_id}.{key} = {json.dumps(value)}")
+        lines.append(f"run.{run_id}.iterations = 15")
+    spec = cli.parse_config(write(tmp_path, "\n".join(lines) + "\n"))
+    out = tmp_path / "out"
+    results, code = cli.run_experiment(spec, output_dir=str(out))
+    assert [r.error for r in results] == [None, None]
+    assert (out / "filed.trace.csv").read_bytes() == (out / "generated.trace.csv").read_bytes()
+
+
+def run_text(run_id: str, model: dict, **fields) -> str:
+    lines = [f"run.{run_id}.model.{key} = {json.dumps(value)}" for key, value in model.items()]
+    lines += [f"run.{run_id}.{key} = {json.dumps(value)}" for key, value in fields.items()]
+    return "\n".join(lines) + "\n"
+
+
+LASSO_20x50 = {"family": "lasso", "m": 20, "n": 50, "lam": 2.0, "seed": 101}
+QUAD_ONE_BLOCK = {"family": "quadratic", "sizes": [3], "seed": 5}
+TWO_BLOCK = {"family": "two-block-quadratic", "n_inner": 3, "n_outer": 4, "seed": 6}
+
+
+def test_tolerance_stops_the_run_at_the_gap(tmp_path):
+    text = "seed = 1\n" + run_text("tol", LASSO_20x50, iterations=300, tolerance=1.0) \
+        + run_text("full", LASSO_20x50, iterations=300)
+    results, code = cli.run_experiment(cli.parse_config(write(tmp_path, text)),
+                                       output_dir=str(tmp_path / "out"))
+    tol, full = results
+    assert tol.error is None and full.error is None
+    assert tol.trace.n_iterations < 300 and full.trace.n_iterations == 300
+    assert tol.final_delta <= 1.0 < tol.trace.deltas()[-2]
+    # up to the stop, the runs are the same run
+    assert np.array_equal(tol.trace.fvals(), full.trace.fvals()[:tol.trace.n_iterations + 1])
+
+
+@pytest.mark.parametrize("model,fields,message", [
+    (QUAD_ONE_BLOCK, {"algorithm": "sum", "rule": "mbi"}, "gauss-seidel only"),
+    (QUAD_ONE_BLOCK, {"algorithm": "sum", "rule": "random-permutation"}, "gauss-seidel only"),
+    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0,
+                 "rule": "essentially-cyclic", "period_map": [[0], [1]]}, "gauss-seidel only"),
+    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "tolerance": 0.5},
+     "no gap tolerance"),
+])
+def test_parse_rejects_fields_an_algorithm_ignores(tmp_path, model, fields, message):
+    with pytest.raises(ConfigError, match=message):
+        cli.parse_config(write(tmp_path, run_text("r", model, **fields)))
+
+
+def test_quadratic_blocks_partition_a_generated_q(tmp_path):
+    model = {"family": "quadratic", "sizes": [2, 2, 2], "blocks": [3, 3], "seed": 7}
+    text = run_text("two", model, rule="essentially-cyclic", period_map=[[0], [1]],
+                    iterations=10)
+    results, code = cli.run_experiment(cli.parse_config(write(tmp_path, text)),
+                                       output_dir=str(tmp_path / "out"))
+    assert results[0].error is None and code == 0
+    assert results[0].problem.partition.sizes == (3, 3)
+    text = run_text("three", model, rule="essentially-cyclic", period_map=[[0], [1], [2]])
+    with pytest.raises(ConfigError, match="out-of-range block index 2"):
+        cli.parse_config(write(tmp_path, text, name="three.cfg"))
+
+
+@pytest.mark.parametrize("model", [
+    {"family": "lasso", "file_A": "A.txt", "lam": 1.0},
+    {"family": "lasso", "file_A": "A.txt", "file_b": "b.txt", "lam": 1.0, "m": 5, "n": 3},
+    {"family": "lasso", "file_A": "A.txt", "file_b": "b.txt", "lam": 1.0, "density": 0.5},
+    {"family": "l2svm", "file_rows": "rows.txt", "rows": 20, "n": 3},
+    {"family": "quadratic", "file_Q": "Q.txt"},
+    {"family": "quadratic", "file_Q": "Q.txt", "file_c": "c.txt", "sizes": [2]},
+    {"family": "quadratic", "file_Q": "Q.txt", "file_c": "c.txt", "rank_deficit": 1},
+])
+def test_parse_rejects_partial_or_mixed_file_keys(tmp_path, model):
+    with pytest.raises(ConfigError, match="come together and replace the fields"):
+        cli.parse_config(write(tmp_path, run_text("r", model)))
+
+
+def test_compute_auxiliary_reaches_the_block_run(tmp_path):
+    text = run_text("one", QUAD_ONE_BLOCK, surrogate="exact", iterations=5,
+                    compute_auxiliary=True) \
+        + run_text("many", LASSO_20x50, iterations=5, compute_auxiliary=True)
+    results, code = cli.run_experiment(cli.parse_config(write(tmp_path, text)),
+                                       output_dir=str(tmp_path / "out"))
+    one, many = results
+    assert one.error is None
+    assert all(p is not None for p in one.trace.aux_points[1:])
+    assert "single-block construct" in many.error and code == 2
+
+
+# one example model per family; the family's declared block count must be the
+# block count of the problem it builds
+BLOCK_COUNT_EXAMPLES = [
+    {"family": "lasso", "m": 6, "n": 5, "lam": 0.5},
+    {"family": "lasso", "m": 6, "n": 5, "lam": 0.5, "blocks": [2, 3]},
+    {"family": "group-lasso", "m": 8, "sizes": [2, 3, 1], "deficient": [1]},
+    {"family": "logistic", "rows": 12, "n": 4},
+    {"family": "l2svm", "rows": 12, "n": 3},
+    {"family": "quadratic", "sizes": [2, 2, 1]},
+    {"family": "quadratic", "sizes": [2, 2, 1], "blocks": [1, 4]},
+    {"family": "two-block-quadratic", "n_inner": 2, "n_outer": 3},
+    {"family": "fermat-weber", "terms": 4, "n": 2, "eta": 0.2},
+]
+
+
+def test_declared_block_count_is_the_built_block_count():
+    assert {m["family"] for m in BLOCK_COUNT_EXAMPLES} == set(models.FAMILIES)
+    for model in BLOCK_COUNT_EXAMPLES:
+        declared = models.FAMILIES[model["family"]].block_count(model)
+        assert declared == cli.build_model(model, 3).n_blocks, model

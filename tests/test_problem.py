@@ -32,14 +32,6 @@ def test_make_partition_rejects_bad_sizes():
         bk.make_partition([2, 0])
 
 
-def test_point_block_views():
-    part = bk.make_partition([2, 3])
-    pt = bk.Point(part, np.arange(5.0))
-    assert np.array_equal(pt.block(1), [2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        bk.Point(part, np.zeros(4))
-
-
 def quadratic_worked_example():
     # g(x1, x2) = (x1 - x2)^2 + x2^2
     Q = np.array([[1.0, -1.0], [-1.0, 2.0]])
