@@ -120,6 +120,24 @@ def test_sigma_ec_offsets_and_unknown_id():
         bk.sigma_for("nope", cert, 3)
 
 
+def test_unmet_certificate_needs_raise():
+    with pytest.raises(ValueError, match="gamma>0"):
+        bk.sigma_for("bsum-gs", make_cert(gamma=0.0), 2)
+    with pytest.raises(ValueError, match="G_max"):
+        bk.sigma_for("bsum-ec", make_cert(g_max=None), 2)
+    with pytest.raises(ValueError, match="composite"):
+        bk.sigma_for("composite-gs", make_cert(), 2)
+    with pytest.raises(ValueError, match="L_max"):
+        bk.sigma_for("sum", make_cert(l_max=None), 1)
+    assert bk.sigma_for("sum", make_cert(l_max=None), 1, lip=2.0)[2] == 1
+    tr = synthetic_trace([1.0, 0.5])
+    tr.records[1].step_sq = 0.1
+    with pytest.raises(ValueError, match="G_max"):
+        bk.check_cost_to_go(tr, make_cert(g_max=None), "gs")
+    with pytest.raises(ValueError, match="unknown cost-to-go variant"):
+        bk.check_cost_to_go(tr, make_cert(), "nope")
+
+
 def test_sigma_positivity_and_monotonicity():
     rng = np.random.default_rng(0)
     for _ in range(50):
