@@ -188,6 +188,9 @@ def parse_config(path: str) -> ExperimentSpec:
                               f"only, not {rule!r}")
         if algorithm == "a2bsum" and tolerance > 0:
             raise ConfigError(f"run {run_id!r}: algorithm 'a2bsum' has no gap tolerance")
+        recorded = sorted({"record_virtual", "record_grad_diffs"} & set(bucket))
+        if algorithm != "bsum" and recorded:
+            raise ConfigError(f"run {run_id!r}: {recorded} apply to algorithm 'bsum' only")
 
         period_map = bucket.get("period_map")
         try:
@@ -273,6 +276,10 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
         trace.meta.setdefault("warnings", []).append(
             f"reference did not converge: {ref.sweeps} sweeps, "
             f"last objective change {ref.last_change:.6g}"
+        )
+    if surrogate is not None and surrogate.capped_solves:
+        trace.meta.setdefault("warnings", []).append(
+            f"inner prox loop hit its cap: {surrogate.capped_solves} times"
         )
 
     result = RunResult(

@@ -106,7 +106,63 @@ def _default_constraints(partition: BlockPartition, constraints) -> tuple[Constr
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional piecewise-quadratic minimization (exact, by breakpoint scan)
+# one-dimensional piecewise-quadratic minimization (exact, by sorted breakpoints)
+
+
+def _piece_candidate(c: Array, d: Array, lam: float, gamma: float, center: float,
+                     a: float, b: float) -> float:
+    """Closed-form minimizer on the piece [a, b], from the rows active at its midpoint."""
+    if np.isfinite(a) and np.isfinite(b):
+        mid = 0.5 * (a + b)
+    elif np.isfinite(a):
+        mid = a + 1.0
+    elif np.isfinite(b):
+        mid = b - 1.0
+    else:
+        mid = 0.0
+    act = (c - d * mid) > 0.0
+    sgn = 0.0 if lam == 0.0 else float(np.sign(mid))
+    quad = 2.0 * float(np.sum(d[act] ** 2)) + gamma
+    cross = 2.0 * float(np.sum(c[act] * d[act])) + gamma * center
+    if quad > 0.0:
+        return min(max((cross - lam * sgn) / quad, a), b)
+    slope = lam * sgn - cross
+    if slope > 0.0 and np.isfinite(a):
+        return a
+    if slope < 0.0 and np.isfinite(b):
+        return b
+    return min(max(0.0, a), b)
+
+
+def _minimizing_piece(c: Array, d: Array, lam: float, gamma: float, center: float,
+                      knots: Array, lo: float, hi: float) -> int:
+    """Index of the piece where the objective's slope turns nonnegative.
+
+    Piece p spans (edges[p], edges[p+1]) with edges = [lo, *knots, hi].  A row
+    with d > 0 is active left of its knot, so on a prefix of the pieces; a row
+    with d < 0 is active right of its knot, so on a suffix.  One suffix sum and
+    one prefix sum give every piece's active sums of d^2 and c*d.
+    """
+    n_pieces = knots.size + 1
+    pos, neg = d > 0.0, d < 0.0
+    at_pos = c[pos] / d[pos]
+    at_neg = c[neg] / d[neg]
+    # pieces 0 .. ends-1 hold the d > 0 rows; pieces starts .. n_pieces-1 the d < 0 rows
+    ends = np.searchsorted(knots, at_pos, side="right") + (at_pos >= hi)
+    starts = np.searchsorted(knots, at_neg, side="left") + (at_neg > lo)
+
+    def active_sums(w_pos: Array, w_neg: Array) -> Array:
+        by_end = np.bincount(ends, weights=w_pos, minlength=n_pieces + 1)
+        by_start = np.bincount(starts, weights=w_neg, minlength=n_pieces + 1)
+        return np.cumsum(by_end[::-1])[::-1][1:] + np.cumsum(by_start)[:-1]
+
+    quad = 2.0 * active_sums(d[pos] ** 2, d[neg] ** 2) + gamma
+    cross = 2.0 * active_sums(c[pos] * d[pos], c[neg] * d[neg]) + gamma * center
+    # with lam > 0, zero is a knot or outside (lo, hi): each piece has one sign
+    sgn = np.where(np.concatenate(([lo], knots)) >= 0.0, 1.0, -1.0)
+    right_slope = quad[:-1] * knots - cross[:-1] + lam * sgn[:-1]
+    turned = np.flatnonzero(right_slope >= 0.0)
+    return int(turned[0]) if turned.size else n_pieces - 1
 
 
 def piecewise_quadratic_min(
@@ -119,65 +175,66 @@ def piecewise_quadratic_min(
 ) -> float:
     """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| (+ optional quadratic shift).
 
-    The objective is convex piecewise quadratic; every piece is minimized in
-    closed form between breakpoints and the best candidate wins.  Ties break
-    toward the smallest |t|, then the smallest t, for deterministic traces.
+    The objective is convex piecewise quadratic between the breakpoints c_i/d_i
+    (and 0 when lam > 0).  The breakpoints are sorted once, and running sums
+    locate the piece where the slope changes sign: O(m log m) in all.  That
+    piece and its two neighbours are minimized in closed form, and the best of
+    their minimizers, their breakpoints and the finite bounds wins; the window
+    grows only past breakpoints that score within rounding of the best.  Every
+    candidate is computed and scored exactly as in a scan over all pieces, so
+    the result is that scan's bit for bit.  Ties break toward the smallest
+    |t|, then the smallest t, for deterministic traces.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     gamma, center = shift if shift is not None else (0.0, 0.0)
 
-    knots = []
     nz = d != 0.0
-    if np.any(nz):
-        knots.extend((c[nz] / d[nz]).tolist())
+    knots = c[nz] / d[nz]
     if lam > 0.0:
-        knots.append(0.0)
-    knots = [t for t in knots if lo < t < hi]
-    knots = np.unique(np.asarray(knots, dtype=float)) if knots else np.empty(0)
-
-    cands = list(knots)
-    if np.isfinite(lo):
-        cands.append(lo)
-    if np.isfinite(hi):
-        cands.append(hi)
+        knots = np.append(knots, 0.0)
+    knots = np.unique(knots[(lo < knots) & (knots < hi)])
 
     edges = np.concatenate(([lo], knots, [hi]))
-    for i in range(len(edges) - 1):
-        a, b = edges[i], edges[i + 1]
-        if not a < b:
-            continue
-        if np.isfinite(a) and np.isfinite(b):
-            mid = 0.5 * (a + b)
-        elif np.isfinite(a):
-            mid = a + 1.0
-        elif np.isfinite(b):
-            mid = b - 1.0
-        else:
-            mid = 0.0
-        act = (c - d * mid) > 0.0
-        sgn = 0.0 if lam == 0.0 else float(np.sign(mid))
-        quad = 2.0 * float(np.sum(d[act] ** 2)) + gamma
-        cross = 2.0 * float(np.sum(c[act] * d[act])) + gamma * center
-        if quad > 0.0:
-            cands.append(min(max((cross - lam * sgn) / quad, a), b))
-        else:
-            slope = lam * sgn - cross
-            if slope > 0.0 and np.isfinite(a):
-                cands.append(a)
-            elif slope < 0.0 and np.isfinite(b):
-                cands.append(b)
-            else:
-                cands.append(min(max(0.0, a), b))
+    sq_c, sq_d = float(c @ c), float(d @ d)
+    if lo < hi:
+        p = _minimizing_piece(c, d, lam, gamma, center, knots, lo, hi)
+        first, last = max(p - 1, 0), min(p + 1, knots.size)
+    else:
+        first, last = 0, -1  # no piece
+    while True:
+        # candidates in the scan's order, so that exact ties resolve the same way
+        window_knots = knots[max(first - 1, 0):last + 1]
+        cands = list(window_knots)
+        if np.isfinite(lo):
+            cands.append(lo)
+        if np.isfinite(hi):
+            cands.append(hi)
+        for i in range(first, last + 1):
+            cands.append(_piece_candidate(c, d, lam, gamma, center, edges[i], edges[i + 1]))
 
-    ts = np.asarray(cands, dtype=float)
-    ts = ts[np.isfinite(ts)]
-    if ts.size == 0:
-        return 0.0
-    vals = np.sum(np.maximum(c[:, None] - d[:, None] * ts[None, :], 0.0) ** 2, axis=0)
-    vals += lam * np.abs(ts) + 0.5 * gamma * (ts - center) ** 2
-    order = np.lexsort((ts, np.abs(ts), vals))
-    return float(ts[order[0]])
+        ts = np.asarray(cands, dtype=float)
+        ts = ts[np.isfinite(ts)]
+        if ts.size == 0:
+            return 0.0
+        vals = np.sum(np.maximum(c[:, None] - d[:, None] * ts[None, :], 0.0) ** 2, axis=0)
+        vals += lam * np.abs(ts) + 0.5 * gamma * (ts - center) ** 2
+        best = np.lexsort((ts, np.abs(ts), vals))[0]
+
+        # A breakpoint that ends the window and scores within rounding of the
+        # best may hide a winner beyond it (clustered breakpoints): widen.  Past
+        # a breakpoint that scores clearly worse, convexity rules out the rest.
+        # (|c_i| + |d_i t|)^2 <= 2 c_i^2 + 2 d_i^2 t^2 bounds each row's scale.
+        size = np.abs(ts)
+        noise = (c.size + 8) * np.finfo(float).eps * (
+            2.0 * (sq_c + sq_d * size**2) + lam * size + gamma * (size + abs(center))**2)
+        worst = vals[best] + noise[best] + noise
+        right = window_knots.size - 1
+        grow_left = first > 0 and vals[0] <= worst[0]
+        grow_right = last < knots.size and vals[right] <= worst[right]
+        if not (grow_left or grow_right):
+            return float(ts[best])
+        first, last = first - grow_left, last + grow_right
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +467,9 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
 # ---------------------------------------------------------------------------
 # smoothed sum of norms, solved by reweighted least squares
 
+# prox-gradient steps of the reweighting bound's inner loop (l1 or constrained case)
+PROX_LOOP_CAP = 20000
+
 
 class ReweightingBound(Surrogate):
     """Model-specific upper bound for the smoothed sum-of-norms objective.
@@ -417,7 +477,9 @@ class ReweightingBound(Surrogate):
     Freezing each term's denominator at the anchor gives a convex quadratic
     that dominates the objective (arithmetic-geometric mean inequality) and
     touches it at the anchor; minimizing it is one reweighting step.  It
-    declares no curvature and no anchor constant.
+    declares no curvature and no anchor constant.  With an l1 term or a
+    constraint the minimization is an inner prox loop; a solve that reaches
+    PROX_LOOP_CAP steps returns its last iterate and counts in capped_solves.
     """
 
     def __init__(self, problem: Problem):
@@ -463,14 +525,16 @@ class ReweightingBound(Surrogate):
             except np.linalg.LinAlgError:
                 return np.linalg.lstsq(H, rhs, rcond=None)[0]
         # strongly convex quadratic plus a simple regularizer: inner prox loop
-        beta = 2.0 * spectral_norm_psd(H)
+        # on the bound itself, whose gradient is H x - rhs
+        beta = spectral_norm_psd(H)
         x = cs.project(anchor)
-        for _ in range(20000):
-            g = 2.0 * (H @ x) - 2.0 * rhs
+        for _ in range(PROX_LOOP_CAP):
+            g = H @ x - rhs
             x_new = prox_block(h, cs, beta, x - g / beta)
             if np.linalg.norm(x_new - x) <= 1e-13 * (1.0 + np.linalg.norm(x_new)):
                 return x_new
             x = x_new
+        self.capped_solves += 1
         return x
 
 
@@ -742,6 +806,8 @@ class Family:
     generate(params, seed) returns the named arrays that `bsumkit gen` writes
     and that a run's file keys (file_<name>) replace.  build(arrays, params)
     makes the Problem.  block_count(params) is None when only files fix it.
+    required names the keys without a default; its generator keys are not
+    needed when the file keys are given.
     """
 
     gen_keys: frozenset
@@ -750,9 +816,13 @@ class Family:
     block_count: Callable[[dict], Optional[int]]
     build_keys: frozenset = frozenset()
     file_keys: frozenset = frozenset()
+    required: frozenset = frozenset()
 
     def check_keys(self, params: dict) -> None:
-        """Raise ValueError for an unknown key or file keys given in part or with generator keys."""
+        """Raise ValueError for an unknown or a missing key.
+
+        File keys must come all together and without the generator keys.
+        """
         given = set(params)
         unknown = given - {"family", "seed"} - self.gen_keys - self.build_keys - self.file_keys
         if unknown:
@@ -761,6 +831,9 @@ class Family:
         if files and (files != self.file_keys or given & self.gen_keys):
             raise ValueError(f"model files {sorted(self.file_keys)} come together and "
                              f"replace the fields {sorted(self.gen_keys)}")
+        missing = self.required - given - (self.gen_keys if files else frozenset())
+        if missing:
+            raise ValueError(f"missing model fields {sorted(missing)}")
 
 
 def _group_lasso_arrays(p: dict, seed: int) -> dict:
@@ -773,7 +846,7 @@ def _group_lasso_arrays(p: dict, seed: int) -> dict:
 FAMILIES = {
     "lasso": Family(
         gen_keys=frozenset({"m", "n", "density"}), build_keys=frozenset({"lam", "blocks"}),
-        file_keys=frozenset({"file_A", "file_b"}),
+        file_keys=frozenset({"file_A", "file_b"}), required=frozenset({"m", "n", "lam"}),
         generate=lambda p, seed: dict(zip(("A", "b"), gen_lasso(
             int(p["m"]), int(p["n"]), 0.0, seed, density=float(p.get("density", 1.0))))),
         build=lambda a, p: build_lasso(a["A"], a["b"].ravel(), float(p["lam"]),
@@ -782,6 +855,7 @@ FAMILIES = {
     ),
     "group-lasso": Family(
         gen_keys=frozenset({"m", "sizes", "deficient"}), build_keys=frozenset({"weight"}),
+        required=frozenset({"m", "sizes"}),
         generate=_group_lasso_arrays,
         build=lambda a, p: build_group_lasso([a[f"A{k}"] for k in range(len(a) - 1)],
                                              a["b"].ravel(), float(p.get("weight", 0.0))),
@@ -789,6 +863,7 @@ FAMILIES = {
     ),
     "logistic": Family(
         gen_keys=frozenset({"rows", "n"}), build_keys=frozenset({"weight"}),
+        required=frozenset({"rows", "n"}),
         generate=lambda p, seed: dict(zip(("A", "y"), gen_logistic(
             int(p["rows"]), int(p["n"]), 0.0, seed))),
         build=lambda a, p: build_logistic(a["A"], a["y"].ravel(), float(p.get("weight", 0.0))),
@@ -796,14 +871,14 @@ FAMILIES = {
     ),
     "l2svm": Family(
         gen_keys=frozenset({"rows", "n"}), build_keys=frozenset({"l1_weight"}),
-        file_keys=frozenset({"file_rows"}),
+        file_keys=frozenset({"file_rows"}), required=frozenset({"rows", "n"}),
         generate=lambda p, seed: {"rows": gen_l2svm(int(p["rows"]), int(p["n"]), seed)},
         build=lambda a, p: build_l2svm(a["rows"], l1_weight=float(p.get("l1_weight", 0.0))),
         block_count=lambda p: p.get("n"),
     ),
     "quadratic": Family(
         gen_keys=frozenset({"sizes", "rank_deficit"}), build_keys=frozenset({"blocks"}),
-        file_keys=frozenset({"file_Q", "file_c"}),
+        file_keys=frozenset({"file_Q", "file_c"}), required=frozenset({"sizes"}),
         generate=lambda p, seed: dict(zip(("Q", "c"), gen_quadratic(
             [int(s) for s in p["sizes"]], seed, rank_deficit=int(p.get("rank_deficit", 0))))),
         # blocks partitions Q whether it was generated or read; sizes is the default
@@ -814,6 +889,7 @@ FAMILIES = {
     ),
     "two-block-quadratic": Family(
         gen_keys=frozenset({"n_inner", "n_outer", "zero_eigs", "min_pos"}),
+        required=frozenset({"n_inner", "n_outer"}),
         generate=lambda p, seed: dict(zip(("Q", "c"), gen_two_block_quadratic(
             int(p["n_inner"]), int(p["n_outer"]), seed, zero_eigs=int(p.get("zero_eigs", 1)),
             min_pos=float(p.get("min_pos", 1e-4))))),
@@ -822,12 +898,14 @@ FAMILIES = {
         block_count=lambda p: 2,
     ),
     "fermat-weber": Family(
-        gen_keys=frozenset({"terms", "n"}), build_keys=frozenset({"eta"}),
+        gen_keys=frozenset({"terms", "n"}), build_keys=frozenset({"eta", "l1_weight"}),
+        required=frozenset({"terms", "n", "eta"}),
         # the anchor points, which gen writes as P
         generate=lambda p, seed: {"P": -np.array(gen_fermat_weber(
             int(p["terms"]), int(p["n"]), seed)[1])},
         build=lambda a, p: build_irls([np.eye(a["P"].shape[1])] * len(a["P"]),
-                                      [-pt for pt in a["P"]], float(p["eta"])),
+                                      [-pt for pt in a["P"]], float(p["eta"]),
+                                      l1_weight=float(p.get("l1_weight", 0.0))),
         block_count=lambda p: 1,
     ),
 }

@@ -166,6 +166,11 @@ def make_schedule(
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
     if rule == "gauss-southwell" and not 0.0 < q <= 1.0:
         raise ValueError("q must lie in (0,1]")
+    if rule != "gauss-southwell" and q != 1.0:
+        raise ValueError(f"q is a gauss-southwell parameter; rule {rule!r} takes none")
+    if rule != "essentially-cyclic" and period_map is not None:
+        raise ValueError(f"a period map is an essentially-cyclic parameter; "
+                         f"rule {rule!r} takes none")
     if rule == "essentially-cyclic":
         if period_map is None:
             raise ValueError("essentially-cyclic rule needs an explicit period map")

@@ -82,7 +82,9 @@ class Surrogate:
     kinds[k] is "exact" or "prox-linear".  Declared constants per block:
     gamma (strong convexity of u_k in its own variable), lip (gradient
     Lipschitz constant in its own variable), anchor_lip (gradient Lipschitz
-    constant with respect to the anchor point).
+    constant with respect to the anchor point).  capped_solves counts the
+    block solves whose inner loop stopped at its step cap instead of
+    converging; only a model-specific bound with an inner loop adds to it.
     """
 
     problem: Problem
@@ -90,6 +92,7 @@ class Surrogate:
     lip: tuple[Optional[float], ...]
     gamma_blocks: tuple[Optional[float], ...]
     anchor_lip: tuple[Optional[float], ...]
+    capped_solves: int = 0
 
     @property
     def kind(self) -> str:

@@ -309,10 +309,67 @@ def test_tolerance_stops_the_run_at_the_gap(tmp_path):
                  "rule": "essentially-cyclic", "period_map": [[0], [1]]}, "gauss-seidel only"),
     (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "tolerance": 0.5},
      "no gap tolerance"),
+    (QUAD_ONE_BLOCK, {"algorithm": "sum", "record_virtual": True}, "'bsum' only"),
+    (QUAD_ONE_BLOCK, {"algorithm": "sum", "record_grad_diffs": False}, "'bsum' only"),
+    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "record_virtual": True},
+     "'bsum' only"),
 ])
 def test_parse_rejects_fields_an_algorithm_ignores(tmp_path, model, fields, message):
     with pytest.raises(ConfigError, match=message):
         cli.parse_config(write(tmp_path, run_text("r", model, **fields)))
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"period_map": [[7]]}, "period map is an essentially-cyclic parameter"),
+    ({"rule": "mbi", "period_map": [[0, 1, 2]]}, "period map is an essentially-cyclic"),
+    ({"q": 0.9}, "q is a gauss-southwell parameter"),
+    ({"rule": "random-permutation", "q": 0.5}, "q is a gauss-southwell parameter"),
+])
+def test_parse_rejects_rule_parameters_the_rule_ignores(tmp_path, fields, message):
+    model = {"family": "lasso", "m": 8, "n": 3, "lam": 0.5}
+    with pytest.raises(ConfigError, match=message):
+        cli.parse_config(write(tmp_path, run_text("r", model, **fields)))
+
+
+# one model per family with a key it cannot do without left out
+MISSING_KEY_EXAMPLES = [
+    ({"family": "lasso", "n": 5, "lam": 0.5}, "m"),
+    ({"family": "lasso", "file_A": "A.txt", "file_b": "b.txt"}, "lam"),
+    ({"family": "group-lasso", "m": 8}, "sizes"),
+    ({"family": "logistic", "rows": 12}, "n"),
+    ({"family": "l2svm", "n": 3}, "rows"),
+    ({"family": "quadratic", "blocks": [1, 2]}, "sizes"),
+    ({"family": "two-block-quadratic", "n_inner": 2}, "n_outer"),
+    ({"family": "fermat-weber", "terms": 4, "n": 2}, "eta"),
+]
+
+
+@pytest.mark.parametrize("model,key", MISSING_KEY_EXAMPLES)
+def test_parse_rejects_a_missing_model_key(tmp_path, model, key):
+    assert {m["family"] for m, _ in MISSING_KEY_EXAMPLES} == set(models.FAMILIES)
+    with pytest.raises(ConfigError, match=rf"missing model fields \['{key}'\]"):
+        cli.parse_config(write(tmp_path, run_text("r", model)))
+
+
+FW_L1 = {"family": "fermat-weber", "terms": 6, "n": 3, "eta": 0.1, "l1_weight": 0.5,
+         "seed": 19}
+
+
+def test_capped_inner_prox_loop_is_reported(tmp_path, monkeypatch):
+    # the l1 term sends every reweighting step through the inner prox loop
+    spec = cli.parse_config(write(tmp_path, "seed = 1\n" + run_text(
+        "fw", FW_L1, surrogate="model-custom", iterations=5)))
+    results, code = cli.run_experiment(spec, output_dir=str(tmp_path / "free"))
+    assert code == 0 and results[0].trace.meta.get("warnings", []) == []
+    monkeypatch.setattr(models, "PROX_LOOP_CAP", 1)
+    cli.run_experiment(spec, output_dir=str(tmp_path / "capped"))
+    report = json.loads((tmp_path / "capped" / "fw.report.json").read_text())
+    assert report["warnings"] == ["inner prox loop hit its cap: 5 times"]
+
+
+def test_matrix_runs_carry_no_warnings(matrix_outcome):
+    for run_id, result in matrix_outcome["results"].items():
+        assert result.trace.meta.get("warnings", []) == [], run_id
 
 
 def test_quadratic_blocks_partition_a_generated_q(tmp_path):

@@ -1,11 +1,15 @@
 """Model builders: declared constants, exact solvers, generators, file IO."""
 
+from typing import Optional
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsumkit as bk
 from bsumkit import models
-from bsumkit.problem import UnsupportedCombination
+from bsumkit.problem import Array, UnsupportedCombination
 
 from conftest import golden_section, grid_min_1d
 
@@ -204,6 +208,131 @@ def test_exact_scalar_solvers_against_oracles_200_cases():
         assert abs(t - tg) <= 1e-4
         cases += 1
     assert cases == 200
+
+
+
+# The scan over every piece that piecewise_quadratic_min replaced, verbatim.
+# The sorted-breakpoint solve must return its result bit for bit.
+def scan_piecewise_quadratic_min(
+    c: Array,
+    d: Array,
+    lam: float = 0.0,
+    lo: float = -np.inf,
+    hi: float = np.inf,
+    shift: Optional[tuple[float, float]] = None,
+) -> float:
+    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| (+ optional quadratic shift).
+
+    The objective is convex piecewise quadratic; every piece is minimized in
+    closed form between breakpoints and the best candidate wins.  Ties break
+    toward the smallest |t|, then the smallest t, for deterministic traces.
+    """
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    gamma, center = shift if shift is not None else (0.0, 0.0)
+
+    knots = []
+    nz = d != 0.0
+    if np.any(nz):
+        knots.extend((c[nz] / d[nz]).tolist())
+    if lam > 0.0:
+        knots.append(0.0)
+    knots = [t for t in knots if lo < t < hi]
+    knots = np.unique(np.asarray(knots, dtype=float)) if knots else np.empty(0)
+
+    cands = list(knots)
+    if np.isfinite(lo):
+        cands.append(lo)
+    if np.isfinite(hi):
+        cands.append(hi)
+
+    edges = np.concatenate(([lo], knots, [hi]))
+    for i in range(len(edges) - 1):
+        a, b = edges[i], edges[i + 1]
+        if not a < b:
+            continue
+        if np.isfinite(a) and np.isfinite(b):
+            mid = 0.5 * (a + b)
+        elif np.isfinite(a):
+            mid = a + 1.0
+        elif np.isfinite(b):
+            mid = b - 1.0
+        else:
+            mid = 0.0
+        act = (c - d * mid) > 0.0
+        sgn = 0.0 if lam == 0.0 else float(np.sign(mid))
+        quad = 2.0 * float(np.sum(d[act] ** 2)) + gamma
+        cross = 2.0 * float(np.sum(c[act] * d[act])) + gamma * center
+        if quad > 0.0:
+            cands.append(min(max((cross - lam * sgn) / quad, a), b))
+        else:
+            slope = lam * sgn - cross
+            if slope > 0.0 and np.isfinite(a):
+                cands.append(a)
+            elif slope < 0.0 and np.isfinite(b):
+                cands.append(b)
+            else:
+                cands.append(min(max(0.0, a), b))
+
+    ts = np.asarray(cands, dtype=float)
+    ts = ts[np.isfinite(ts)]
+    if ts.size == 0:
+        return 0.0
+    vals = np.sum(np.maximum(c[:, None] - d[:, None] * ts[None, :], 0.0) ** 2, axis=0)
+    vals += lam * np.abs(ts) + 0.5 * gamma * (ts - center) ** 2
+    order = np.lexsort((ts, np.abs(ts), vals))
+    return float(ts[order[0]])
+
+
+@st.composite
+def scalar_problems(draw):
+    """Squared-hinge rows c_i - d_i t with breakpoints on a 0.1 grid (so that
+    breakpoints repeat and pieces go flat) or clustered a few rounding units
+    apart, plus rows with d = 0, bounds and shifts."""
+    m = draw(st.integers(1, 40))
+    signs = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=m, max_size=m)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        signs[:] = 0.0  # no breakpoints at all
+    size = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=m, max_size=m)))
+    offsets = np.array(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m)))
+    if draw(st.integers(0, 2)):
+        knots = offsets / 10.0
+    else:  # all breakpoints within a few rounding units of 0.3
+        knots = 0.3 + draw(st.sampled_from((1e-9, 1e-15))) * (offsets % 7 - 3)
+    d = signs * size
+    flat = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+    c = np.where(d != 0.0, d * knots, flat)
+    kwargs = {"lam": draw(st.sampled_from((0.0, 0.5, 3.0)))}
+    bounds = draw(st.sampled_from(("none", "box", "lo", "hi")))
+    edge = st.one_of(st.sampled_from(sorted(set(knots.tolist()))),
+                     st.integers(-30, 30).map(lambda i: i / 10.0))
+    if bounds == "box":
+        ends = sorted({draw(edge), draw(edge)})
+        if len(ends) == 2:
+            kwargs["lo"], kwargs["hi"] = ends
+    elif bounds != "none":
+        kwargs[bounds] = draw(edge)
+    shift = draw(st.sampled_from((None, 0.0, 1.0)))
+    if shift is not None:
+        kwargs["shift"] = (shift, draw(st.integers(-30, 30)) / 10.0)
+    return c, d, kwargs
+
+
+@settings(max_examples=400)
+@given(problem=scalar_problems())
+def test_piecewise_quadratic_min_is_the_full_scan_bit_for_bit(problem):
+    c, d, kwargs = problem
+    got = models.piecewise_quadratic_min(c, d, **kwargs)
+    want = scan_piecewise_quadratic_min(c, d, **kwargs)
+    assert got == want and np.signbit(got) == np.signbit(want)
+
+
+def test_reweighting_l1_step_is_the_soft_threshold():
+    # one term |x - 2| smoothed with eta = 1; anchored at 0 its weight is
+    # sqrt(5), and the bound plus 0.5|x| is minimized at 2 - 0.5 sqrt(5)
+    p = models.build_irls([np.eye(1)], [np.array([-2.0])], 1.0, l1_weight=0.5)
+    step = bk.make_surrogate(p, "model-custom").argmin(0, np.zeros(1))
+    assert step[0] == pytest.approx(2.0 - 0.5 * np.sqrt(5.0), abs=1e-12)
 
 
 def test_reweighting_examples():

@@ -61,6 +61,22 @@ def test_q_validation():
         bk.make_schedule("gauss-southwell", 3, q=1.5)
 
 
+@pytest.mark.parametrize("rule", ["gauss-seidel", "essentially-cyclic", "mbi",
+                                  "random-permutation"])
+def test_q_belongs_to_gauss_southwell(rule):
+    period_map = [[0, 1, 2]] if rule == "essentially-cyclic" else None
+    with pytest.raises(ValueError, match="q is a gauss-southwell parameter"):
+        bk.make_schedule(rule, 3, period_map=period_map, q=0.5)
+    assert bk.make_schedule(rule, 3, period_map=period_map, q=1.0).q == 1.0
+
+
+@pytest.mark.parametrize("rule", ["gauss-seidel", "gauss-southwell", "mbi",
+                                  "random-permutation"])
+def test_period_map_belongs_to_essentially_cyclic(rule):
+    with pytest.raises(ValueError, match="period map is an essentially-cyclic parameter"):
+        bk.make_schedule(rule, 3, period_map=[[0, 1, 2]])
+
+
 def test_period_map_coverage_validation():
     with pytest.raises(ValueError, match="does not cover"):
         bk.make_schedule("essentially-cyclic", 4, period_map=[[0, 1], [2]])
