@@ -508,8 +508,12 @@ def certify(trace_path: str, config_path: str, run_id: Optional[str] = None) -> 
 def generate_instance(family: str, params: dict, prefix: str) -> list[str]:
     if family not in models.FAMILIES:
         raise ConfigError(f"unsupported model family {family!r}")
+    fam = models.FAMILIES[family]
+    missing = (fam.required & fam.gen_keys) - set(params)
+    if missing:
+        raise ConfigError(f"missing model fields {sorted(missing)}")
     written = []
-    for tag, M in models.FAMILIES[family].generate(params, int(params.get("seed", 0))).items():
+    for tag, M in fam.generate(params, int(params.get("seed", 0))).items():
         written.append(f"{prefix}_{tag}.txt")
         # vectors are written as columns
         models.write_matrix(written[-1], M.reshape(-1, 1) if M.ndim == 1 else M)

@@ -179,11 +179,15 @@ def piecewise_quadratic_min(
     (and 0 when lam > 0).  The breakpoints are sorted once, and running sums
     locate the piece where the slope changes sign: O(m log m) in all.  That
     piece and its two neighbours are minimized in closed form, and the best of
-    their minimizers, their breakpoints and the finite bounds wins; the window
-    grows only past breakpoints that score within rounding of the best.  Every
-    candidate is computed and scored exactly as in a scan over all pieces, so
-    the result is that scan's bit for bit.  Ties break toward the smallest
-    |t|, then the smallest t, for deterministic traces.
+    their minimizers, their breakpoints and the finite bounds wins.  Every
+    candidate is computed and scored exactly as in a scan over all pieces.
+    The window grows past a breakpoint unless that breakpoint scores worse
+    than the best by more than a first-order rounding bound at it, at the best
+    and at the farthest candidate beyond it; so, as far as that bound holds,
+    no candidate outside the window ties or beats the best, and the result is
+    the scan's bit for bit (tests/test_models.py keeps the scan as its oracle).
+    Ties break toward the smallest |t|, then the smallest t, for deterministic
+    traces.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -197,11 +201,28 @@ def piecewise_quadratic_min(
 
     edges = np.concatenate(([lo], knots, [hi]))
     sq_c, sq_d = float(c @ c), float(d @ d)
+
+    def noise(size):
+        # first-order rounding bound of the objective as scored below at |t| <= size;
+        # (|c_i| + |d_i t|)^2 <= 2 c_i^2 + 2 d_i^2 t^2 bounds each row's scale
+        return (c.size + 8) * np.finfo(float).eps * (
+            2.0 * (sq_c + sq_d * size**2) + lam * size + gamma * (size + abs(center))**2)
+
+    def reach(bound: float, piece: int) -> float:
+        # rounding bound at the farthest candidate the scan has past the first
+        # or the last breakpoint: the finite bound, else the end piece's minimizer
+        if np.isfinite(bound):
+            return noise(abs(bound))
+        return noise(abs(_piece_candidate(c, d, lam, gamma, center,
+                                          edges[piece], edges[piece + 1])))
+
     if lo < hi:
         p = _minimizing_piece(c, d, lam, gamma, center, knots, lo, hi)
         first, last = max(p - 1, 0), min(p + 1, knots.size)
     else:
         first, last = 0, -1  # no piece
+    reach_lo = reach(lo, 0) if first > 0 else 0.0
+    reach_hi = reach(hi, knots.size) if last < knots.size else 0.0
     while True:
         # candidates in the scan's order, so that exact ties resolve the same way
         window_knots = knots[max(first - 1, 0):last + 1]
@@ -221,17 +242,20 @@ def piecewise_quadratic_min(
         vals += lam * np.abs(ts) + 0.5 * gamma * (ts - center) ** 2
         best = np.lexsort((ts, np.abs(ts), vals))[0]
 
-        # A breakpoint that ends the window and scores within rounding of the
-        # best may hide a winner beyond it (clustered breakpoints): widen.  Past
-        # a breakpoint that scores clearly worse, convexity rules out the rest.
-        # (|c_i| + |d_i t|)^2 <= 2 c_i^2 + 2 d_i^2 t^2 bounds each row's scale.
-        size = np.abs(ts)
-        noise = (c.size + 8) * np.finfo(float).eps * (
-            2.0 * (sq_c + sq_d * size**2) + lam * size + gamma * (size + abs(center))**2)
-        worst = vals[best] + noise[best] + noise
+        # Stop at a breakpoint k that ends the window when the best lies on
+        # the window's side of k and k scores worse than it by more than the
+        # rounding at k, at the best and at every candidate past k.  Then
+        # f(k) > f(best) in exact arithmetic, convexity gives f(t) >= f(k) for
+        # all t past k, and every such t scores above the best.  Otherwise
+        # (clustered breakpoints, or a best on a bound past k) widen.
+        nz = noise(np.abs(ts))
+        t_best, v_best = ts[best], vals[best]
         right = window_knots.size - 1
-        grow_left = first > 0 and vals[0] <= worst[0]
-        grow_right = last < knots.size and vals[right] <= worst[right]
+        grow_left = first > 0 and not (
+            t_best >= ts[0] and vals[0] - nz[0] - max(nz[best], nz[0], reach_lo) > v_best)
+        grow_right = last < knots.size and not (
+            t_best <= ts[right]
+            and vals[right] - nz[right] - max(nz[best], nz[right], reach_hi) > v_best)
         if not (grow_left or grow_right):
             return float(ts[best])
         first, last = first - grow_left, last + grow_right
@@ -898,14 +922,13 @@ FAMILIES = {
         block_count=lambda p: 2,
     ),
     "fermat-weber": Family(
-        gen_keys=frozenset({"terms", "n"}), build_keys=frozenset({"eta", "l1_weight"}),
+        gen_keys=frozenset({"terms", "n"}), build_keys=frozenset({"eta"}),
         required=frozenset({"terms", "n", "eta"}),
         # the anchor points, which gen writes as P
         generate=lambda p, seed: {"P": -np.array(gen_fermat_weber(
             int(p["terms"]), int(p["n"]), seed)[1])},
         build=lambda a, p: build_irls([np.eye(a["P"].shape[1])] * len(a["P"]),
-                                      [-pt for pt in a["P"]], float(p["eta"]),
-                                      l1_weight=float(p.get("l1_weight", 0.0))),
+                                      [-pt for pt in a["P"]], float(p["eta"])),
         block_count=lambda p: 1,
     ),
 }

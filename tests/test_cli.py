@@ -183,6 +183,15 @@ def test_compare_rejects_malformed(tmp_path):
         cli.compare_traces([str(bad)])
 
 
+def test_gen_rejects_a_missing_generator_key(tmp_path, capsys):
+    prefix = str(tmp_path / "gx")
+    with pytest.raises(ConfigError, match=r"missing model fields \['m'\]"):
+        cli.generate_instance("lasso", {"n": 3}, prefix)
+    assert cli.main(["gen", "lasso", "--params", '{"n": 3}', "-o", prefix]) == 1
+    assert "gen error: missing model fields ['m']" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_round_trip(tmp_path):
     prefix = str(tmp_path / "inst")
     written = cli.generate_instance("lasso", {"m": 6, "n": 9, "seed": 4}, prefix)
@@ -351,14 +360,21 @@ def test_parse_rejects_a_missing_model_key(tmp_path, model, key):
         cli.parse_config(write(tmp_path, run_text("r", model)))
 
 
-FW_L1 = {"family": "fermat-weber", "terms": 6, "n": 3, "eta": 0.1, "l1_weight": 0.5,
-         "seed": 19}
+FW = {"family": "fermat-weber", "terms": 6, "n": 3, "eta": 0.1, "seed": 19}
+
+
+def build_fermat_weber_l1(model, default_seed):
+    """The config's fermat-weber model plus 0.5|x|_1, which sends every
+    reweighting step through the inner prox loop (no config key asks for it)."""
+    P = models.FAMILIES["fermat-weber"].generate(model, int(model["seed"]))["P"]
+    return models.build_irls([np.eye(P.shape[1])] * len(P), [-pt for pt in P],
+                             float(model["eta"]), l1_weight=0.5)
 
 
 def test_capped_inner_prox_loop_is_reported(tmp_path, monkeypatch):
-    # the l1 term sends every reweighting step through the inner prox loop
+    monkeypatch.setattr(cli, "build_model", build_fermat_weber_l1)
     spec = cli.parse_config(write(tmp_path, "seed = 1\n" + run_text(
-        "fw", FW_L1, surrogate="model-custom", iterations=5)))
+        "fw", FW, surrogate="model-custom", iterations=5)))
     results, code = cli.run_experiment(spec, output_dir=str(tmp_path / "free"))
     assert code == 0 and results[0].trace.meta.get("warnings", []) == []
     monkeypatch.setattr(models, "PROX_LOOP_CAP", 1)
