@@ -49,24 +49,34 @@ class ConfigError(ValueError):
     pass
 
 
+def _read_by(algorithms=None, rules=None, surrogates=None) -> dict:
+    """Field metadata: the algorithms, rules and surrogates whose runs read the field."""
+    return {"algorithm": algorithms, "rule": rules, "surrogate": surrogates}
+
+
 @dataclass
 class RunConfig:
+    """One run.  A field declared with _read_by is rejected at parse time in
+    a run that would not read it; q and period_map belong to make_schedule."""
+
     run_id: str
     model: dict
-    surrogate: str = "prox-linear"
-    surrogate_kinds: Optional[tuple[str, ...]] = None
+    surrogate: str = field(default="prox-linear", metadata=_read_by(("bsum", "sum")))
+    surrogate_kinds: Optional[tuple[str, ...]] = field(
+        default=None, metadata=_read_by(("bsum", "sum"), surrogates=("mixed",)))
     rule: str = "gauss-seidel"
     q: float = 1.0
     period_map: Optional[tuple[tuple[int, ...], ...]] = None
     iterations: int = 200
     tolerance: float = 0.0
     algorithm: str = "bsum"
-    outer: int = 1
-    inner: int = 0
-    record_virtual: Optional[bool] = None
-    record_grad_diffs: Optional[bool] = None
-    compute_auxiliary: bool = False
-    schedule_seed: Optional[int] = None
+    outer: int = field(default=1, metadata=_read_by(("a2bsum",)))
+    inner: int = field(default=0, metadata=_read_by(("a2bsum",)))
+    record_virtual: Optional[bool] = field(default=None, metadata=_read_by(("bsum",)))
+    record_grad_diffs: Optional[bool] = field(default=None, metadata=_read_by(("bsum",)))
+    compute_auxiliary: bool = field(default=False, metadata=_read_by(("bsum", "sum")))
+    schedule_seed: Optional[int] = field(
+        default=None, metadata=_read_by(rules=("random-permutation",)))
 
 
 RUN_KEYS = {f.name for f in fields(RunConfig)} - {"run_id"}
@@ -188,9 +198,12 @@ def parse_config(path: str) -> ExperimentSpec:
                               f"only, not {rule!r}")
         if algorithm == "a2bsum" and tolerance > 0:
             raise ConfigError(f"run {run_id!r}: algorithm 'a2bsum' has no gap tolerance")
-        recorded = sorted({"record_virtual", "record_grad_diffs"} & set(bucket))
-        if algorithm != "bsum" and recorded:
-            raise ConfigError(f"run {run_id!r}: {recorded} apply to algorithm 'bsum' only")
+        setting = {"algorithm": algorithm, "rule": rule, "surrogate": surrogate}
+        for f in fields(RunConfig):
+            for what, readers in f.metadata.items():
+                if f.name in bucket and readers is not None and setting[what] not in readers:
+                    raise ConfigError(f"run {run_id!r}: {f.name!r} applies to {what} "
+                                      f"{' or '.join(map(repr, readers))} only")
 
         period_map = bucket.get("period_map")
         try:

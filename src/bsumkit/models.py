@@ -9,12 +9,11 @@ throughout; instances are desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from .problem import (
     Array,
@@ -70,12 +69,18 @@ def _squared_hinge_value(r: Array) -> float:
     return float(q @ q)
 
 
+def sigmoid(t: Array) -> Array:
+    """1 / (1 + exp(-t)), as 1/(1+e) or e/(1+e) with e = exp(-|t|), which cannot overflow."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+
+
 # phi(r) = ||r||^2
 SQUARES = SeparableLoss(value=lambda r: float(r @ r), grad=lambda r: 2.0 * r,
                         pointwise=np.square)
 # phi(z) = sum_i log(1 + exp(-z_i)), z_i the signed margins
 LOGISTIC = SeparableLoss(value=lambda z: float(np.sum(np.logaddexp(0.0, -z))),
-                         grad=lambda z: -expit(-z),
+                         grad=lambda z: -sigmoid(-z),
                          pointwise=lambda z: np.logaddexp(0.0, -z))
 # phi(r) = sum_i max(0, -r_i)^2, r_i = <a_i, x> - 1
 SQUARED_HINGE = SeparableLoss(value=_squared_hinge_value, grad=lambda r: -2.0 * _hinge(r),
@@ -264,6 +269,41 @@ def piecewise_quadratic_min(
 # ---------------------------------------------------------------------------
 # l2-norm block subproblem (exact, by a one-dimensional secular equation)
 
+# Newton steps converge in about 5; each bisection halves the bracket
+SECULAR_MAX_ITER = 200
+
+
+def _secular_root(z: Array, d: Array, weight: float, hi: float) -> float:
+    """Root in [0, hi] of psi(s) = 1/||q(s)|| - 1, where q_i = z_i / (d_i s + weight).
+
+    psi is concave and increasing with psi(0) < 0 <= psi(hi), so Newton steps
+    from s = 0 climb to the root from the left (More & Sorensen 1983).  They
+    pass the root, or hi, only by rounding: a step past hi stops at hi, and a
+    Newton point right of the root is returned.  A step that is not finite
+    bisects [lo, hi] instead, and a bisection point right of the root is the
+    new hi.
+    """
+    lo = s = 0.0
+    newton = True
+    for _ in range(SECULAR_MAX_ITER):
+        den = d * s + weight
+        q = z / den
+        qq = float(q @ q)
+        if qq <= 1.0:  # at or right of the root
+            if newton:
+                return s
+            hi, s = s, 0.5 * (lo + s)
+            continue
+        lo = s
+        # -psi(s) / psi'(s), with psi'(s) = sum_i q_i^2 d_i / (d_i s + weight) / ||q||^3
+        slope = float(q @ (q * (d / den)))
+        step = (math.sqrt(qq) - 1.0) * qq / slope if slope > 0.0 else math.inf
+        if step <= 1e-15 * (1.0 + s):
+            return s + step
+        newton = step < math.inf
+        s = min(s + step, hi) if newton else 0.5 * (lo + hi)
+    return lo
+
 
 def group_l2_block_min(evals: Array, vecs: Array, target: Array, weight: float,
                        shift: Optional[tuple[float, Array]] = None) -> Array:
@@ -271,29 +311,26 @@ def group_l2_block_min(evals: Array, vecs: Array, target: Array, weight: float,
 
     evals/vecs is the eigendecomposition of A^T A and target equals A^T rho.
     Rank-deficient A is allowed; the weight == 0 branch returns the
-    minimum-norm least-squares solution.
+    minimum-norm least-squares solution.  With weight > 0 the minimizer is
+    u = V (z s / (d s + weight)) with s = ||u|| the root of a secular
+    equation, found by a safeguarded Newton iteration that never fails.
     """
     gamma, gc = (0.0, None) if shift is None else shift
     rhs = 2.0 * target + (gamma * gc if gc is not None else 0.0)
     z = vecs.T @ rhs
     dvals = 2.0 * evals + gamma
+    kept = dvals > 1e-12 * max(float(np.max(dvals)), 1.0)
     if weight == 0.0:
-        cut = 1e-12 * max(float(np.max(dvals)), 1.0)
-        coef = np.where(dvals > cut, z / np.where(dvals > cut, dvals, 1.0), 0.0)
+        coef = np.where(kept, z / np.where(kept, dvals, 1.0), 0.0)
         return vecs @ coef
-    znorm = float(np.linalg.norm(z))
-    if znorm <= weight:
+    # target lies in the range of A^T A: z outside the kept directions is
+    # rounding, and without it ||q(s)|| <= ||z|| / (d_min s + weight) bounds the root
+    z = np.where(kept, z, 0.0)
+    zz = float(z @ z)
+    if zz <= weight * weight:
         return np.zeros_like(z)
-
-    def excess(s: float) -> float:
-        return float(np.sum((z / (dvals * s + weight)) ** 2)) - 1.0
-
-    hi = max(1.0, znorm / weight)
-    while excess(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError("secular equation failed to bracket")
-    s = brentq(excess, 0.0, hi, xtol=1e-14 * (1.0 + hi), rtol=8.9e-16, maxiter=200)
+    hi = (math.sqrt(zz) - weight) / float(np.min(dvals[kept]))
+    s = _secular_root(z, dvals, weight, hi)
     return vecs @ (z * s / (dvals * s + weight))
 
 
@@ -604,24 +641,6 @@ def build_irls(mats: Sequence[Array], offsets: Sequence[Array], eta: float,
         custom_surrogate_factory=ReweightingBound, irls=data,
         meta={"terms": len(mats), "dim": dim, "eta": float(eta)},
     )
-
-
-def irls_step(mats: Sequence[Array], offsets: Sequence[Array], eta: float, x: Array) -> Array:
-    """One classical reweighting iterate for the smoothed sum of norms (h = 0).
-
-    Kept independent of the surrogate machinery so runs can be checked
-    against the textbook update.
-    """
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[0]
-    H = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-    for A, b in zip(mats, offsets):
-        r = A @ x + b
-        w = np.sqrt(r @ r + eta**2)
-        H += (A.T @ A) / w
-        rhs -= (A.T @ b) / w
-    return np.linalg.solve(H, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -102,3 +102,21 @@ def golden_section(fn, lo, hi, tol=1e-10, max_iter=200):
             d = a + phi * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+def irls_step(mats, offsets, eta, x):
+    """One classical reweighting iterate for the smoothed sum of norms (h = 0).
+
+    Written independently of the surrogate machinery, so that runs can be
+    checked against the textbook update.
+    """
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[0]
+    H = np.zeros((dim, dim))
+    rhs = np.zeros(dim)
+    for A, b in zip(mats, offsets):
+        r = A @ x + b
+        w = np.sqrt(r @ r + eta**2)
+        H += (A.T @ A) / w
+        rhs -= (A.T @ b) / w
+    return np.linalg.solve(H, rhs)

@@ -14,7 +14,7 @@ import numpy as np
 import bsumkit as bk
 from bsumkit import cli, models
 
-from conftest import MATRIX_RUNS, golden_section, grid_min_1d
+from conftest import MATRIX_RUNS, golden_section, grid_min_1d, irls_step
 
 INEQ_TOL = 1e-9
 
@@ -112,7 +112,7 @@ def test_criterion_4_reweighting_equals_single_block_runs():
         tr = bk.run_sum(p, s, iterations=200, compute_auxiliary=True)
         x = bk.feasible_start(p)
         for j in range(1, 201):
-            x = models.irls_step(mats, offs, eta, x)
+            x = irls_step(mats, offs, eta, x)
             worst_gap = max(worst_gap, float(np.max(np.abs(x - tr.iterates[j]))))
         ref = bk.reference_solve(p)
         tr.attach_reference(ref.x, ref.f)

@@ -322,6 +322,21 @@ def test_tolerance_stops_the_run_at_the_gap(tmp_path):
     (QUAD_ONE_BLOCK, {"algorithm": "sum", "record_grad_diffs": False}, "'bsum' only"),
     (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "record_virtual": True},
      "'bsum' only"),
+    # each field the run would not read names the algorithm, rule or surrogate that reads it
+    (LASSO_20x50, {"outer": 1}, "'outer' applies to algorithm 'a2bsum' only"),
+    (QUAD_ONE_BLOCK, {"algorithm": "sum", "inner": 0}, "'inner' applies to algorithm 'a2bsum'"),
+    (LASSO_20x50, {"schedule_seed": 3},
+     "'schedule_seed' applies to rule 'random-permutation' only"),
+    (LASSO_20x50, {"rule": "mbi", "schedule_seed": 3}, "'schedule_seed' applies to rule"),
+    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "surrogate": "exact"},
+     "'surrogate' applies to algorithm 'bsum' or 'sum' only"),
+    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0,
+                 "surrogate_kinds": ["exact", "exact"]},
+     "'surrogate_kinds' applies to algorithm 'bsum' or 'sum' only"),
+    (TWO_BLOCK, {"surrogate": "exact", "surrogate_kinds": ["exact", "prox-linear"]},
+     "'surrogate_kinds' applies to surrogate 'mixed' only"),
+    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "compute_auxiliary": True},
+     "'compute_auxiliary' applies to algorithm 'bsum' or 'sum' only"),
 ])
 def test_parse_rejects_fields_an_algorithm_ignores(tmp_path, model, fields, message):
     with pytest.raises(ConfigError, match=message):

@@ -7,6 +7,8 @@ import bsumkit as bk
 from bsumkit import models
 from bsumkit.problem import UnsupportedCombination
 
+from conftest import irls_step
+
 
 def worked_two_block():
     Q = np.array([[1.0, -1.0], [-1.0, 2.0]])
@@ -121,7 +123,7 @@ def test_sum_reweighting_reproduces_classical_iteration():
     tr = bk.run_sum(p, s, iterations=50)
     x = bk.feasible_start(p)
     for j in range(1, 51):
-        x = models.irls_step(mats, offs, 0.1, x)
+        x = irls_step(mats, offs, 0.1, x)
         assert np.max(np.abs(x - tr.iterates[j])) <= 1e-10
 
 

@@ -1,5 +1,11 @@
 """Model builders: declared constants, exact solvers, generators, file IO."""
 
+import math
+import os
+import subprocess
+import sys
+import warnings
+from decimal import Context, Decimal
 from typing import Optional
 
 import numpy as np
@@ -158,6 +164,142 @@ def test_group_block_solver_against_golden_section_radius():
         base = fobj(u)
         for _ in range(25):  # local perturbations cannot improve the solve
             assert base <= fobj(u + 1e-4 * rng.standard_normal(5)) + 1e-12
+
+
+def bisect_group_l2_block_min(evals, vecs, target, weight, shift=None):
+    """group_l2_block_min by bisection on the secular equation, run until no
+    float lies strictly between the ends.
+
+    With s = ||u||, the minimizer is V (z s / (d s + weight)) where
+    sum_i (z_i / (d_i s + weight))^2 = 1.  Components of z along directions
+    with d_i at most 1e-12 max(max d, 1) are rounding of a target in the range
+    of A^T A and are dropped, as the weight == 0 solve drops them.
+    """
+    gamma, gc = (0.0, None) if shift is None else shift
+    z = vecs.T @ (2.0 * target + (gamma * gc if gc is not None else 0.0))
+    d = 2.0 * evals + gamma
+    z = np.where(d > 1e-12 * max(float(np.max(d)), 1.0), z, 0.0)
+    if float(np.linalg.norm(z)) <= weight:
+        return np.zeros_like(z)
+
+    def excess(s):
+        return float(np.sum((z / (d * s + weight)) ** 2)) - 1.0
+
+    lo, hi = 0.0, 1.0
+    while excess(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    return vecs @ (z * hi / (d * hi + weight))
+
+
+@st.composite
+def group_subproblems(draw):
+    """Blocks of 1 to 16 columns, half of them with duplicated columns
+    (rank-deficient), targets A^T rho scaled by 1e-3 .. 1e3, weights below and
+    above ||z|| and shifts gamma > 0."""
+    size = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((size + draw(st.integers(0, 8)), size))
+    if size >= 2 and draw(st.booleans()):
+        half = size // 2
+        A[:, half:] = A[:, :size - half]
+    (evals, vecs), = models._block_eighs([A.T @ A])
+    target = A.T @ rng.standard_normal(A.shape[0]) * 10.0 ** draw(st.integers(-3, 3))
+    shift = None
+    if draw(st.booleans()):
+        shift = (draw(st.floats(0.01, 10.0)), rng.standard_normal(size))
+    gamma, gc = (0.0, 0.0) if shift is None else shift
+    d = 2.0 * evals + gamma
+    z = vecs.T @ (2.0 * target + gamma * gc)
+    znorm = float(np.linalg.norm(z[d > 1e-12 * max(float(np.max(d)), 1.0)]))
+    ratio = draw(st.one_of(st.floats(0.02, 0.9), st.floats(1.1, 3.0)))
+    return evals, vecs, target, ratio * znorm, shift
+
+
+@settings(max_examples=300)
+@given(problem=group_subproblems())
+def test_group_l2_block_min_matches_a_bisection_to_adjacent_floats(problem):
+    got = models.group_l2_block_min(*problem)
+    want = bisect_group_l2_block_min(*problem)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_group_lasso_reference_with_a_tiny_weight_finishes():
+    # a rank-deficient block, a large target and a weight near zero: the
+    # rounding of z along the null space, divided by the weight, alone exceeds
+    # 1 in ||q(s)||, so the secular equation has a root only once it is dropped
+    mats, b, _ = models.gen_group_lasso(25, [8] * 4, 0.0, seed=102, deficient=[1])
+    rhs, weight = 1e3 * b, 1e-12
+    p = models.build_group_lasso(mats, rhs, [weight] * 4)
+    A = np.hstack(mats)
+    solve = p.exact_solver
+    worst = []
+
+    def checked(k, x, shift=None):
+        # group-l2 optimality of the block solve: 2 A_k^T (A_k u - rho) + weight u/||u|| = 0
+        u = solve(k, x, shift)
+        sl = p.partition.block_slice(k)
+        rho = rhs - A @ x + mats[k] @ x[sl]
+        grad = 2.0 * mats[k].T @ (mats[k] @ u - rho)
+        assert np.linalg.norm(u) > 0.0
+        worst.append(np.linalg.norm(grad + weight * u / np.linalg.norm(u))
+                     / np.linalg.norm(2.0 * mats[k].T @ rho))
+        return u
+
+    p.exact_solver = checked
+    ref = bk.reference_solve(p)
+    assert ref.converged and len(worst) == 4 * ref.sweeps
+    assert max(worst) <= 1e-12
+
+
+def correctly_rounded_sigmoid(t: float) -> float:
+    return float(1 / (1 + (-Decimal(t)).exp(Context(prec=40))))
+
+
+def libm_sigmoid(t: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-t))
+    except OverflowError:  # exp(-t) beyond the largest float
+        return 0.0
+
+
+def ulps_apart(a: Array, b: Array) -> Array:
+    # nonnegative floats order like their bit patterns
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+def test_sigmoid_is_finite_and_silent_at_extreme_margins():
+    ts = np.array([0.0, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = models.sigmoid(ts)
+        grad = models.LOGISTIC.grad(ts)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(grad))
+    assert np.array_equal(grad, -out[[0, 2, 1, 4, 3, 6, 5]])
+    assert np.all(ulps_apart(out, [libm_sigmoid(t) for t in ts]) <= 2)
+
+
+def test_sigmoid_is_within_2_ulp_of_the_correctly_rounded_value():
+    # 1/(1 + math.exp(-t)) is itself up to 2 ulp off for t < 0 and is 0 once
+    # exp(-t) overflows, so the grid compares with a 40-digit decimal value
+    ts = np.concatenate((np.linspace(-745.0, 745.0, 14901),
+                         np.random.default_rng(3).standard_normal(2000) * 8.0))
+    want = [correctly_rounded_sigmoid(t) for t in ts.tolist()]
+    assert int(np.max(ulps_apart(models.sigmoid(ts), want))) <= 2
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, bsumkit; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_exact_scalar_solvers_against_oracles_200_cases():
