@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -36,7 +37,7 @@ from .diagnostics import (
 from .engine import ReferenceSolution, Trace, reference_solve, run_a2bsum, run_bsum, run_sum
 from .problem import Problem, project_feasible
 from .schedule import make_schedule
-from .surrogate import make_surrogate
+from .surrogate import check_block_kinds, make_surrogate
 
 OUTPUT_DIR_ENV = "BSUMKIT_OUTPUT_DIR"
 TRACE_HEADER = "r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks,descent_slack"
@@ -80,6 +81,9 @@ class RunConfig:
 
 
 RUN_KEYS = {f.name for f in fields(RunConfig)} - {"run_id"}
+# run fields whose JSON value is converted at parse time
+RUN_NUMBERS = {"q": float, "iterations": int, "tolerance": float, "outer": int, "inner": int,
+               "schedule_seed": int}
 
 
 @dataclass
@@ -131,6 +135,14 @@ def _parse_lines(path: str) -> dict:
     return flat
 
 
+def _number(where: str, key: str, value, convert):
+    """convert(value), or a ConfigError that names the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}{key!r} must be a number, not {value!r}") from None
+
+
 def parse_config(path: str) -> ExperimentSpec:
     """Strict parse: unknown keys rejected, rule parameters validated."""
     flat = _parse_lines(path)
@@ -159,8 +171,10 @@ def parse_config(path: str) -> ExperimentSpec:
 
     if not runs_raw:
         raise ConfigError("config defines no runs")
-    seed = int(top.get("seed", 0))
-    suites = tuple(top.get("suites", ["descent", "cost-to-go", "envelope"]))
+    seed = _number("", "seed", top.get("seed", 0), int)
+    suites = top.get("suites", ["descent", "cost-to-go", "envelope"])
+    if not isinstance(suites, list):
+        raise ConfigError(f"suites must be a list of suite names, not {suites!r}")
     for s in suites:
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r}; expected subset of {SUITES}")
@@ -179,58 +193,47 @@ def parse_config(path: str) -> ExperimentSpec:
                 f"run {run_id!r}: unsupported model family {model['family']!r}"
             )
 
-        rule = bucket.get("rule", "gauss-seidel")
-        q = float(bucket.get("q", 1.0))
-        surrogate = bucket.get("surrogate", "prox-linear")
-        if surrogate not in SURROGATE_KINDS:
-            raise ConfigError(f"run {run_id!r}: unknown surrogate {surrogate!r}")
-        algorithm = bucket.get("algorithm", "bsum")
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(f"run {run_id!r}: unknown algorithm {algorithm!r}")
-        iterations = int(bucket.get("iterations", 200))
-        if iterations < 1:
+        for key, convert in RUN_NUMBERS.items():
+            if key in bucket:
+                bucket[key] = _number(f"run {run_id!r}: ", key, bucket[key], convert)
+        cfg = RunConfig(run_id=run_id, **bucket)
+        if cfg.surrogate not in SURROGATE_KINDS:
+            raise ConfigError(f"run {run_id!r}: unknown surrogate {cfg.surrogate!r}")
+        if cfg.algorithm not in ALGORITHMS:
+            raise ConfigError(f"run {run_id!r}: unknown algorithm {cfg.algorithm!r}")
+        if cfg.iterations < 1:
             raise ConfigError(f"run {run_id!r}: iterations must be >= 1")
-        tolerance = float(bucket.get("tolerance", 0.0))
-        if tolerance < 0:
+        if cfg.tolerance < 0:
             raise ConfigError(f"run {run_id!r}: tolerance must be >= 0")
-        if algorithm != "bsum" and rule != "gauss-seidel":
-            raise ConfigError(f"run {run_id!r}: algorithm {algorithm!r} runs gauss-seidel "
-                              f"only, not {rule!r}")
-        if algorithm == "a2bsum" and tolerance > 0:
+        if cfg.algorithm != "bsum" and cfg.rule != "gauss-seidel":
+            raise ConfigError(f"run {run_id!r}: algorithm {cfg.algorithm!r} runs gauss-seidel "
+                              f"only, not {cfg.rule!r}")
+        if cfg.algorithm == "a2bsum" and cfg.tolerance > 0:
             raise ConfigError(f"run {run_id!r}: algorithm 'a2bsum' has no gap tolerance")
-        setting = {"algorithm": algorithm, "rule": rule, "surrogate": surrogate}
+        setting = {"algorithm": cfg.algorithm, "rule": cfg.rule, "surrogate": cfg.surrogate}
         for f in fields(RunConfig):
             for what, readers in f.metadata.items():
                 if f.name in bucket and readers is not None and setting[what] not in readers:
                     raise ConfigError(f"run {run_id!r}: {f.name!r} applies to {what} "
                                       f"{' or '.join(map(repr, readers))} only")
 
-        period_map = bucket.get("period_map")
         try:
             family.check_keys(model)
             n_blocks = family.block_count(model)
+            if cfg.surrogate == "mixed":
+                cfg.surrogate_kinds = check_block_kinds(cfg.surrogate_kinds, n_blocks)
             if n_blocks is None:  # only the files fix it
-                n_blocks = 1 + max((int(i) for slot in period_map or () for i in slot),
+                n_blocks = 1 + max((int(i) for slot in cfg.period_map or () for i in slot),
                                    default=0)
-            schedule = make_schedule(rule, n_blocks, period_map=period_map, q=q,
-                                     seed=bucket.get("schedule_seed"))
+            schedule = make_schedule(cfg.rule, n_blocks, period_map=cfg.period_map, q=cfg.q,
+                                     seed=cfg.schedule_seed)
         except ValueError as exc:
             raise ConfigError(f"run {run_id!r}: {exc}") from None
-
-        kinds = bucket.get("surrogate_kinds")
-        runs.append(RunConfig(
-            run_id=run_id, model=model, surrogate=surrogate,
-            surrogate_kinds=None if kinds is None else tuple(kinds),
-            rule=rule, q=q, period_map=schedule.period_map, iterations=iterations,
-            tolerance=tolerance, algorithm=algorithm,
-            outer=int(bucket.get("outer", 1)), inner=int(bucket.get("inner", 0)),
-            record_virtual=bucket.get("record_virtual"),
-            record_grad_diffs=bucket.get("record_grad_diffs"),
-            compute_auxiliary=bool(bucket.get("compute_auxiliary", False)),
-            schedule_seed=bucket.get("schedule_seed"),
-        ))
+        cfg.period_map = schedule.period_map
+        cfg.compute_auxiliary = bool(cfg.compute_auxiliary)
+        runs.append(cfg)
     return ExperimentSpec(
-        seed=seed, runs=runs, suites=suites, output_dir=top.get("output_dir"),
+        seed=seed, runs=runs, suites=tuple(suites), output_dir=top.get("output_dir"),
     )
 
 
@@ -318,8 +321,7 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
         elif check == "cost-to-go":
             result.checks.append(check_cost_to_go(trace, cert, variant))
         else:
-            sigma, c, offset = sigma_for(variant, cert, problem.n_blocks,
-                                         composite=problem.composite, svm=problem.svm)
+            sigma, c, offset = sigma_for(variant, cert, problem.n_blocks, problem=problem)
             rep = check_rate_envelope(trace, sigma, c, offset, label=variant)
             result.envelopes.append(
                 {"id": variant, "sigma": sigma, "c": c, "offset": offset,
@@ -405,6 +407,14 @@ def run_report(result: RunResult) -> dict:
     return report
 
 
+def _raised_where(exc: BaseException) -> str:
+    """file:line of the innermost traceback frame inside this package."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if os.path.dirname(os.path.abspath(f.filename)) == here][-1]
+    return f"{os.path.basename(frame.filename)}:{frame.lineno}"
+
+
 def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None) -> tuple[list[RunResult], int]:
     """Execute every run, write artifacts, and return (results, exit_code)."""
     out = output_dir or os.environ.get(OUTPUT_DIR_ENV) or spec.output_dir or "bsumkit-out"
@@ -417,16 +427,20 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None) -> tu
             result = execute_run(cfg, spec, cache)
         except Exception as exc:  # recorded per run, experiment continues
             hard_error = True
-            results.append(RunResult(
+            error = {"type": type(exc).__name__, "message": str(exc),
+                     "where": _raised_where(exc)}
+            result = RunResult(
                 run_id=cfg.run_id, config=cfg, problem=None, trace=None,
                 reference=None, certificate=None, all_passed=False,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
-            continue
-        _atomic_write(os.path.join(out, f"{cfg.run_id}.trace.csv"),
-                      trace_csv_text(result.trace))
+                error=f"{error['type']}: {error['message']}",
+            )
+            report = {"run_id": cfg.run_id, "error": error}
+        else:
+            _atomic_write(os.path.join(out, f"{cfg.run_id}.trace.csv"),
+                          trace_csv_text(result.trace))
+            report = run_report(result)
         _atomic_write(os.path.join(out, f"{cfg.run_id}.report.json"),
-                      json.dumps(run_report(result), indent=2, sort_keys=True) + "\n")
+                      json.dumps(report, indent=2, sort_keys=True) + "\n")
         results.append(result)
 
     rows = ["run_id,rule,surrogate,final_delta,fitted_slope,all_checks_pass"]
@@ -522,6 +536,9 @@ def generate_instance(family: str, params: dict, prefix: str) -> list[str]:
     if family not in models.FAMILIES:
         raise ConfigError(f"unsupported model family {family!r}")
     fam = models.FAMILIES[family]
+    unknown = set(params) - fam.gen_keys - {"seed"}
+    if unknown:
+        raise ConfigError(f"unknown model fields {sorted(unknown)}")
     missing = (fam.required & fam.gen_keys) - set(params)
     if missing:
         raise ConfigError(f"missing model fields {sorted(missing)}")

@@ -21,9 +21,7 @@ import numpy as np
 from .engine import Trace
 from .problem import (
     Array,
-    CompositeStructure,
     Problem,
-    SvmData,
     block_gradient,
     eval_objective,
     nonsmooth_lipschitz,
@@ -190,8 +188,8 @@ class Theorem:
     when its algorithm, rule and surrogate kind are listed (surrogates None
     admits every kind).  needs names what the certificate assumes:
     "gamma>0" (curvature of every block bound), "G_max" (anchor Lipschitz
-    constant), "L_max" (step constant), "composite" (g as a composite of
-    block-strongly-convex losses) and "svm" (the squared-hinge row data).
+    constant), "L_max" (step constant), and, read off the declared g = phi(Ax - b),
+    "composite" (phi = ||.||^2 over two blocks or more) and "svm" (squared hinge).
     """
 
     check: str
@@ -235,16 +233,18 @@ THEOREMS = (
     Theorem("envelope", "two-block", (), ("gauss-seidel",), ("mixed",), ("L_max",)),
 )
 
-def _unmet(t: Theorem, cert: RateCertificate, composite=None, svm=None,
+def _unmet(t: Theorem, cert: RateCertificate, problem: Optional[Problem] = None,
            lip: Optional[float] = None) -> list[str]:
-    """The needs of t that the certificate and the model structure leave open."""
+    """The needs of t that the certificate and the problem's declared loss leave open."""
     step = cert.l_max if lip is None else lip
+    linear = None if problem is None else problem.smooth.linear
+    loss = None if linear is None else linear.phi.name
     held = {
         "gamma>0": cert.gamma > 0,
         "G_max": cert.g_max is not None,
         "L_max": step is not None and step > 0,
-        "composite": composite is not None,
-        "svm": svm is not None,
+        "composite": loss == "squares" and problem.n_blocks >= 2,
+        "svm": loss == "squared-hinge",
     }
     return [need for need in t.needs if not held[need]]
 
@@ -271,7 +271,7 @@ def plan_checks(meta: dict, cert: RateCertificate, problem: Problem) -> list[tup
         (t.check, t.variant) for t in THEOREMS
         if meta["algorithm"] in t.algorithms and meta["rule"] in t.rules
         and (t.surrogates is None or meta["surrogate"] in t.surrogates)
-        and not _unmet(t, cert, problem.composite, problem.svm)
+        and not _unmet(t, cert, problem)
     ]
 
 
@@ -290,8 +290,7 @@ def sigma_for(
     rate_id: str,
     cert: RateCertificate,
     n_blocks: int,
-    composite: Optional[CompositeStructure] = None,
-    svm: Optional[SvmData] = None,
+    problem: Optional[Problem] = None,
     lip: Optional[float] = None,
 ) -> tuple[float, float, int]:
     """(sigma, c, iteration offset) for one convergence certificate.
@@ -299,7 +298,7 @@ def sigma_for(
     The envelope certified is gap(r) <= (c / sigma) / (r - offset) for all
     r > offset.
     """
-    _check_theorem("envelope", rate_id, cert, composite=composite, svm=svm, lip=lip)
+    _check_theorem("envelope", rate_id, cert, problem=problem, lip=lip)
     K = float(n_blocks)
     R = cert.radius
     if rate_id == "bsum-gs":
@@ -321,16 +320,18 @@ def sigma_for(
         return _pair(
             1.0 / (2.0 * K**2 * cert.period * R**2 * cert.big_m), cert, cert.period
         )
+    A = problem.smooth.linear.A
+    blocks = [A[:, problem.partition.block_slice(k)] for k in range(n_blocks)]
     if rate_id == "composite-gs":
-        worst = float(np.max(composite.map_gram_norms * composite.cross_lipschitz**2))
-        sigma = float(np.min(composite.moduli)) / (
-            2.0 * K * composite.n_terms * R**2 * worst
-        )
-        return _pair(sigma, cert, 0)
+        # phi = ||.||^2 is 2-strongly convex; its gradient moves by at most
+        # 2 sqrt(K - 1) times the change in the other blocks' outputs
+        cross = 2.0 * np.sqrt(K - 1.0)
+        worst = max(float(np.linalg.eigvalsh(Ak.T @ Ak)[-1]) * (cross * cross)
+                    for Ak in blocks)
+        return _pair(2.0 / (2.0 * K * R**2 * worst), cert, 0)
     # l2svm-gs
-    row_sum = sum(svm.block_row_norm_max(k) for k in range(n_blocks))
-    n_rows = svm.rows.shape[0]
-    return _pair(1.0 / (8.0 * row_sum**2 * K * n_rows * R**2), cert, 0)
+    row_sum = sum(float(np.max(np.linalg.norm(Ak, axis=1))) for Ak in blocks)
+    return _pair(1.0 / (8.0 * row_sum**2 * K * A.shape[0] * R**2), cert, 0)
 
 
 # ---------------------------------------------------------------------------

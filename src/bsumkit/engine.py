@@ -24,7 +24,7 @@ from .problem import (
     make_partition,
 )
 from .schedule import Schedule, VirtualUpdate, make_schedule, virtual_updates
-from .surrogate import prox_block
+from .surrogate import make_surrogate, prox_block
 
 
 @dataclass(eq=False)
@@ -363,7 +363,6 @@ def reduce_two_block(problem: Problem, outer: int = 1, inner: int = 0) -> Proble
         partition=part, smooth=smooth, nonsmooth=(problem.nonsmooth[outer],),
         constraints=(problem.constraints[outer],),
         name=f"{problem.name}-reduced", reference_solver=reference,
-        meta={"reduced_from": problem.name, "outer": outer, "inner": inner},
     )
 
 
@@ -381,8 +380,6 @@ class ReferenceSolution:
 
 
 def _strongest_surrogate(problem: Problem):
-    from .surrogate import make_surrogate
-
     if problem.exact_solver is not None:
         return make_surrogate(problem, "exact")
     if problem.custom_surrogate_factory is not None:

@@ -18,14 +18,11 @@ import numpy as np
 from .problem import (
     Array,
     BlockPartition,
-    CompositeStructure,
     ConstraintSet,
-    IrlsData,
     NonsmoothBlock,
     Problem,
     SeparableLoss,
     SmoothPart,
-    SvmData,
     UnsupportedCombination,
     all_space,
     linear_smooth,
@@ -76,14 +73,16 @@ def sigmoid(t: Array) -> Array:
 
 
 # phi(r) = ||r||^2
-SQUARES = SeparableLoss(value=lambda r: float(r @ r), grad=lambda r: 2.0 * r,
-                        pointwise=np.square)
+SQUARES = SeparableLoss(name="squares", value=lambda r: float(r @ r),
+                        grad=lambda r: 2.0 * r, pointwise=np.square)
 # phi(z) = sum_i log(1 + exp(-z_i)), z_i the signed margins
-LOGISTIC = SeparableLoss(value=lambda z: float(np.sum(np.logaddexp(0.0, -z))),
+LOGISTIC = SeparableLoss(name="logistic",
+                         value=lambda z: float(np.sum(np.logaddexp(0.0, -z))),
                          grad=lambda z: -sigmoid(-z),
                          pointwise=lambda z: np.logaddexp(0.0, -z))
 # phi(r) = sum_i max(0, -r_i)^2, r_i = <a_i, x> - 1
-SQUARED_HINGE = SeparableLoss(value=_squared_hinge_value, grad=lambda r: -2.0 * _hinge(r),
+SQUARED_HINGE = SeparableLoss(name="squared-hinge", value=_squared_hinge_value,
+                              grad=lambda r: -2.0 * _hinge(r),
                               pointwise=lambda r: np.square(_hinge(r)))
 
 
@@ -104,10 +103,7 @@ def _constraint_interval(cs: ConstraintSet) -> tuple[float, float]:
 def _default_constraints(partition: BlockPartition, constraints) -> tuple[ConstraintSet, ...]:
     if constraints is None:
         return tuple(all_space(s) for s in partition.sizes)
-    constraints = tuple(constraints)
-    if len(constraints) != partition.n_blocks:
-        raise ValueError("one constraint set per block required")
-    return constraints
+    return tuple(constraints)  # Problem checks that there is one per block
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +341,7 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
         raise ValueError("need A of shape (m, n) and b of length m")
     if lam < 0:
         raise ValueError("l1 weight must be nonnegative")
-    m, n = A.shape
+    n = A.shape[1]
     part = make_partition(block_sizes if block_sizes is not None else [1] * n)
     if part.dim != n:
         raise ValueError("block sizes must partition the columns of A")
@@ -376,29 +372,9 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
                 beta = beta + gam
             return prox_block(nonsmooth[k], cons[k], beta, np.array([v]))
 
-    composite = _quadratic_composite(
-        [A[:, part.block_slice(k)] for k in range(part.n_blocks)]
-    )
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
         name="lasso", block_curvature=tuple(curv), exact_solver=solver,
-        composite=composite, meta={"m": m, "n": n, "lam": lam},
-    )
-
-
-def _quadratic_composite(blocks: list[Array]) -> Optional[CompositeStructure]:
-    k = len(blocks)
-    if k < 2:
-        return None
-    dim = sum(bk.shape[1] for bk in blocks)
-    gram_norms = np.array([[spectral_norm_psd(bk.T @ bk) for bk in blocks]])
-    cross = np.full((1, k), 2.0 * np.sqrt(k - 1.0))
-    return CompositeStructure(
-        block_maps=(tuple(blocks),),
-        linear=np.zeros(dim),
-        moduli=np.full((1, k), 2.0),
-        cross_lipschitz=cross,
-        map_gram_norms=gram_norms,
     )
 
 
@@ -442,8 +418,6 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
         name="group-lasso", block_curvature=tuple(curv), exact_solver=solver,
-        composite=_quadratic_composite(mats),
-        meta={"m": m, "weights": [float(w) for w in weights]},
     )
 
 
@@ -476,8 +450,7 @@ def build_logistic(A, y, weight: float, block_sizes=None, constraints=None) -> P
     smooth = linear_smooth(LOGISTIC, Ay, np.zeros(rows), part, big_m, mk)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
-        name="logistic", block_curvature=(0.0,) * part.n_blocks,
-        meta={"rows": rows, "n": n, "weight": float(weight)},
+        name="logistic",
     )
 
 
@@ -519,9 +492,7 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
 
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
-        name="l2svm", block_curvature=(0.0,) * part.n_blocks, exact_solver=solver,
-        svm=SvmData(rows=rows, partition=part),
-        meta={"rows": n_rows, "n": n, "l1_weight": float(l1_weight)},
+        name="l2svm", exact_solver=solver,
     )
 
 
@@ -530,6 +501,13 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
 
 # prox-gradient steps of the reweighting bound's inner loop (l1 or constrained case)
 PROX_LOOP_CAP = 20000
+
+
+def smoothed_norms(mats: Sequence[Array], offsets: Sequence[Array], eta: float,
+                   x: Array) -> Array:
+    """sqrt(||A_j x + b_j||^2 + eta^2) for every term j."""
+    residuals = (A @ x + b for A, b in zip(mats, offsets))
+    return np.array([np.sqrt(r @ r + eta**2) for r in residuals])
 
 
 class ReweightingBound(Surrogate):
@@ -543,21 +521,22 @@ class ReweightingBound(Surrogate):
     PROX_LOOP_CAP steps returns its last iterate and counts in capped_solves.
     """
 
-    def __init__(self, problem: Problem):
-        data = problem.irls
+    def __init__(self, problem: Problem, mats: tuple[Array, ...],
+                 offsets: tuple[Array, ...], eta: float):
         super().__init__(problem=problem, kinds=("model-custom",),
-                         lip=(data.grad_lipschitz,), gamma_blocks=(None,), anchor_lip=(None,))
-        self.data = data
-        self._grams = tuple(A.T @ A for A in data.mats)
-        self._cross = tuple(A.T @ b for A, b in zip(data.mats, data.offsets))
+                         lip=(problem.smooth.lipschitz,), gamma_blocks=(None,),
+                         anchor_lip=(None,))
+        self.mats, self.offsets, self.eta = mats, offsets, eta
+        self._grams = tuple(A.T @ A for A in mats)
+        self._cross = tuple(A.T @ b for A, b in zip(mats, offsets))
 
     def value(self, k: int, v, anchor, grad_k=None) -> float:
         v = np.asarray(v, dtype=float)
-        w = self.data.weights(np.asarray(anchor, dtype=float))
+        w = smoothed_norms(self.mats, self.offsets, self.eta, np.asarray(anchor, dtype=float))
         total = 0.0
-        for j, (A, b) in enumerate(zip(self.data.mats, self.data.offsets)):
+        for j, (A, b) in enumerate(zip(self.mats, self.offsets)):
             r = A @ v + b
-            total += 0.5 * ((r @ r + self.data.eta**2) / w[j] + w[j])
+            total += 0.5 * ((r @ r + self.eta**2) / w[j] + w[j])
         return float(total)
 
     def argmin(self, k: int, anchor, grad_k=None) -> Array:
@@ -568,7 +547,7 @@ class ReweightingBound(Surrogate):
 
     def _solve(self, anchor: Array, gamma: float) -> Array:
         p = self.problem
-        w = self.data.weights(anchor)
+        w = smoothed_norms(self.mats, self.offsets, self.eta, anchor)
         dim = p.dim
         H = np.zeros((dim, dim))
         rhs = np.zeros(dim)
@@ -616,14 +595,10 @@ def build_irls(mats: Sequence[Array], offsets: Sequence[Array], eta: float,
     for A in mats:
         S += A.T @ A
     lip = spectral_norm_psd(S) / eta
-    data = IrlsData(mats=mats, offsets=offsets, eta=float(eta), grad_lipschitz=lip)
 
     def value(x):
-        total = 0.0
-        for A, b in zip(mats, offsets):
-            r = A @ x + b
-            total += np.sqrt(r @ r + eta**2)
-        return float(total)
+        # left to right over the terms, as a running total would add them
+        return float(sum(smoothed_norms(mats, offsets, eta, x)))
 
     def grad(x):
         g = np.zeros(dim)
@@ -638,8 +613,7 @@ def build_irls(mats: Sequence[Array], offsets: Sequence[Array], eta: float,
         partition=part, smooth=smooth,
         nonsmooth=(NonsmoothBlock(kind=kind, weight=float(l1_weight)),),
         constraints=cons, name="irls",
-        custom_surrogate_factory=ReweightingBound, irls=data,
-        meta={"terms": len(mats), "dim": dim, "eta": float(eta)},
+        custom_surrogate_factory=lambda p: ReweightingBound(p, mats, offsets, float(eta)),
     )
 
 
@@ -715,7 +689,7 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
         name="quadratic", block_curvature=tuple(curv), exact_solver=solver,
         reference_solver=reference if unconstrained else None,
-        inner_unique=inner_unique, meta={"n": n},
+        inner_unique=inner_unique,
     )
 
 

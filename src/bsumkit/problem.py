@@ -191,6 +191,7 @@ class SmoothPart:
 class SeparableLoss:
     """phi(r) = sum_i ell(r_i): its value, gradient and per-entry terms ell."""
 
+    name: str  # "squares", "logistic" or "squared-hinge"
     value: Callable[[Array], float]
     grad: Callable[[Array], Array]
     pointwise: Callable[[Array], Array]
@@ -304,12 +305,8 @@ class Problem:
     # shift=(gamma, center) adds (gamma/2)||x_k - center||^2 to the subproblem
     exact_solver: Optional[Callable[..., Array]] = None
     custom_surrogate_factory: Optional[Callable[["Problem"], object]] = None
-    composite: Optional["CompositeStructure"] = None
-    svm: Optional["SvmData"] = None
-    irls: Optional["IrlsData"] = None
     reference_solver: Optional[Callable[[], tuple[Array, float]]] = None
     inner_unique: Optional[Callable[[int], bool]] = None
-    meta: dict = field(default_factory=dict)
     layout: BlockLayout = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -328,56 +325,6 @@ class Problem:
     @property
     def dim(self) -> int:
         return self.partition.dim
-
-
-# structured data some models carry, consumed by the diagnostics
-
-
-@dataclass(frozen=True, eq=False)
-class CompositeStructure:
-    """g as a composite of block-strongly-convex losses and linear maps."""
-
-    block_maps: tuple[tuple[Array, ...], ...]  # [term][block] -> matrix
-    linear: Array  # linear term coefficients over the full variable
-    moduli: Array  # (terms, blocks) strong-convexity moduli of the loss per map output
-    cross_lipschitz: Array  # (terms, blocks) gradient Lipschitz constants across blocks
-    map_gram_norms: Array  # (terms, blocks) spectral norm of A A^T per map
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.block_maps)
-
-
-@dataclass(frozen=True, eq=False)
-class SvmData:
-    """Rows of a squared-hinge loss, with per-block column slices."""
-
-    rows: Array  # (n_rows, dim), labels folded into the rows
-    partition: BlockPartition
-
-    def margins_residual(self, x: Array) -> Array:
-        """q_i(x) = max(0, 1 - <a_i, x>) for every row."""
-        return np.maximum(0.0, 1.0 - self.rows @ x)
-
-    def block_row_norm_max(self, k: int) -> float:
-        sl = self.partition.block_slice(k)
-        return float(np.max(np.linalg.norm(self.rows[:, sl], axis=1)))
-
-
-@dataclass(frozen=True, eq=False)
-class IrlsData:
-    """Terms sqrt(||A_j x + b_j||^2 + eta^2) of a smoothed sum of norms."""
-
-    mats: tuple[Array, ...]
-    offsets: tuple[Array, ...]
-    eta: float
-    grad_lipschitz: float  # spectral norm of sum A_j^T A_j divided by eta
-
-    def weights(self, x: Array) -> Array:
-        return np.array(
-            [np.sqrt(np.dot(A @ x + b, A @ x + b) + self.eta**2)
-             for A, b in zip(self.mats, self.offsets)]
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,7 @@ class Surrogate:
     constant with respect to the anchor point).  capped_solves counts the
     block solves whose inner loop stopped at its step cap instead of
     converging; only a model-specific bound with an inner loop adds to it.
+    make_surrogate builds these and checks that an exact block has a solver.
     """
 
     problem: Problem
@@ -138,10 +139,6 @@ class Surrogate:
         p = self.problem
         anchor = np.asarray(anchor, dtype=float)
         if self.kinds[k] == "exact":
-            if p.exact_solver is None:
-                raise UnsupportedCombination(
-                    f"model {p.name!r} registers no exact block solver"
-                )
             return p.exact_solver(k, anchor)
         xk = p.partition.block(anchor, k)
         g = block_gradient(p, k, anchor) if grad_k is None else grad_k
@@ -154,14 +151,23 @@ class Surrogate:
         anchor = np.asarray(anchor, dtype=float)
         xk = p.partition.block(anchor, k)
         if self.kinds[k] == "exact":
-            if p.exact_solver is None:
-                raise UnsupportedCombination(
-                    f"model {p.name!r} registers no exact block solver"
-                )
             return p.exact_solver(k, anchor, shift=(gamma, xk))
         g = block_gradient(p, k, anchor)
         beta = self.lip[k] + gamma
         return prox_block(p.nonsmooth[k], p.constraints[k], beta, xk - g / beta)
+
+
+BLOCK_KINDS = ("exact", "prox-linear")
+
+
+def check_block_kinds(kinds, n_blocks: Optional[int]) -> tuple[str, ...]:
+    """A mixed surrogate's kinds as a tuple: one of BLOCK_KINDS per block (of
+    n_blocks, when given), else ValueError."""
+    if not isinstance(kinds, (list, tuple)) or n_blocks not in (None, len(kinds)) \
+            or not all(k in BLOCK_KINDS for k in kinds):
+        raise ValueError(f"mixed surrogate needs a list of {n_blocks or 'per-block'} kinds "
+                         f"from {BLOCK_KINDS}, got {kinds!r}")
+    return tuple(kinds)
 
 
 def make_surrogate(
@@ -183,10 +189,8 @@ def make_surrogate(
             raise UnsupportedCombination(f"model {problem.name!r} has no custom bound")
         return problem.custom_surrogate_factory(problem)
     if kind == "mixed":
-        if kinds is None or len(kinds) != K:
-            raise ValueError("mixed surrogate needs a per-block kinds tuple")
-        kinds = tuple(kinds)
-    elif kind in ("exact", "prox-linear"):
+        kinds = check_block_kinds(kinds, K)
+    elif kind in BLOCK_KINDS:
         kinds = (kind,) * K
     else:
         raise ValueError(f"unknown surrogate kind {kind!r}")

@@ -107,7 +107,7 @@ def test_criterion_4_reweighting_equals_single_block_runs():
         p = models.build_irls(mats, offs, eta)
         gram_sum = sum(A.T @ A for A in mats)
         want_l = float(np.linalg.eigvalsh(gram_sum)[-1]) / eta
-        assert abs(p.irls.grad_lipschitz - want_l) <= 1e-8 * want_l
+        assert abs(p.smooth.lipschitz - want_l) <= 1e-8 * want_l
         s = bk.make_surrogate(p, "model-custom")
         tr = bk.run_sum(p, s, iterations=200, compute_auxiliary=True)
         x = bk.feasible_start(p)

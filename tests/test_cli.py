@@ -2,10 +2,12 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bsumkit as bk
 from bsumkit import cli, models
 from bsumkit.cli import ConfigError
 
@@ -462,3 +464,79 @@ def test_declared_block_count_is_the_built_block_count():
     for model in BLOCK_COUNT_EXAMPLES:
         declared = models.FAMILIES[model["family"]].block_count(model)
         assert declared == cli.build_model(model, 3).n_blocks, model
+
+
+LASSO_3 = {"family": "lasso", "m": 6, "n": 3, "lam": 0.5, "seed": 2}
+
+
+@pytest.mark.parametrize("kinds,message", [
+    # every block is exact or prox-linear; model-custom bounds the whole problem
+    (["foo", "exact", "model-custom"], "from \\('exact', 'prox-linear'\\)"),
+    # one kind per block of the 3-block lasso
+    (["exact"], "a list of 3 kinds"),
+])
+def test_parse_rejects_bad_surrogate_kinds(tmp_path, capsys, kinds, message):
+    path = write(tmp_path, "seed = 1\n" + run_text("r", LASSO_3, surrogate="mixed",
+                                                   surrogate_kinds=kinds, iterations=3))
+    with pytest.raises(ConfigError, match=message):
+        cli.parse_config(path)
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: run 'r': mixed surrogate")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line,key", [
+    ('seed = "x"', "seed"),
+    ('run.r.iterations = "ten"', "iterations"),
+    ('run.r.rule = "gauss-southwell"\nrun.r.q = "high"', "q"),
+    ('run.r.tolerance = [0.1]', "tolerance"),
+    ('run.r.algorithm = "a2bsum"\nrun.r.outer = "one"', "outer"),
+    ('run.r.algorithm = "a2bsum"\nrun.r.inner = null', "inner"),
+    ('run.r.rule = "random-permutation"\nrun.r.schedule_seed = "s"', "schedule_seed"),
+    ('suites = "descent"', "suites"),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, line, key):
+    model = {"family": "two-block-quadratic", "n_inner": 2, "n_outer": 3}
+    path = write(tmp_path, run_text("r", model) + line + "\n")
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "Traceback" not in err
+
+
+def test_gen_rejects_an_unknown_key(tmp_path, capsys):
+    prefix = str(tmp_path / "gx")
+    params = '{"m": 3, "n": 2, "densty": 0.1}'
+    assert cli.main(["gen", "lasso", "--params", params, "-o", prefix]) == 1
+    assert "gen error: unknown model fields ['densty']" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+GLASSO_SMALL = {"family": "group-lasso", "m": 8, "sizes": [2, 2], "weight": 0.3, "seed": 5}
+
+
+def build_boxed_group_lasso(model, default_seed):
+    """The config's group lasso with its first block held in a box, which the
+    exact group solve does not support."""
+    arrays = models.FAMILIES["group-lasso"].generate(model, int(model["seed"]))
+    return models.build_group_lasso([arrays["A0"], arrays["A1"]], arrays["b"].ravel(), 0.3,
+                                    constraints=[bk.box(-np.ones(2), np.ones(2)),
+                                                 bk.all_space(2)])
+
+
+def test_failed_run_reports_its_error_and_where_it_was_raised(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_model", build_boxed_group_lasso)
+    path = write(tmp_path, "seed = 1\n" + run_text("boxed", GLASSO_SMALL, surrogate="exact"))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "-o", str(out)]) == 2
+    report = json.loads((out / "boxed.report.json").read_text())
+    assert sorted(report) == ["error", "run_id"] and report["run_id"] == "boxed"
+    error = report["error"]
+    assert error["type"] == "UnsupportedCombination"
+    assert error["message"] == "exact group solve needs an unconstrained block"
+    name, line = error["where"].split(":")
+    assert name == "models.py"
+    source = Path(models.__file__).read_text(encoding="utf-8").splitlines()
+    assert "raise UnsupportedCombination" in source[int(line) - 1]
+    assert "boxed: error (UnsupportedCombination: exact group solve" in capsys.readouterr().out
+    assert (out / "summary.csv").read_text().splitlines()[1] == "boxed,gauss-seidel,exact,,,error"
+    assert not (out / "boxed.trace.csv").exists()

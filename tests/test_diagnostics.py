@@ -1,11 +1,13 @@
 """Certificates, sigma formulas, and the inequality checks on small cases."""
 
+import json
+
 import numpy as np
 import pytest
 
 import bsumkit as bk
-from bsumkit import models
-from bsumkit.diagnostics import RateCertificate
+from bsumkit import cli, models
+from bsumkit.diagnostics import RateCertificate, plan_checks
 from bsumkit.engine import IterationRecord, Trace
 
 
@@ -136,6 +138,44 @@ def test_unmet_certificate_needs_raise():
         bk.check_cost_to_go(tr, make_cert(g_max=None), "gs")
     with pytest.raises(ValueError, match="unknown cost-to-go variant"):
         bk.check_cost_to_go(tr, make_cert(), "nope")
+
+
+# model -> the structured envelopes an exact gauss-seidel run of it gets; the
+# loss declaration g = phi(Ax - b) and the block count decide them
+STRUCTURED = ("composite-gs", "l2svm-gs")
+STRUCTURE_CASES = [
+    ({"family": "lasso", "m": 6, "n": 1, "lam": 0.5}, []),  # one block: no cross term
+    ({"family": "group-lasso", "m": 6, "sizes": [3], "weight": 0.3}, []),
+    ({"family": "lasso", "m": 6, "n": 3, "lam": 0.5}, ["composite-gs"]),
+    ({"family": "group-lasso", "m": 6, "sizes": [3, 2], "weight": 0.3}, ["composite-gs"]),
+    ({"family": "l2svm", "rows": 20, "n": 3}, ["l2svm-gs"]),
+    ({"family": "l2svm", "rows": 20, "n": 3, "l1_weight": 0.3}, ["l2svm-gs"]),
+]
+
+
+@pytest.mark.parametrize("model,structured", STRUCTURE_CASES)
+def test_structured_envelopes_follow_the_declared_loss(tmp_path, model, structured):
+    lines = [f"run.r.model.{key} = {json.dumps(value)}" for key, value in model.items()]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = 3\n" + "\n".join(lines) + '\nrun.r.surrogate = "exact"\n'
+                   "run.r.iterations = 20\n")
+    results, code = cli.run_experiment(cli.parse_config(str(cfg)), output_dir=str(tmp_path))
+    envelopes = [e["id"] for e in results[0].envelopes]
+    assert code == 0 and "bcm-gs" in envelopes
+    assert [e for e in envelopes if e in STRUCTURED] == structured
+
+
+def test_logistic_runs_get_no_structured_envelope():
+    A, y, nu = models.gen_logistic(30, 4, 0.2, seed=1)
+    p = models.build_logistic(A, y, nu)
+    assert p.smooth.linear.phi.name == "logistic"
+    # even a run described as exact gauss-seidel, which logistic cannot make
+    meta = {"algorithm": "bsum", "rule": "gauss-seidel", "surrogate": "exact"}
+    planned = [variant for _, variant in plan_checks(meta, make_cert(), p)]
+    assert "bcm-gs" in planned and not set(planned) & set(STRUCTURED)
+    for rate, need in zip(STRUCTURED, ("composite", "svm")):
+        with pytest.raises(ValueError, match=f"needs {need}"):
+            bk.sigma_for(rate, make_cert(), 4, problem=p)
 
 
 def test_sigma_positivity_and_monotonicity():

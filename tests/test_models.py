@@ -27,6 +27,11 @@ def test_lasso_identity_constants():
     assert p.block_curvature == pytest.approx((2.0, 2.0))
 
 
+def test_constraint_sets_must_match_the_block_count():
+    with pytest.raises(ValueError, match="must match the block count"):
+        models.build_lasso(np.eye(2), np.ones(2), 0.5, constraints=[bk.all_space(1)])
+
+
 def test_lasso_zero_column_blocks_exact_requests():
     A = np.array([[1.0, 0.0], [0.5, 0.0]])
     p = models.build_lasso(A, np.array([1.0, 1.0]), 0.3)  # construction fine
@@ -100,10 +105,10 @@ def test_l2svm_single_row_reference():
 def test_l2svm_oracles():
     rows = models.gen_l2svm(50, 10, seed=104)
     p = models.build_l2svm(rows)
-    assert np.allclose(p.svm.margins_residual(np.zeros(10)), 1.0)
+    assert np.allclose(np.maximum(0.0, 1.0 - rows @ np.zeros(10)), 1.0)
     assert bk.eval_objective(p, np.zeros(10)) == pytest.approx(50.0)
     x = np.random.default_rng(0).standard_normal(10)
-    q = p.svm.margins_residual(x)
+    q = np.maximum(0.0, 1.0 - rows @ x)
     assert np.allclose(bk.block_gradient(p, 3, x),
                        -2.0 * rows[:, 3:4].T @ q)
 
@@ -494,7 +499,7 @@ def test_reweighting_examples():
     assert got >= np.sqrt(0.25 + 1.0)
 
     p2 = models.build_irls(A, b, 0.5)
-    assert p2.irls.grad_lipschitz == pytest.approx(2.0)
+    assert p2.smooth.lipschitz == pytest.approx(2.0)
 
 
 def test_reweighting_bound_never_violated_100_points():
@@ -516,15 +521,19 @@ def test_irls_rejects_bad_smoothing():
 def test_composite_constants_consistency():
     mats, b, w = models.gen_group_lasso(12, [4, 4, 4], 0.3, seed=41, deficient=[2])
     p = models.build_group_lasso(mats, b, w)
-    comp = p.composite
-    assert comp is not None and comp.n_terms == 1
-    for k, Ak in enumerate(mats):
-        direct = np.linalg.norm(Ak @ Ak.T, 2)
-        assert comp.map_gram_norms[0, k] == pytest.approx(direct, rel=1e-8)
-        assert comp.moduli[0, k] == pytest.approx(2.0)
-        assert comp.cross_lipschitz[0, k] == pytest.approx(2.0 * np.sqrt(2.0))
-    # the cross constant is attained: equal moves in the other blocks
     K = 3
+    cert = bk.RateCertificate(
+        gamma=0.0, l_max=None, g_max=None, big_m=p.smooth.lipschitz,
+        m_max=p.smooth.max_block_lipschitz, radius=1.5, grad_bound=1.0, l_h=0.0,
+        q=1.0, period=1, f_star=0.0, f_first=1.0)
+    sigma, c, offset = bk.sigma_for("composite-gs", cert, K, problem=p)
+    # ||.||^2 has modulus 2 and cross constant 2 sqrt(K - 1) over the maps A_k
+    modulus, cross = 2.0, 2.0 * np.sqrt(K - 1.0)
+    worst = max(np.linalg.norm(Ak @ Ak.T, 2) * cross**2 for Ak in mats)
+    want = modulus / (2.0 * K * cert.radius**2 * worst)
+    assert sigma == pytest.approx(want, rel=1e-12)
+    assert offset == 0 and c == max(4.0 * sigma - 2.0, cert.f_first - cert.f_star, 2.0)
+    # the cross constant is attained: equal moves in the other blocks
     rng = np.random.default_rng(2)
     y = [rng.standard_normal(12) for _ in range(K)]
 

@@ -122,6 +122,19 @@ def test_surrogate_argmin_needs_registered_solver():
         bk.make_surrogate(p, "exact")
 
 
+@pytest.mark.parametrize("kinds", [
+    ("foo", "exact", "model-custom"),  # each block is exact or prox-linear
+    ("exact", "model-custom", "prox-linear"),
+    ("exact", "prox-linear"),  # one kind per block
+    None,
+])
+def test_mixed_surrogate_rejects_bad_block_kinds(kinds):
+    p = models.build_lasso(np.eye(3), np.ones(3), 0.5)
+    with pytest.raises(ValueError, match="mixed surrogate needs a list of 3 kinds"):
+        bk.make_surrogate(p, "mixed", kinds=kinds)
+    assert bk.make_surrogate(p, "mixed", kinds=("exact", "prox-linear", "exact")).kind == "mixed"
+
+
 def test_prox_linear_first_order_certificate():
     # x+ is a fixed point of the prox-gradient map of its own subproblem
     A, b, lam = models.gen_lasso(10, 14, 1.0, seed=8)
@@ -170,7 +183,7 @@ def test_reweighting_bound_gradient_lipschitz_transfers():
     # the bound's own step constant also bounds the smooth part's gradient
     mats, offs = models.gen_fermat_weber(8, 4, seed=7)
     p = models.build_irls(mats, offs, 0.25)
-    L = p.irls.grad_lipschitz
+    L = p.smooth.lipschitz
     rng = np.random.default_rng(6)
     for _ in range(100):
         x = rng.standard_normal(4)
