@@ -219,6 +219,7 @@ def parse_config(path: str) -> ExperimentSpec:
 
         try:
             family.check_keys(model)
+            models.check_numbers(model)
             n_blocks = family.block_count(model)
             if cfg.surrogate == "mixed":
                 cfg.surrogate_kinds = check_block_kinds(cfg.surrogate_kinds, n_blocks)
@@ -296,6 +297,10 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
     if surrogate is not None and surrogate.capped_solves:
         trace.meta.setdefault("warnings", []).append(
             f"inner prox loop hit its cap: {surrogate.capped_solves} times"
+        )
+    if ref.capped_solves:
+        trace.meta.setdefault("warnings", []).append(
+            f"reference inner prox loop hit its cap: {ref.capped_solves} times"
         )
 
     result = RunResult(
@@ -535,6 +540,8 @@ def certify(trace_path: str, config_path: str, run_id: Optional[str] = None) -> 
 def generate_instance(family: str, params: dict, prefix: str) -> list[str]:
     if family not in models.FAMILIES:
         raise ConfigError(f"unsupported model family {family!r}")
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a JSON object, not {params!r}")
     fam = models.FAMILIES[family]
     unknown = set(params) - fam.gen_keys - {"seed"}
     if unknown:
@@ -542,6 +549,7 @@ def generate_instance(family: str, params: dict, prefix: str) -> list[str]:
     missing = (fam.required & fam.gen_keys) - set(params)
     if missing:
         raise ConfigError(f"missing model fields {sorted(missing)}")
+    models.check_numbers(params)
     written = []
     for tag, M in fam.generate(params, int(params.get("seed", 0))).items():
         written.append(f"{prefix}_{tag}.txt")

@@ -103,17 +103,33 @@ def bsum_sweep(
     on_block_update: Optional[Callable[[int, Array], None]] = None,
 ) -> tuple[Array, float, Optional[float]]:
     """One iteration: update the listed blocks in order, each anchored at the
-    point holding all previously updated blocks of this sweep."""
+    point holding all previously updated blocks of this sweep.
+
+    When g = phi(Ax - b) is declared and some block is minimized exactly, the
+    residual r = A w - b is built once per sweep and carried: exact blocks
+    read it, and every block's move d_k updates it by A_k d_k.
+    """
     w = np.array(x, dtype=float)
     grad_stat = None
     g_prev = None
     if record_grads:
         grad_stat = 0.0
         g_prev = problem.smooth.grad(w)
+    linear = problem.smooth.linear
+    r = None
+    if linear is not None and "exact" in surrogate.kinds:
+        A = linear.A
+        r = A @ w - linear.b
     for k in blocks:
         if on_block_update is not None:
             on_block_update(k, w.copy())
-        w[problem.partition.block_slice(k)] = surrogate.argmin(k, w)
+        sl = problem.partition.block_slice(k)
+        if r is None:
+            w[sl] = surrogate.argmin(k, w)
+        else:
+            new = surrogate.argmin(k, w, resid=r)
+            r += A[:, sl].dot(new - w[sl])
+            w[sl] = new
         if record_grads:
             g_now = problem.smooth.grad(w)
             diff = g_now - g_prev
@@ -377,6 +393,7 @@ class ReferenceSolution:
     converged: bool
     sweeps: int
     last_change: float
+    capped_solves: int = 0  # block solves whose inner loop stopped at its cap
 
 
 def _strongest_surrogate(problem: Problem):
@@ -424,5 +441,5 @@ def reference_solve(
         sweeps += 1
     return ReferenceSolution(
         x=best_x, f=best_f, converged=stall >= stall_sweeps,
-        sweeps=sweeps, last_change=abs(change),
+        sweeps=sweeps, last_change=abs(change), capped_solves=surrogate.capped_solves,
     )

@@ -100,6 +100,28 @@ def _constraint_interval(cs: ConstraintSet) -> tuple[float, float]:
     raise ValueError(f"unknown constraint kind {cs.kind!r}")
 
 
+def scalar_prox(h: NonsmoothBlock, cs: ConstraintSet, beta: float, v: float) -> Array:
+    """prox_block(h, cs, beta, [v]) for a scalar block.
+
+    Zero or l1 h on all-space, box or nonneg sets is computed in Python floats
+    with the semantics of prox_block's numpy calls: the soft-threshold
+    sign(v) * max(|v| - w/beta, 0), where sign(-0.0) is 0, then the clip into
+    the interval, where a tie with a bound (as -0.0 with 0.0) yields the bound.
+    The result is prox_block's bit for bit, signed zeros and infinities
+    included (a NaN stays NaN); other pairings call prox_block.
+    """
+    if beta <= 0 or cs.kind not in ("all-space", "box", "nonneg") \
+            or h.kind not in ("zero", "indicator", "l1"):
+        return prox_block(h, cs, beta, np.array([v]))
+    if h.kind == "l1" and h.weight != 0.0:
+        s = abs(v) - h.weight / beta
+        s = 0.0 if s <= 0.0 else s
+        v = s if v >= 0.0 else -s
+    lo, hi = _constraint_interval(cs)
+    v = lo if v <= lo else v
+    return np.array([hi if v >= hi else v])
+
+
 def _default_constraints(partition: BlockPartition, constraints) -> tuple[ConstraintSet, ...]:
     if constraints is None:
         return tuple(all_space(s) for s in partition.sizes)
@@ -360,17 +382,19 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
     scalar = all(s == 1 for s in part.sizes)
     col_sq = np.sum(A * A, axis=0)
     if scalar and np.all(col_sq > 0.0):
-        def solver(k, x, shift=None):
+        col_sq_f = col_sq.tolist()
+
+        def solver(k, x, shift=None, resid=None):
             j = part.offsets[k]
             col = A[:, j]
-            rho = A @ x - b - col * x[j]
-            beta = 2.0 * col_sq[j]
-            v = -(col @ rho) / col_sq[j]
+            rho = (A @ x - b if resid is None else resid) - col * x[j]
+            beta = 2.0 * col_sq_f[j]
+            v = -float(col.dot(rho)) / col_sq_f[j]
             if shift is not None:
                 gam, cc = shift
                 v = (beta * v + gam * float(cc[0])) / (beta + gam)
                 beta = beta + gam
-            return prox_block(nonsmooth[k], cons[k], beta, np.array([v]))
+            return scalar_prox(nonsmooth[k], cons[k], beta, v)
 
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
@@ -406,11 +430,11 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     )
     smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
 
-    def solver(k, x, shift=None):
+    def solver(k, x, shift=None, resid=None):
         if cons[k].kind != "all-space":
             raise UnsupportedCombination("exact group solve needs an unconstrained block")
         sl = part.block_slice(k)
-        rho = b - A @ x + mats[k] @ x[sl]
+        rho = (b - A @ x if resid is None else -resid) + mats[k] @ x[sl]
         evals, vecs = eigs[k]
         sh = None if shift is None else (shift[0], np.asarray(shift[1], dtype=float))
         return group_l2_block_min(evals, vecs, mats[k].T @ rho, float(weights[k]), shift=sh)
@@ -480,10 +504,10 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
 
     solver = None
     if all(s == 1 for s in part.sizes):
-        def solver(k, x, shift=None):
+        def solver(k, x, shift=None, resid=None):
             j = part.offsets[k]
             dcol = rows[:, j]
-            cvec = 1.0 - rows @ x + dcol * x[j]
+            cvec = (1.0 - rows @ x if resid is None else -resid) + dcol * x[j]
             lo, hi = _constraint_interval(cons[k])
             sh = None if shift is None else (shift[0], float(np.asarray(shift[1])[0]))
             t = piecewise_quadratic_min(cvec, dcol, lam=float(l1_weight),
@@ -851,6 +875,33 @@ class Family:
         missing = self.required - given - (self.gen_keys if files else frozenset())
         if missing:
             raise ValueError(f"missing model fields {sorted(missing)}")
+
+
+# numeric model fields: JSON integers, JSON numbers, and lists of JSON integers
+INT_FIELDS = frozenset({"m", "n", "rows", "terms", "n_inner", "n_outer", "zero_eigs",
+                        "rank_deficit", "seed"})
+FLOAT_FIELDS = frozenset({"lam", "density", "weight", "l1_weight", "eta", "min_pos"})
+INT_LIST_FIELDS = frozenset({"sizes", "blocks", "deficient"})
+
+
+def check_numbers(params: dict) -> None:
+    """Raise ValueError naming the first numeric model field whose value is not
+    of its kind; the values themselves are left as given."""
+
+    def integer(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    for key, value in params.items():
+        if key in INT_FIELDS and not integer(value):
+            kind = "an integer"
+        elif key in FLOAT_FIELDS and not (integer(value) or isinstance(value, float)):
+            kind = "a number"
+        elif key in INT_LIST_FIELDS and not (isinstance(value, list)
+                                             and all(map(integer, value))):
+            kind = "a list of integers"
+        else:
+            continue
+        raise ValueError(f"model field {key!r} must be {kind}, not {value!r}")
 
 
 def _group_lasso_arrays(p: dict, seed: int) -> dict:

@@ -302,7 +302,10 @@ class Problem:
     # this is the curvature an exact per-block solve gets to exploit
     block_curvature: Optional[tuple[float, ...]] = None
     # exact per-block minimizer of g(., x_{-k}) + h_k over X_k; optional
-    # shift=(gamma, center) adds (gamma/2)||x_k - center||^2 to the subproblem
+    # shift=(gamma, center) adds (gamma/2)||x_k - center||^2 to the subproblem.
+    # A solver for a model that declares smooth.linear also takes resid=None:
+    # given, it is A @ x - b (up to rounding) and replaces the solver's own
+    # rebuild of it; omitted, the solver computes A @ x - b itself
     exact_solver: Optional[Callable[..., Array]] = None
     custom_surrogate_factory: Optional[Callable[["Problem"], object]] = None
     reference_solver: Optional[Callable[[], tuple[Array, float]]] = None

@@ -134,12 +134,19 @@ class Surrogate:
         d = v_k - xk
         return float(p.smooth.value(anchor) + g @ d + 0.5 * self.lip[k] * (d @ d))
 
-    def argmin(self, k: int, anchor, grad_k: Optional[Array] = None) -> Array:
-        """argmin over X_k of u_k(.; anchor) + h_k."""
+    def argmin(self, k: int, anchor, grad_k: Optional[Array] = None,
+               resid: Optional[Array] = None) -> Array:
+        """argmin over X_k of u_k(.; anchor) + h_k.
+
+        resid, when given, is A @ anchor - b of the declared g = phi(Ax - b);
+        an exact block's solver reads it instead of rebuilding it.
+        """
         p = self.problem
         anchor = np.asarray(anchor, dtype=float)
         if self.kinds[k] == "exact":
-            return p.exact_solver(k, anchor)
+            if resid is None:
+                return p.exact_solver(k, anchor)
+            return p.exact_solver(k, anchor, resid=resid)
         xk = p.partition.block(anchor, k)
         g = block_gradient(p, k, anchor) if grad_k is None else grad_k
         lk = self.lip[k]

@@ -395,9 +395,31 @@ def test_capped_inner_prox_loop_is_reported(tmp_path, monkeypatch):
     results, code = cli.run_experiment(spec, output_dir=str(tmp_path / "free"))
     assert code == 0 and results[0].trace.meta.get("warnings", []) == []
     monkeypatch.setattr(models, "PROX_LOOP_CAP", 1)
-    cli.run_experiment(spec, output_dir=str(tmp_path / "capped"))
+    results, _ = cli.run_experiment(spec, output_dir=str(tmp_path / "capped"))
     report = json.loads((tmp_path / "capped" / "fw.report.json").read_text())
-    assert report["warnings"] == ["inner prox loop hit its cap: 5 times"]
+    # the reference solve sweeps the same bound, so its loops hit the cap too
+    capped = results[0].reference.capped_solves
+    assert capped > 0
+    assert report["warnings"] == ["inner prox loop hit its cap: 5 times",
+                                  f"reference inner prox loop hit its cap: {capped} times"]
+
+
+def test_capped_reference_prox_loop_is_reported(tmp_path, monkeypatch):
+    # a prox-linear run has no inner loop of its own; its reference sweeps the
+    # reweighting bound, whose every step is an inner prox loop
+    monkeypatch.setattr(cli, "build_model", build_fermat_weber_l1)
+    spec = cli.parse_config(write(tmp_path, "seed = 1\n" + run_text(
+        "fw", FW, surrogate="prox-linear", iterations=5)))
+    results, code = cli.run_experiment(spec, output_dir=str(tmp_path / "free"))
+    assert code == 0 and results[0].reference.capped_solves == 0
+    assert results[0].trace.meta.get("warnings", []) == []
+    monkeypatch.setattr(models, "PROX_LOOP_CAP", 1)
+    results, _ = cli.run_experiment(spec, output_dir=str(tmp_path / "capped"))
+    ref = results[0].reference
+    assert 0 < ref.capped_solves <= ref.sweeps  # one block solve per sweep
+    report = json.loads((tmp_path / "capped" / "fw.report.json").read_text())
+    assert report["warnings"] == [f"reference inner prox loop hit its cap: "
+                                  f"{ref.capped_solves} times"]
 
 
 def test_matrix_runs_carry_no_warnings(matrix_outcome):
@@ -509,6 +531,37 @@ def test_gen_rejects_an_unknown_key(tmp_path, capsys):
     assert cli.main(["gen", "lasso", "--params", params, "-o", prefix]) == 1
     assert "gen error: unknown model fields ['densty']" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("params", ["3", "[1, 2]", '"m"', "null"])
+def test_gen_rejects_params_that_are_not_an_object(tmp_path, capsys, params):
+    prefix = str(tmp_path / "gx")
+    assert cli.main(["gen", "lasso", "--params", params, "-o", prefix]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gen error: params must be a JSON object") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model,key", [
+    ({"family": "lasso", "m": 6, "n": "ten", "lam": 0.5}, "n"),
+    ({"family": "lasso", "m": 6, "n": 4, "lam": "big"}, "lam"),
+    ({"family": "lasso", "m": 6, "n": 4, "lam": 0.5, "density": True}, "density"),
+    ({"family": "lasso", "m": 6, "n": 4, "lam": 0.5, "blocks": 4}, "blocks"),
+    ({"family": "lasso", "m": 6, "n": 4, "lam": 0.5, "seed": 1.5}, "seed"),
+    ({"family": "group-lasso", "m": 6, "sizes": [2, "x"]}, "sizes"),
+    ({"family": "group-lasso", "m": 6, "sizes": [2, 2], "deficient": ["1"]}, "deficient"),
+    ({"family": "logistic", "rows": None, "n": 3}, "rows"),
+    ({"family": "quadratic", "sizes": [2], "rank_deficit": "1"}, "rank_deficit"),
+    ({"family": "two-block-quadratic", "n_inner": 2, "n_outer": 3, "min_pos": [1e-3]},
+     "min_pos"),
+    ({"family": "fermat-weber", "terms": 4, "n": 2, "eta": "0.1"}, "eta"),
+])
+def test_bad_model_values_are_config_errors(tmp_path, capsys, model, key):
+    path = write(tmp_path, run_text("r", model))
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: run 'r': model field {key!r} must be ")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 GLASSO_SMALL = {"family": "group-lasso", "m": 8, "sizes": [2, 2], "weight": 0.3, "seed": 5}

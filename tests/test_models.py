@@ -244,9 +244,9 @@ def test_group_lasso_reference_with_a_tiny_weight_finishes():
     solve = p.exact_solver
     worst = []
 
-    def checked(k, x, shift=None):
+    def checked(k, x, shift=None, resid=None):
         # group-l2 optimality of the block solve: 2 A_k^T (A_k u - rho) + weight u/||u|| = 0
-        u = solve(k, x, shift)
+        u = solve(k, x, shift, resid=resid)
         sl = p.partition.block_slice(k)
         rho = rhs - A @ x + mats[k] @ x[sl]
         grad = 2.0 * mats[k].T @ (mats[k] @ u - rho)
@@ -356,6 +356,63 @@ def test_exact_scalar_solvers_against_oracles_200_cases():
         cases += 1
     assert cases == 200
 
+
+
+SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+EDGES = st.one_of(SIGNED, st.floats(-1e3, 1e3), st.sampled_from([-np.inf, np.inf]))
+
+
+@st.composite
+def scalar_steps(draw):
+    """A scalar prox step: zero or l1 h, an interval set (bounds at signed
+    zeros allowed), beta > 0 and v on a bound, on the threshold or anywhere."""
+    h = bk.NonsmoothBlock(kind=draw(st.sampled_from(["zero", "indicator", "l1"])),
+                              weight=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])))
+    kind = draw(st.sampled_from(["all-space", "box", "nonneg"]))
+    if kind == "box":
+        lo, hi = sorted([draw(SIGNED | st.floats(-1e3, 1e3)),
+                         draw(SIGNED | st.floats(-1e3, 1e3))])
+        cs = bk.box([lo], [hi])
+    else:
+        cs = bk.nonneg(1) if kind == "nonneg" else bk.all_space(1)
+    beta = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(1e-3, 1e3))
+    threshold = h.weight / beta
+    v = draw(EDGES | st.sampled_from([threshold, -threshold])
+             | st.sampled_from([float(e) for e in (cs.lo if kind == "box" else [0.0])]))
+    return h, cs, beta, v
+
+
+@settings(max_examples=600)
+@given(step=scalar_steps())
+def test_lasso_scalar_step_is_prox_block_bit_for_bit(step):
+    h, cs, beta, v = step
+    got = models.scalar_prox(h, cs, beta, v)
+    want = bk.prox_block(h, cs, beta, np.array([v]))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (got, want)
+
+
+def test_lasso_scalar_step_keeps_prox_blocks_refusals():
+    h = bk.NonsmoothBlock(kind="l1", weight=1.0)
+    with pytest.raises(UnsupportedCombination, match="l1 prox with 'ball'"):
+        models.scalar_prox(h, bk.ball([0.0], 1.0), 2.0, 0.3)
+    with pytest.raises(ValueError, match="prox requires beta > 0"):
+        models.scalar_prox(h, bk.all_space(1), 0.0, 0.3)
+    A, b, _ = models.gen_lasso(6, 2, 0.0, seed=4)
+    p = models.build_lasso(A, b, 1.0, constraints=[bk.ball([0.0], 1.0)] * 2)
+    x = np.zeros(2)
+    with pytest.raises(UnsupportedCombination, match="l1 prox with 'ball'"):
+        p.exact_solver(0, x)
+    with pytest.raises(UnsupportedCombination, match="l1 prox with 'ball'"):
+        p.exact_solver(0, x, resid=A @ x - b)
+    # without the l1 term a ball is a plain projection, as prox_block makes it
+    p0 = models.build_lasso(A, 10.0 * b, 0.0, constraints=[bk.ball([0.0], 1.0)] * 2)
+    assert abs(p0.exact_solver(0, x)[0]) == 1.0
+
+
+def test_numeric_model_fields_are_all_declared():
+    declared = models.INT_FIELDS | models.FLOAT_FIELDS | models.INT_LIST_FIELDS
+    for name, family in models.FAMILIES.items():
+        assert family.gen_keys | family.build_keys <= declared, name
 
 
 # The scan over every piece that piecewise_quadratic_min replaced, verbatim.
