@@ -5,15 +5,19 @@ in JSON (strings quoted, lists bracketed).  Unknown keys are rejected.
 Artifacts per run: a trace CSV with the stable header
 `r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks,descent_slack`, a JSON
 report with the certificate and check results, plus one summary CSV per
-experiment.  Identical config and seed produce byte-identical artifacts.
+experiment.  Identical config, seed and BLAS thread count produce
+byte-identical artifacts; the thread count can change the last digits of
+BLAS results (the declared M), so a rerun under another count rewrites them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
+import stat
 import sys
 import traceback
 from dataclasses import dataclass, field, fields
@@ -380,10 +384,29 @@ def trace_csv_text(trace: Trace) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Replace path by text atomically, unless it already holds those bytes.
+
+    New bytes go to a temporary file named per process, which is renamed
+    over path.  A regular file that already holds exactly the new bytes is
+    left alone: on ext4 renaming over a file whose data is on disk flushes
+    the new file first, and reruns reproduce most artifacts byte for byte.
+    """
+    data = text.encode("utf-8")
+    with contextlib.suppress(OSError):  # missing or unreadable: write it
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_size == len(data):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def run_report(result: RunResult) -> dict:
@@ -428,6 +451,7 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None) -> tu
     cache: dict = {}
     hard_error = False
     for cfg in spec.runs:
+        trace_path = os.path.join(out, f"{cfg.run_id}.trace.csv")
         try:
             result = execute_run(cfg, spec, cache)
         except Exception as exc:  # recorded per run, experiment continues
@@ -440,9 +464,10 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None) -> tu
                 error=f"{error['type']}: {error['message']}",
             )
             report = {"run_id": cfg.run_id, "error": error}
+            with contextlib.suppress(FileNotFoundError):  # an earlier pass's trace
+                os.remove(trace_path)
         else:
-            _atomic_write(os.path.join(out, f"{cfg.run_id}.trace.csv"),
-                          trace_csv_text(result.trace))
+            _atomic_write(trace_path, trace_csv_text(result.trace))
             report = run_report(result)
         _atomic_write(os.path.join(out, f"{cfg.run_id}.report.json"),
                       json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -554,7 +579,7 @@ def generate_instance(family: str, params: dict, prefix: str) -> list[str]:
     for tag, M in fam.generate(params, int(params.get("seed", 0))).items():
         written.append(f"{prefix}_{tag}.txt")
         # vectors are written as columns
-        models.write_matrix(written[-1], M.reshape(-1, 1) if M.ndim == 1 else M)
+        _atomic_write(written[-1], models.matrix_text(M.reshape(-1, 1) if M.ndim == 1 else M))
     return written
 
 

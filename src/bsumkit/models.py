@@ -816,12 +816,12 @@ def gen_fermat_weber(n_terms: int, dim: int, seed: int):
 # plain-text matrix format: header line "rows cols", row-major values
 
 
-def write_matrix(path, M) -> None:
+def matrix_text(M) -> str:
+    """M as the text read_matrix reads, at 17 significant digits."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+    lines = [f"{M.shape[0]} {M.shape[1]}"]
+    lines += [" ".join(format(v, ".17g") for v in row) for row in M]
+    return "\n".join(lines) + "\n"
 
 
 def read_matrix(path) -> Array:

@@ -123,6 +123,60 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _stamps(directory) -> dict:
+    """(inode, mtime in ns) of each file in directory, by name."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+
+def test_atomic_write_leaves_identical_bytes_untouched(tmp_path):
+    path = tmp_path / "artifact.txt"
+    cli._atomic_write(str(path), "first\n")  # missing: created
+    assert path.read_text() == "first\n"
+    created = _stamps(tmp_path)
+    cli._atomic_write(str(path), "first\n")  # identical: kept
+    assert _stamps(tmp_path) == created
+    cli._atomic_write(str(path), "other\n")  # same size, other bytes: replaced
+    assert path.read_text() == "other\n"
+    assert path.stat().st_ino != created["artifact.txt"][0]
+    cli._atomic_write(str(path), "longer\n")
+    assert path.read_text() == "longer\n"
+    assert os.listdir(tmp_path) == ["artifact.txt"]
+
+
+def test_atomic_write_removes_its_temporary_file_when_the_replace_fails(tmp_path, monkeypatch):
+    path = tmp_path / "artifact.txt"
+    path.write_text("old\n")
+    tried = []
+
+    def failing_replace(src, dst):
+        tried.append(src)
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        cli._atomic_write(str(path), "new\n")
+    assert tried == [f"{path}.{os.getpid()}.tmp"]
+    assert os.listdir(tmp_path) == ["artifact.txt"] and path.read_text() == "old\n"
+
+
+def test_rerun_rewrites_only_the_artifacts_that_changed(tmp_path):
+    out = tmp_path / "out"
+    config = write(tmp_path, TWO_RUN)
+    assert cli.main(["run", config, "-o", str(out)]) == 0
+    first = _stamps(out)
+    assert sorted(first) == ["bcm.report.json", "bcm.trace.csv", "bcpg.report.json",
+                             "bcpg.trace.csv", "summary.csv"]
+    assert cli.main(["run", config, "-o", str(out)]) == 0
+    assert _stamps(out) == first
+
+    shorter = TWO_RUN.replace("run.bcpg.iterations = 50", "run.bcpg.iterations = 40")
+    assert cli.main(["run", write(tmp_path, shorter), "-o", str(out)]) == 0
+    after = _stamps(out)
+    assert sorted(after) == sorted(first)
+    assert sorted(name for name in first if after[name] != first[name]) == [
+        "bcpg.report.json", "bcpg.trace.csv", "summary.csv"]
+
+
 def test_unconverged_reference_is_reported(tmp_path, monkeypatch):
     solve = cli.reference_solve
 
@@ -577,9 +631,11 @@ def build_boxed_group_lasso(model, default_seed):
 
 
 def test_failed_run_reports_its_error_and_where_it_was_raised(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "build_model", build_boxed_group_lasso)
     path = write(tmp_path, "seed = 1\n" + run_text("boxed", GLASSO_SMALL, surrogate="exact"))
     out = tmp_path / "out"
+    assert cli.main(["run", path, "-o", str(out)]) == 0
+    assert (out / "boxed.trace.csv").exists()
+    monkeypatch.setattr(cli, "build_model", build_boxed_group_lasso)
     assert cli.main(["run", path, "-o", str(out)]) == 2
     report = json.loads((out / "boxed.report.json").read_text())
     assert sorted(report) == ["error", "run_id"] and report["run_id"] == "boxed"

@@ -625,7 +625,7 @@ def test_lasso_density_keeps_columns_nonzero():
 def test_matrix_io_round_trip(tmp_path):
     M = np.random.default_rng(0).standard_normal((7, 3))
     path = tmp_path / "mat.txt"
-    models.write_matrix(path, M)
+    path.write_text(models.matrix_text(M), encoding="utf-8")
     back = models.read_matrix(path)
     assert np.array_equal(back, M)  # 17 significant digits round-trip
 
