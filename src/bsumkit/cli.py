@@ -388,8 +388,9 @@ def _atomic_write(path: str, text: str) -> None:
 
     New bytes go to a temporary file named per process, which is renamed
     over path.  A regular file that already holds exactly the new bytes is
-    left alone: on ext4 renaming over a file whose data is on disk flushes
-    the new file first, and reruns reproduce most artifacts byte for byte.
+    left alone.  That helps only an identical rerun into the same directory
+    (same config, seed and BLAS thread count), where on ext4 each rename
+    over an artifact from the third pass on waits 40-70 ms.
     """
     data = text.encode("utf-8")
     with contextlib.suppress(OSError):  # missing or unreadable: write it
