@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import stat
 import sys
@@ -77,8 +78,6 @@ class RunConfig:
     algorithm: str = "bsum"
     outer: int = field(default=1, metadata=_read_by(("a2bsum",)))
     inner: int = field(default=0, metadata=_read_by(("a2bsum",)))
-    record_virtual: Optional[bool] = field(default=None, metadata=_read_by(("bsum",)))
-    record_grad_diffs: Optional[bool] = field(default=None, metadata=_read_by(("bsum",)))
     compute_auxiliary: bool = field(default=False, metadata=_read_by(("bsum", "sum")))
     schedule_seed: Optional[int] = field(
         default=None, metadata=_read_by(rules=("random-permutation",)))
@@ -140,11 +139,14 @@ def _parse_lines(path: str) -> dict:
 
 
 def _number(where: str, key: str, value, convert):
-    """convert(value), or a ConfigError that names the key."""
+    """convert(value) when it is finite, else a ConfigError that names the key."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}{key!r} must be a number, not {value!r}") from None
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}{key!r} must be a finite number, not {value!r}")
+    return number
 
 
 def parse_config(path: str) -> ExperimentSpec:
@@ -273,9 +275,7 @@ def _run_algorithm(cfg: RunConfig, problem: Problem, surrogate,
                              q=cfg.q, seed=cfg.schedule_seed)
     return run_bsum(
         problem, surrogate, schedule, iterations=cfg.iterations, tol=cfg.tolerance,
-        f_star=f_star, record_virtual=cfg.record_virtual,
-        record_grad_diffs=cfg.record_grad_diffs,
-        compute_auxiliary=cfg.compute_auxiliary, meta=meta,
+        f_star=f_star, compute_auxiliary=cfg.compute_auxiliary, meta=meta,
     )
 
 

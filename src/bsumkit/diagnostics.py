@@ -80,8 +80,10 @@ class CheckReport:
 
 
 def _report(check_id: str, variant: str, slacks, tolerance: float) -> CheckReport:
+    """A slack that is not finite (a NaN or infinite objective) is an unbounded violation."""
     slacks = np.asarray(slacks, dtype=float)
-    viol = float(max(0.0, -np.min(slacks))) if slacks.size else 0.0
+    counted = np.where(np.isfinite(slacks), slacks, -np.inf)
+    viol = float(max(0.0, -np.min(counted, initial=np.inf)))
     return CheckReport(
         check_id=check_id, variant=variant, slacks=slacks,
         max_violation=viol, tolerance=tolerance,

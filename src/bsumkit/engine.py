@@ -147,8 +147,6 @@ def run_bsum(
     iterations: int = 100,
     tol: float = 0.0,
     f_star: Optional[float] = None,
-    record_virtual: Optional[bool] = None,
-    record_grad_diffs: Optional[bool] = None,
     compute_auxiliary: bool = False,
     aux_gamma: Optional[float] = None,
     on_block_update: Optional[Callable[[int, Array], None]] = None,
@@ -168,10 +166,8 @@ def run_bsum(
     if compute_auxiliary and problem.n_blocks != 1:
         raise ValueError("the auxiliary regularized step is a single-block construct")
 
-    want_virtual = schedule.needs_virtual() if record_virtual is None else (
-        record_virtual or schedule.needs_virtual()
-    )
-    want_grads = (surrogate.kind == "exact") if record_grad_diffs is None else record_grad_diffs
+    want_virtual = schedule.needs_virtual()
+    want_grads = surrogate.kind == "exact"
     gamma = surrogate.gamma
     aux_g = aux_gamma if aux_gamma is not None else (
         4.0 * surrogate.l_max if compute_auxiliary else None
@@ -414,13 +410,14 @@ def reference_solve(
 
     Uses a model-registered closed form when one exists; otherwise sweeps
     the strongest available per-block solver until the objective change
-    stays below stall_tol for stall_sweeps consecutive sweeps.
+    stays below stall_tol for stall_sweeps consecutive sweeps.  A reference
+    whose objective is not finite is unconverged; the sweeps stop at it.
     """
     if problem.reference_solver is not None:
         x_star, f_star = problem.reference_solver()
         return ReferenceSolution(
             x=np.asarray(x_star, dtype=float), f=float(f_star),
-            converged=True, sweeps=0, last_change=0.0,
+            converged=bool(np.isfinite(f_star)), sweeps=0, last_change=0.0,
         )
     surrogate = _strongest_surrogate(problem)
     blocks = tuple(range(problem.n_blocks))
@@ -430,7 +427,7 @@ def reference_solve(
     stall = 0
     sweeps = 0
     change = float("inf")
-    while sweeps < max_sweeps and stall < stall_sweeps:
+    while sweeps < max_sweeps and stall < stall_sweeps and np.isfinite(f):
         x, _, _ = bsum_sweep(problem, surrogate, x, blocks)
         f_new = eval_objective(problem, x)
         change = f - f_new

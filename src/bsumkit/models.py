@@ -199,21 +199,17 @@ def piecewise_quadratic_min(
     """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| (+ optional quadratic shift).
 
     The objective is convex piecewise quadratic between the breakpoints c_i/d_i
-    (and 0 when lam > 0).  The breakpoints are sorted once, and running sums
-    locate the piece where the slope changes sign: O(m log m) in all.  That
-    piece and its two neighbours are minimized in closed form, and the best of
-    their minimizers, their breakpoints and the finite bounds wins.  Every
-    candidate is computed and scored exactly as in a scan over all pieces.
-    The window grows past a breakpoint unless that breakpoint scores worse
-    than the best by more than a first-order rounding bound at it, at the best
-    and at the farthest candidate beyond it; so, as far as that bound holds,
-    no candidate outside the window ties or beats the best, and the result is
-    the scan's bit for bit (tests/test_models.py keeps the scan as its oracle).
-    Ties break toward the smallest |t|, then the smallest t, for deterministic
-    traces.
+    (and 0 when lam > 0).  Sorted breakpoints and running sums find the first
+    piece whose right-end slope is nonnegative; a minimizer lies on it, and
+    its closed form is returned: O(m log m), exact up to first-order rounding.
+    A flat set of minimizers (lam = 0, zero shift weight) is one piece; the
+    search stops on the piece before it, at its left breakpoint, unless that
+    slope rounds below 0 or the set starts at lo: then its point nearest 0 wins.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
+    if lo == hi:
+        return float(lo)
     gamma, center = shift if shift is not None else (0.0, 0.0)
 
     nz = d != 0.0
@@ -222,66 +218,9 @@ def piecewise_quadratic_min(
         knots = np.append(knots, 0.0)
     knots = np.unique(knots[(lo < knots) & (knots < hi)])
 
+    p = _minimizing_piece(c, d, lam, gamma, center, knots, lo, hi)
     edges = np.concatenate(([lo], knots, [hi]))
-    sq_c, sq_d = float(c @ c), float(d @ d)
-
-    def noise(size):
-        # first-order rounding bound of the objective as scored below at |t| <= size;
-        # (|c_i| + |d_i t|)^2 <= 2 c_i^2 + 2 d_i^2 t^2 bounds each row's scale
-        return (c.size + 8) * np.finfo(float).eps * (
-            2.0 * (sq_c + sq_d * size**2) + lam * size + gamma * (size + abs(center))**2)
-
-    def reach(bound: float, piece: int) -> float:
-        # rounding bound at the farthest candidate the scan has past the first
-        # or the last breakpoint: the finite bound, else the end piece's minimizer
-        if np.isfinite(bound):
-            return noise(abs(bound))
-        return noise(abs(_piece_candidate(c, d, lam, gamma, center,
-                                          edges[piece], edges[piece + 1])))
-
-    if lo < hi:
-        p = _minimizing_piece(c, d, lam, gamma, center, knots, lo, hi)
-        first, last = max(p - 1, 0), min(p + 1, knots.size)
-    else:
-        first, last = 0, -1  # no piece
-    reach_lo = reach(lo, 0) if first > 0 else 0.0
-    reach_hi = reach(hi, knots.size) if last < knots.size else 0.0
-    while True:
-        # candidates in the scan's order, so that exact ties resolve the same way
-        window_knots = knots[max(first - 1, 0):last + 1]
-        cands = list(window_knots)
-        if np.isfinite(lo):
-            cands.append(lo)
-        if np.isfinite(hi):
-            cands.append(hi)
-        for i in range(first, last + 1):
-            cands.append(_piece_candidate(c, d, lam, gamma, center, edges[i], edges[i + 1]))
-
-        ts = np.asarray(cands, dtype=float)
-        ts = ts[np.isfinite(ts)]
-        if ts.size == 0:
-            return 0.0
-        vals = np.sum(np.maximum(c[:, None] - d[:, None] * ts[None, :], 0.0) ** 2, axis=0)
-        vals += lam * np.abs(ts) + 0.5 * gamma * (ts - center) ** 2
-        best = np.lexsort((ts, np.abs(ts), vals))[0]
-
-        # Stop at a breakpoint k that ends the window when the best lies on
-        # the window's side of k and k scores worse than it by more than the
-        # rounding at k, at the best and at every candidate past k.  Then
-        # f(k) > f(best) in exact arithmetic, convexity gives f(t) >= f(k) for
-        # all t past k, and every such t scores above the best.  Otherwise
-        # (clustered breakpoints, or a best on a bound past k) widen.
-        nz = noise(np.abs(ts))
-        t_best, v_best = ts[best], vals[best]
-        right = window_knots.size - 1
-        grow_left = first > 0 and not (
-            t_best >= ts[0] and vals[0] - nz[0] - max(nz[best], nz[0], reach_lo) > v_best)
-        grow_right = last < knots.size and not (
-            t_best <= ts[right]
-            and vals[right] - nz[right] - max(nz[best], nz[right], reach_hi) > v_best)
-        if not (grow_left or grow_right):
-            return float(ts[best])
-        first, last = first - grow_left, last + grow_right
+    return float(_piece_candidate(c, d, lam, gamma, center, edges[p], edges[p + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +816,7 @@ class Family:
             raise ValueError(f"missing model fields {sorted(missing)}")
 
 
-# numeric model fields: JSON integers, JSON numbers, and lists of JSON integers
+# numeric model fields: JSON integers, finite JSON numbers, and lists of JSON integers
 INT_FIELDS = frozenset({"m", "n", "rows", "terms", "n_inner", "n_outer", "zero_eigs",
                         "rank_deficit", "seed"})
 FLOAT_FIELDS = frozenset({"lam", "density", "weight", "l1_weight", "eta", "min_pos"})
@@ -894,8 +833,9 @@ def check_numbers(params: dict) -> None:
     for key, value in params.items():
         if key in INT_FIELDS and not integer(value):
             kind = "an integer"
-        elif key in FLOAT_FIELDS and not (integer(value) or isinstance(value, float)):
-            kind = "a number"
+        elif key in FLOAT_FIELDS and not (integer(value) or (isinstance(value, float)
+                                                             and math.isfinite(value))):
+            kind = "a finite number"
         elif key in INT_LIST_FIELDS and not (isinstance(value, list)
                                              and all(map(integer, value))):
             kind = "a list of integers"

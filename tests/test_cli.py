@@ -374,10 +374,10 @@ def test_tolerance_stops_the_run_at_the_gap(tmp_path):
                  "rule": "essentially-cyclic", "period_map": [[0], [1]]}, "gauss-seidel only"),
     (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "tolerance": 0.5},
      "no gap tolerance"),
-    (QUAD_ONE_BLOCK, {"algorithm": "sum", "record_virtual": True}, "'bsum' only"),
-    (QUAD_ONE_BLOCK, {"algorithm": "sum", "record_grad_diffs": False}, "'bsum' only"),
-    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "record_virtual": True},
-     "'bsum' only"),
+    # no run reads these: the rule and the surrogate decide what a trace records
+    (LASSO_20x50, {"record_virtual": True}, "unknown fields"),
+    (LASSO_20x50, {"surrogate": "exact", "record_grad_diffs": False}, "unknown fields"),
+    (LASSO_20x50, {"rule": "mbi", "record_virtual": False}, "unknown fields"),
     # each field the run would not read names the algorithm, rule or surrogate that reads it
     (LASSO_20x50, {"outer": 1}, "'outer' applies to algorithm 'a2bsum' only"),
     (QUAD_ONE_BLOCK, {"algorithm": "sum", "inner": 0}, "'inner' applies to algorithm 'a2bsum'"),
@@ -570,6 +570,11 @@ def test_parse_rejects_bad_surrogate_kinds(tmp_path, capsys, kinds, message):
     ('run.r.algorithm = "a2bsum"\nrun.r.inner = null', "inner"),
     ('run.r.rule = "random-permutation"\nrun.r.schedule_seed = "s"', "schedule_seed"),
     ('suites = "descent"', "suites"),
+    ('run.r.rule = "gauss-southwell"\nrun.r.q = NaN', "q"),
+    ('run.r.tolerance = NaN', "tolerance"),
+    ('run.r.tolerance = Infinity', "tolerance"),
+    ('run.r.iterations = Infinity', "iterations"),
+    ('seed = -Infinity', "seed"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, line, key):
     model = {"family": "two-block-quadratic", "n_inner": 2, "n_outer": 3}
@@ -609,6 +614,10 @@ def test_gen_rejects_params_that_are_not_an_object(tmp_path, capsys, params):
     ({"family": "two-block-quadratic", "n_inner": 2, "n_outer": 3, "min_pos": [1e-3]},
      "min_pos"),
     ({"family": "fermat-weber", "terms": 4, "n": 2, "eta": "0.1"}, "eta"),
+    ({"family": "lasso", "m": 6, "n": 4, "lam": float("nan")}, "lam"),
+    ({"family": "group-lasso", "m": 6, "sizes": [2, 2], "weight": float("inf")}, "weight"),
+    ({"family": "fermat-weber", "terms": 4, "n": 2, "eta": float("nan")}, "eta"),
+    ({"family": "l2svm", "rows": 6, "n": 2, "l1_weight": float("-inf")}, "l1_weight"),
 ])
 def test_bad_model_values_are_config_errors(tmp_path, capsys, model, key):
     path = write(tmp_path, run_text("r", model))
@@ -616,6 +625,35 @@ def test_bad_model_values_are_config_errors(tmp_path, capsys, model, key):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: run 'r': model field {key!r} must be ")
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_gen_rejects_non_finite_numbers(tmp_path, capsys):
+    params = '{"m": 3, "n": 2, "density": NaN}'
+    assert cli.main(["gen", "lasso", "--params", params, "-o", str(tmp_path / "gx")]) == 1
+    assert "gen error: model field 'density' must be a finite number, not nan" \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("array,status", [("b", "false"), ("A", "error")])
+def test_a_nan_read_from_a_file_fails_the_run(tmp_path, array, status):
+    prefix = str(tmp_path / "inst")
+    cli.generate_instance("lasso", {"m": 6, "n": 4, "seed": 3}, prefix)
+    path = Path(f"{prefix}_{array}.txt")
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, " ".join(["nan", *first.split()[1:]]), *rest]) + "\n")
+    model = {"family": "lasso", "file_A": f"{prefix}_A.txt", "file_b": f"{prefix}_b.txt",
+             "lam": 0.5}
+    out = tmp_path / "out"
+    code = cli.main(["run", write(tmp_path, run_text("r", model, surrogate="exact",
+                                                     iterations=5)), "-o", str(out)])
+    assert code != 0
+    assert (out / "summary.csv").read_text().splitlines()[1].endswith("," + status)
+    if status == "false":  # the objective is NaN from the start
+        report = json.loads((out / "r.report.json").read_text())
+        assert report["reference"]["converged"] is False and report["reference"]["sweeps"] == 0
+        assert report["checks"] and not any(c["passed"] for c in report["checks"])
+        assert not any(e["passed"] for e in report["envelopes"])
 
 
 GLASSO_SMALL = {"family": "group-lasso", "m": 8, "sizes": [2, 2], "weight": 0.3, "seed": 5}

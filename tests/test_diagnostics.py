@@ -286,6 +286,18 @@ def test_envelope_failure_detected():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_objectives_fail_the_checks(bad):
+    tr = synthetic_trace([5.0, 1.0, bad, 0.5])
+    for rec in tr.records[1:]:
+        rec.step_sq = 1.0
+    reports = [bk.check_rate_envelope(tr, sigma=1.0, c=100.0, offset=0),
+               bk.check_sufficient_descent(tr, make_cert(gamma=1e-6), "gs-ec"),
+               bk.check_cost_to_go(tr, make_cert(), "gs")]
+    for rep in reports:
+        assert not rep.passed and rep.max_violation == np.inf
+
+
 # ---------------------------------------------------------------------------
 # curvature inequality and gradient checks
 

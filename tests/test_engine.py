@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsumkit as bk
-from bsumkit import models
+from bsumkit import engine, models
 from bsumkit.problem import UnsupportedCombination, project_feasible
 from bsumkit.surrogate import BLOCK_KINDS
 
@@ -218,6 +218,27 @@ def test_reference_reports_budget_exhaustion():
     assert not ref.converged
     assert ref.sweeps == 3
     assert ref.last_change >= 0.0
+
+
+def test_reference_stops_at_a_non_finite_objective(monkeypatch):
+    A, b, lam = models.gen_lasso(10, 12, 0.5, seed=9)
+    bad_b = b.copy()
+    bad_b[0] = np.nan
+    ref = bk.reference_solve(models.build_lasso(A, bad_b, lam))
+    assert not ref.converged and ref.sweeps == 0
+    closed_form = bk.reference_solve(models.build_quadratic(np.eye(2), np.array([np.nan, 0.0])))
+    assert not closed_form.converged
+
+    # an objective that turns NaN at the fourth sweep ends the solve there
+    evaluate, calls = engine.eval_objective, []
+
+    def nan_after_three_sweeps(problem, x):
+        calls.append(1)
+        return np.nan if len(calls) > 4 else evaluate(problem, x)
+
+    monkeypatch.setattr(engine, "eval_objective", nan_after_three_sweeps)
+    ref = bk.reference_solve(models.build_lasso(A, b, lam))
+    assert not ref.converged and ref.sweeps == 4 and np.isfinite(ref.f)
 
 
 def test_run_config_validation():
