@@ -148,7 +148,6 @@ def run_bsum(
     tol: float = 0.0,
     f_star: Optional[float] = None,
     compute_auxiliary: bool = False,
-    aux_gamma: Optional[float] = None,
     on_block_update: Optional[Callable[[int, Array], None]] = None,
     meta: Optional[dict] = None,
 ) -> Trace:
@@ -169,9 +168,7 @@ def run_bsum(
     want_virtual = schedule.needs_virtual()
     want_grads = surrogate.kind == "exact"
     gamma = surrogate.gamma
-    aux_g = aux_gamma if aux_gamma is not None else (
-        4.0 * surrogate.l_max if compute_auxiliary else None
-    )
+    aux_g = 4.0 * surrogate.l_max if compute_auxiliary else None
 
     x = feasible_start(problem) if x0 is None else np.array(x0, dtype=float)
     f = eval_objective(problem, x)
@@ -236,7 +233,6 @@ def run_sum(
     tol: float = 0.0,
     f_star: Optional[float] = None,
     compute_auxiliary: bool = False,
-    aux_gamma: Optional[float] = None,
     meta: Optional[dict] = None,
 ) -> Trace:
     """Single-block specialization: each iteration minimizes the bound once."""
@@ -248,7 +244,7 @@ def run_sum(
         extra.update(meta)
     return run_bsum(
         problem, surrogate, schedule, x0=x0, iterations=iterations, tol=tol,
-        f_star=f_star, compute_auxiliary=compute_auxiliary, aux_gamma=aux_gamma,
+        f_star=f_star, compute_auxiliary=compute_auxiliary,
         meta=extra,
     )
 
@@ -264,29 +260,24 @@ def run_a2bsum(
 ) -> Trace:
     """Accelerated two-block scheme with extrapolation factor 2/(r+1).
 
-    The inner block is minimized exactly at the extrapolated outer point,
-    the outer block takes a proximal step with constant m_outer, and the
-    momentum point is advanced.  Recorded iterates pair the outer variable
-    with a fresh exact inner solve so the trace reports the objective the
-    scheme actually certifies.
+    This is accelerated proximal gradient on the reduced function
+    F(x_outer) = min over the inner block (see reduce_two_block): the inner
+    block is minimized exactly at the extrapolated outer point, the outer
+    block takes a proximal step with constant m_outer, and the momentum
+    point is advanced.  Recorded iterates pair the outer variable with a
+    fresh exact inner solve so the trace reports the objective the scheme
+    actually certifies.
     """
-    if problem.n_blocks != 2:
-        raise UnsupportedCombination("the accelerated scheme needs exactly two blocks")
-    if {outer, inner} != {0, 1}:
-        raise ValueError("outer and inner must name the two blocks")
-    if problem.exact_solver is None:
-        raise UnsupportedCombination("the inner block needs an exact solver")
+    reduced, assemble = _reduction(problem, outer, inner)
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    m1 = float(m_outer) if m_outer is not None else problem.smooth.block_lipschitz[outer]
+    m1 = float(m_outer) if m_outer is not None else reduced.smooth.lipschitz
     sl_out = problem.partition.block_slice(outer)
-    sl_in = problem.partition.block_slice(inner)
     warnings = []
-    if problem.inner_unique is not None and not problem.inner_unique(inner):
+    if not problem.inner_unique(inner):
         warnings.append("inner block minimizer may be non-unique")
 
-    x = feasible_start(problem) if x0 is None else np.array(x0, dtype=float)
-    x[sl_in] = problem.exact_solver(inner, x)
+    x = assemble(feasible_start(reduced) if x0 is None else np.asarray(x0, dtype=float)[sl_out])
     run_meta = {
         "algorithm": "a2bsum", "rule": "gauss-seidel", "surrogate": "prox-linear",
         "n_blocks": 2, "q": 1.0, "period": 1, "problem": problem.name,
@@ -296,7 +287,7 @@ def run_a2bsum(
         run_meta.update(meta)
     trace = Trace(
         records=[IterationRecord(r=0, f=eval_objective(problem, x))],
-        iterates=[x.copy()],
+        iterates=[x],
         virtual_points=[None],
         aux_points=[None],
         meta=run_meta,
@@ -304,32 +295,25 @@ def run_a2bsum(
 
     x1_prev = x[sl_out].copy()
     w1 = x1_prev.copy()
-    h_out = problem.nonsmooth[outer]
-    cs_out = problem.constraints[outer]
-    work = x.copy()
+    h_out, cs_out = reduced.nonsmooth[0], reduced.constraints[0]
     for r in range(1, iterations + 1):
         theta = 2.0 / (r + 1)
         v1 = (1.0 - theta) * x1_prev + theta * w1
-        work[sl_out] = v1
-        work[sl_in] = problem.exact_solver(inner, work)
-        grad1 = block_gradient(problem, outer, work)
+        grad1 = reduced.smooth.grad(v1)
         x1 = prox_block(h_out, cs_out, m1, v1 - grad1 / m1)
         w1 = x1_prev + (x1 - x1_prev) / theta
         trace.acc_states.append(AccState(r=r, theta=theta, v1=v1.copy(), w1=w1.copy()))
         x1_prev = x1
 
-        rec_point = work.copy()
-        rec_point[sl_out] = x1
-        rec_point[sl_in] = problem.exact_solver(inner, rec_point)
+        rec_point = assemble(x1)
         f_new = eval_objective(problem, rec_point)
         d = rec_point - trace.iterates[-1]
         trace.records.append(IterationRecord(
             r=r, f=f_new, step_sq=float(d @ d), blocks=(inner, outer),
         ))
-        trace.iterates.append(rec_point.copy())
+        trace.iterates.append(rec_point)
         trace.virtual_points.append(None)
         trace.aux_points.append(None)
-        work = rec_point
     return trace
 
 
@@ -337,11 +321,14 @@ def run_a2bsum(
 # two-block reduction: eliminate the exactly-minimized block
 
 
-def reduce_two_block(problem: Problem, outer: int = 1, inner: int = 0) -> Problem:
-    """Single-block problem over the outer variable, with the inner block
-    minimized exactly inside the smooth-part oracles."""
-    if problem.n_blocks != 2 or {outer, inner} != {0, 1}:
-        raise ValueError("reduction applies to two-block problems only")
+def _reduction(problem: Problem, outer: int,
+               inner: int) -> tuple[Problem, Callable[[Array], Array]]:
+    """The reduced single-block problem over the outer variable, and the map
+    from an outer point to the full point with the inner block solved exactly."""
+    if problem.n_blocks != 2:
+        raise UnsupportedCombination("the two-block reduction needs exactly two blocks")
+    if {outer, inner} != {0, 1}:
+        raise ValueError("outer and inner must name the two blocks")
     if problem.exact_solver is None:
         raise UnsupportedCombination("the inner block needs an exact solver")
     sl_out = problem.partition.block_slice(outer)
@@ -371,11 +358,18 @@ def reduce_two_block(problem: Problem, outer: int = 1, inner: int = 0) -> Proble
 
     part = make_partition([problem.partition.sizes[outer]])
     smooth = SmoothPart(value=value, grad=grad, lipschitz=m_out, block_lipschitz=(m_out,))
-    return Problem(
+    reduced = Problem(
         partition=part, smooth=smooth, nonsmooth=(problem.nonsmooth[outer],),
         constraints=(problem.constraints[outer],),
         name=f"{problem.name}-reduced", reference_solver=reference,
     )
+    return reduced, assemble
+
+
+def reduce_two_block(problem: Problem, outer: int = 1, inner: int = 0) -> Problem:
+    """Single-block problem over the outer variable, with the inner block
+    minimized exactly inside the smooth-part oracles."""
+    return _reduction(problem, outer, inner)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -103,23 +103,19 @@ def _constraint_interval(cs: ConstraintSet) -> tuple[float, float]:
 def scalar_prox(h: NonsmoothBlock, cs: ConstraintSet, beta: float, v: float) -> Array:
     """prox_block(h, cs, beta, [v]) for a scalar block.
 
-    Zero or l1 h on all-space, box or nonneg sets is computed in Python floats
-    with the semantics of prox_block's numpy calls: the soft-threshold
-    sign(v) * max(|v| - w/beta, 0), where sign(-0.0) is 0, then the clip into
-    the interval, where a tie with a bound (as -0.0 with 0.0) yields the bound.
-    The result is prox_block's bit for bit, signed zeros and infinities
-    included (a NaN stays NaN); other pairings call prox_block.
+    Zero or l1 h on an unconstrained block is computed in Python floats with
+    the semantics of prox_block's numpy calls: the soft-threshold
+    sign(v) * max(|v| - w/beta, 0), where sign(-0.0) is 0.  The result is
+    prox_block's bit for bit, signed zeros and infinities included (a NaN
+    stays NaN); constrained blocks and other pairings call prox_block.
     """
-    if beta <= 0 or cs.kind not in ("all-space", "box", "nonneg") \
-            or h.kind not in ("zero", "indicator", "l1"):
+    if beta <= 0 or cs.kind != "all-space" or h.kind not in ("zero", "l1"):
         return prox_block(h, cs, beta, np.array([v]))
-    if h.kind == "l1" and h.weight != 0.0:
+    if not h.is_zero:
         s = abs(v) - h.weight / beta
         s = 0.0 if s <= 0.0 else s
         v = s if v >= 0.0 else -s
-    lo, hi = _constraint_interval(cs)
-    v = lo if v <= lo else v
-    return np.array([hi if v >= hi else v])
+    return np.array([v])
 
 
 def _default_constraints(partition: BlockPartition, constraints) -> tuple[ConstraintSet, ...]:
@@ -130,6 +126,21 @@ def _default_constraints(partition: BlockPartition, constraints) -> tuple[Constr
 
 # ---------------------------------------------------------------------------
 # one-dimensional piecewise-quadratic minimization (exact, by sorted breakpoints)
+
+
+def _interval_quadratic_min(quad: float, cross: float, a: float, b: float) -> float:
+    """argmin over [a, b] of (quad/2) t^2 - cross t, for quad >= 0.
+
+    With quad = 0 the slope -cross picks an end, or the point nearest 0 when
+    it is zero; an infinite end is returned as is: the problem is unbounded.
+    """
+    if quad > 0.0:
+        return min(max(cross / quad, a), b)
+    if cross < 0.0:
+        return a
+    if cross > 0.0:
+        return b
+    return min(max(0.0, a), b)
 
 
 def _piece_candidate(c: Array, d: Array, lam: float, gamma: float, center: float,
@@ -147,14 +158,7 @@ def _piece_candidate(c: Array, d: Array, lam: float, gamma: float, center: float
     sgn = 0.0 if lam == 0.0 else float(np.sign(mid))
     quad = 2.0 * float(np.sum(d[act] ** 2)) + gamma
     cross = 2.0 * float(np.sum(c[act] * d[act])) + gamma * center
-    if quad > 0.0:
-        return min(max((cross - lam * sgn) / quad, a), b)
-    slope = lam * sgn - cross
-    if slope > 0.0 and np.isfinite(a):
-        return a
-    if slope < 0.0 and np.isfinite(b):
-        return b
-    return min(max(0.0, a), b)
+    return _interval_quadratic_min(quad, cross - lam * sgn, a, b)
 
 
 def _minimizing_piece(c: Array, d: Array, lam: float, gamma: float, center: float,
@@ -522,7 +526,7 @@ class ReweightingBound(Surrogate):
             rhs = rhs + gamma * anchor
         h = p.nonsmooth[0]
         cs = p.constraints[0]
-        if (h.kind in ("zero", "indicator") or h.weight == 0.0) and cs.kind == "all-space":
+        if h.is_zero and cs.kind == "all-space":
             try:
                 return np.linalg.solve(H, rhs)
             except np.linalg.LinAlgError:
@@ -619,15 +623,7 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
         if part.sizes[k] == 1:
             a2 = 2.0 * float(Q[sl, sl][0, 0]) + gamma
             b1 = float(rest[0]) - (gamma * float(gc[0]) if gc is not None else 0.0)
-            lo, hi = _constraint_interval(cons[k])
-            if a2 > 0.0:
-                t = min(max(-b1 / a2, lo), hi)
-            elif b1 > 0.0:
-                t = lo
-            elif b1 < 0.0:
-                t = hi
-            else:
-                t = min(max(0.0, lo), hi)
+            t = _interval_quadratic_min(a2, -b1, *_constraint_interval(cons[k]))
             if not np.isfinite(t):
                 raise UnsupportedCombination("unbounded scalar quadratic subproblem")
             return np.array([t])
@@ -643,16 +639,11 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
             raise ValueError("quadratic has no attained minimum (linear term escapes)")
         return x_star, value(x_star)
 
-    def inner_unique(k):
-        evals, _ = eigs[k]
-        return bool(evals[0] > 1e-10 * max(1.0, evals[-1]))
-
     unconstrained = all(cs.kind == "all-space" for cs in cons)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
         name="quadratic", block_curvature=tuple(curv), exact_solver=solver,
         reference_solver=reference if unconstrained else None,
-        inner_unique=inner_unique,
     )
 
 

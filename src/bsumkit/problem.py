@@ -141,18 +141,18 @@ def nonneg(dim: int) -> ConstraintSet:
 
 @dataclass(frozen=True, eq=False)
 class NonsmoothBlock:
-    """One block's regularizer: zero, weighted l1, or a weighted l2 norm.
+    """One block's regularizer: zero, weighted l1, or a weighted l2 norm."""
 
-    The "indicator" kind marks a block whose only nonsmooth structure is the
-    membership indicator already absorbed into its constraint set; it
-    evaluates to zero and its prox is the plain projection.
-    """
-
-    kind: str = "zero"  # "zero" | "l1" | "group-l2" | "indicator"
+    kind: str = "zero"  # "zero" | "l1" | "group-l2"
     weight: float = 0.0
 
+    @property
+    def is_zero(self) -> bool:
+        """Whether the term is identically zero: the zero kind, or weight 0."""
+        return self.kind == "zero" or self.weight == 0.0
+
     def value(self, v: Array) -> float:
-        if self.kind in ("zero", "indicator") or self.weight == 0.0:
+        if self.is_zero:
             return 0.0
         if self.kind == "l1":
             return self.weight * float(np.sum(np.abs(v)))
@@ -162,7 +162,7 @@ class NonsmoothBlock:
 
     def lipschitz_bound(self, dim: int) -> float:
         """A valid Lipschitz constant of this block's term w.r.t. the l2 norm."""
-        if self.kind in ("zero", "indicator") or self.weight == 0.0:
+        if self.is_zero:
             return 0.0
         if self.kind == "l1":
             return self.weight * float(np.sqrt(dim))
@@ -228,22 +228,18 @@ def linear_smooth(phi: SeparableLoss, A: Array, b: Array, partition: BlockPartit
 class BlockLayout:
     """Blocks grouped by regularizer and constraint kind, for whole-array oracles.
 
-    Coordinates of l1 blocks (grouped by block size), of box blocks and of
-    nonnegative blocks are handled as arrays.  A block whose array form would
-    not reproduce the per-block arithmetic bit for bit keeps its per-block
-    call: group-l2 norms (a BLAS dot per block), balls and unknown kinds.
+    Coordinates of l1 blocks (grouped by block size) are handled as arrays.
+    A block whose array form would not reproduce the per-block arithmetic
+    bit for bit keeps its per-block call: group-l2 norms (a BLAS dot per
+    block) and unknown kinds.  Every constrained block is projected per block.
     """
 
     block_of: Array  # block index of every coordinate
     l1_weight: Array  # l1 weight of every coordinate, 0 outside weighted l1 blocks
     l1_groups: tuple[tuple[Array, Array, Array], ...]  # (blocks, weights, coords) per size
     value_blocks: tuple[int, ...]  # blocks whose h_k is evaluated per block
-    box: Array  # (n,) bool: coordinates of box blocks
-    nonneg: Array  # (n,) bool: coordinates of nonnegative blocks
-    lo: Array  # box bounds of every coordinate, -inf/inf outside box blocks
-    hi: Array
-    project_blocks: tuple[int, ...]  # blocks projected per block
-    coordwise: Array  # (K,) bool: prox and projection act coordinate by coordinate
+    project_blocks: tuple[int, ...]  # blocks projected per block: the constrained ones
+    coordwise: Array  # (K,) bool: unconstrained, and the prox acts coordinate by coordinate
     scalar: Array  # blocks of size 1
     scalar_coords: Array  # their coordinates
     wide: tuple[int, ...]  # blocks of size > 1
@@ -252,27 +248,19 @@ class BlockLayout:
 def make_layout(partition: BlockPartition, nonsmooth, constraints) -> BlockLayout:
     n, K = partition.dim, partition.n_blocks
     l1_weight = np.zeros(n)
-    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-    box_mask, nonneg_mask = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     coordwise = np.zeros(K, dtype=bool)
     l1_by_size: dict[int, list[int]] = {}
     value_blocks, project_blocks = [], []
     for k, (h, c) in enumerate(zip(nonsmooth, constraints)):
         sl = partition.block_slice(k)
-        zero = h.kind in ("zero", "indicator") or h.weight == 0.0
-        if h.kind == "l1" and not zero:
+        if h.kind == "l1" and not h.is_zero:
             l1_weight[sl] = h.weight
             l1_by_size.setdefault(partition.sizes[k], []).append(k)
-        elif not zero:
+        elif not h.is_zero:
             value_blocks.append(k)
-        if c.kind == "box":
-            box_mask[sl] = True
-            lo[sl], hi[sl] = c.lo, c.hi
-        elif c.kind == "nonneg":
-            nonneg_mask[sl] = True
-        elif c.kind != "all-space":
+        if c.kind != "all-space":
             project_blocks.append(k)
-        coordwise[k] = (zero or h.kind == "l1") and c.kind in ("all-space", "box", "nonneg")
+        coordwise[k] = (h.is_zero or h.kind == "l1") and c.kind == "all-space"
     offsets = np.asarray(partition.offsets)
     l1_groups = tuple(
         (np.array(ks), np.array([nonsmooth[k].weight for k in ks]),
@@ -282,7 +270,7 @@ def make_layout(partition: BlockPartition, nonsmooth, constraints) -> BlockLayou
     sizes = np.asarray(partition.sizes)
     return BlockLayout(
         block_of=np.repeat(np.arange(K), sizes), l1_weight=l1_weight, l1_groups=l1_groups,
-        value_blocks=tuple(value_blocks), box=box_mask, nonneg=nonneg_mask, lo=lo, hi=hi,
+        value_blocks=tuple(value_blocks),
         project_blocks=tuple(project_blocks), coordwise=coordwise,
         scalar=np.flatnonzero(sizes == 1), scalar_coords=offsets[sizes == 1],
         wide=tuple(int(k) for k in np.flatnonzero(sizes > 1)),
@@ -309,7 +297,6 @@ class Problem:
     exact_solver: Optional[Callable[..., Array]] = None
     custom_surrogate_factory: Optional[Callable[["Problem"], object]] = None
     reference_solver: Optional[Callable[[], tuple[Array, float]]] = None
-    inner_unique: Optional[Callable[[int], bool]] = None
     layout: BlockLayout = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -328,6 +315,12 @@ class Problem:
     @property
     def dim(self) -> int:
         return self.partition.dim
+
+    def inner_unique(self, k: int) -> bool:
+        """Whether an exact solve of block k has one minimizer, read off the
+        declared curvature; without a declaration, True."""
+        curv = self.block_curvature
+        return curv is None or bool(curv[k] > 1e-10 * max(2.0, self.smooth.block_lipschitz[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +342,6 @@ def eval_objective(problem: Problem, x) -> float:
     """f(x) = g(x) + sum_k h_k(x_k); +inf outside the domain of f."""
     v = as_vector(x, problem.dim)
     g = float(problem.smooth.value(v))
-    if not np.isfinite(g):
-        return float("inf")
     # left to right over the blocks, as a loop adding h_k one by one would
     return float(np.add.accumulate(np.concatenate(([g], block_values(problem, v))))[-1])
 
@@ -380,19 +371,8 @@ def feasible_start(problem: Problem) -> Array:
     return project_feasible(problem, np.zeros(problem.dim))
 
 
-def project_coordinates(problem: Problem, coords: Array, u: Array) -> Array:
-    """Project u, the values at coords, onto the box and nonnegative sets of
-    their blocks, in place; ConstraintSet.project's arithmetic, entry by entry."""
-    lay = problem.layout
-    box = lay.box[coords]
-    u[box] = np.clip(u[box], lay.lo[coords][box], lay.hi[coords][box])
-    nonneg = lay.nonneg[coords]
-    u[nonneg] = np.maximum(u[nonneg], 0.0)
-    return u
-
-
 def project_feasible(problem: Problem, v: Array) -> Array:
-    x = project_coordinates(problem, np.arange(problem.dim), np.array(v, dtype=float))
+    x = np.array(v, dtype=float)
     for k in problem.layout.project_blocks:
         sl = problem.partition.block_slice(k)
         x[sl] = problem.constraints[k].project(x[sl])

@@ -66,7 +66,7 @@ def virtual_updates(problem: Problem, surrogate, x) -> VirtualUpdate:
     x_hat = np.array(x)
     lay = problem.layout
     # prox-linear steps of coordinatewise blocks run as one array operation;
-    # every other block (exact, model-custom, group-l2, ball) is solved alone
+    # every other block (exact, model-custom, group-l2, constrained) is solved alone
     arrayed = lay.coordwise & (np.asarray(surrogate.kinds) == "prox-linear")
     coords = np.flatnonzero(arrayed[lay.block_of])
     if coords.size:

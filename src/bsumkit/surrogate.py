@@ -21,7 +21,6 @@ from .problem import (
     Problem,
     UnsupportedCombination,
     block_gradient,
-    project_coordinates,
     project_feasible,
 )
 
@@ -37,7 +36,7 @@ def prox_block(h: NonsmoothBlock, xset: ConstraintSet, beta: float, v) -> Array:
     if beta <= 0:
         raise ValueError(f"prox requires beta > 0, got {beta}")
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if h.kind in ("zero", "indicator") or h.weight == 0.0:
+    if h.is_zero:
         return xset.project(v)
     if h.kind == "l1":
         u = np.sign(v) * np.maximum(np.abs(v) - h.weight / beta, 0.0)
@@ -72,7 +71,7 @@ def prox_coordinates(problem: Problem, coords: Array, beta: Array, v: Array) -> 
     w = problem.layout.l1_weight[coords]
     l1 = w > 0.0
     u[l1] = np.sign(u[l1]) * np.maximum(np.abs(u[l1]) - w[l1] / beta[l1], 0.0)
-    return project_coordinates(problem, coords, u)
+    return u
 
 
 @dataclass(eq=False)

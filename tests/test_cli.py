@@ -656,6 +656,23 @@ def test_a_nan_read_from_a_file_fails_the_run(tmp_path, array, status):
         assert not any(e["passed"] for e in report["envelopes"])
 
 
+def test_a_nan_objective_is_recorded_as_nan(tmp_path):
+    # NaN is not +inf: the report and the trace keep it as NaN
+    prefix = str(tmp_path / "inst")
+    cli.generate_instance("lasso", {"m": 6, "n": 4, "seed": 3}, prefix)
+    path = Path(f"{prefix}_b.txt")
+    header, _, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, "nan", *rest]) + "\n")
+    model = {"family": "lasso", "file_A": f"{prefix}_A.txt", "file_b": f"{prefix}_b.txt",
+             "lam": 0.5}
+    out = tmp_path / "out"
+    cli.main(["run", write(tmp_path, run_text("r", model, iterations=3)), "-o", str(out)])
+    report = json.loads((out / "r.report.json").read_text())
+    assert np.isnan(report["reference"]["f_star"])
+    f_column = [line.split(",")[1] for line in (out / "r.trace.csv").read_text().splitlines()]
+    assert f_column[0] == "f" and all(v.lower() == "nan" for v in f_column[1:])
+
+
 GLASSO_SMALL = {"family": "group-lasso", "m": 8, "sizes": [2, 2], "weight": 0.3, "seed": 5}
 
 

@@ -170,6 +170,15 @@ def test_a2bsum_warns_on_rank_deficient_inner():
     assert any("non-unique" in w for w in tr.meta["warnings"])
 
 
+def test_a2bsum_warns_on_a_rank_deficient_group_lasso_inner_block():
+    # uniqueness is read off the declared block curvature, for any model that declares it
+    mats, b, w = models.gen_group_lasso(10, [4, 3], 0.3, seed=5, deficient=[0])
+    p = models.build_group_lasso(mats, b, w)
+    tr = bk.run_a2bsum(p, outer=1, inner=0, iterations=2)
+    assert tr.meta["warnings"] == ["inner block minimizer may be non-unique"]
+    assert bk.run_a2bsum(p, outer=0, inner=1, iterations=2).meta["warnings"] == []
+
+
 def test_a2bsum_beats_plain_two_block():
     Q, c, sizes = models.gen_two_block_quadratic(6, 8, seed=3, zero_eigs=2)
     p = models.build_quadratic(Q, c, block_sizes=list(sizes))

@@ -1,7 +1,8 @@
 """Whole-array oracles against the per-block loops they replace.
 
-The objective, the feasibility projection and the all-blocks virtual update
-work on arrays grouped by regularizer and constraint kind.  Each property
+The objective and the all-blocks virtual update work on arrays grouped by
+regularizer and constraint kind; the feasibility projection visits only the
+constrained blocks.  Each property
 here writes the per-block definition out again and asks for the same bits
 (or, for the residual-based MBI scores, agreement to rounding).
 """
@@ -19,7 +20,7 @@ WEIGHTS = (0.0, 0.4, 1.7)
 
 
 def h_value(h, v):
-    if h.kind in ("zero", "indicator") or h.weight == 0.0:
+    if h.kind == "zero" or h.weight == 0.0:
         return 0.0
     if h.kind == "l1":
         return h.weight * float(np.sum(np.abs(v)))
@@ -196,6 +197,6 @@ def test_group_l2_and_ball_blocks_keep_per_block_calls():
     p = models.build_group_lasso(mats, b, [0.7, 0.0, 0.0], constraints=cons)
     lay = p.layout
     assert lay.value_blocks == (0,)
-    assert lay.project_blocks == (1,)
+    assert lay.project_blocks == (1, 2)
     assert lay.l1_groups == ()
-    assert list(lay.coordwise) == [False, False, True]
+    assert list(lay.coordwise) == [False, False, False]

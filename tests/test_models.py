@@ -357,6 +357,55 @@ def test_exact_scalar_solvers_against_oracles_200_cases():
     assert cases == 200
 
 
+@pytest.mark.parametrize("c0,cs,want", [
+    (1.0, bk.box([-2.0], [3.0]), -2.0),  # slope > 0: the lower end
+    (-1.0, bk.box([-2.0], [3.0]), 3.0),  # slope < 0: the upper end
+    (0.0, bk.box([-2.0], [3.0]), 0.0),  # flat: the point nearest 0
+    (0.0, bk.box([0.5], [3.0]), 0.5),
+    (0.0, bk.box([-2.0], [-1.0]), -1.0),
+    (1.0, bk.nonneg(1), 0.0),
+    (0.0, bk.all_space(1), 0.0),
+])
+def test_quadratic_scalar_solve_without_curvature_takes_an_end(c0, cs, want):
+    # g = x_1^2 + c0 x_0: block 0 has no curvature, so its slope c0 picks the end
+    p = models.build_quadratic(np.diag([0.0, 1.0]), np.array([c0, 0.0]), block_sizes=[1, 1],
+                               constraints=[cs, bk.all_space(1)])
+    got = p.exact_solver(0, np.array([0.7, -0.4]))
+    assert got.tobytes() == np.array([want]).tobytes()
+
+
+@pytest.mark.parametrize("c0,cs", [(1.0, bk.all_space(1)), (-1.0, bk.all_space(1)),
+                                   (-1.0, bk.nonneg(1)), (1.0, bk.box([-np.inf], [0.0]))])
+def test_quadratic_scalar_solve_toward_an_infinite_end_is_unbounded(c0, cs):
+    p = models.build_quadratic(np.diag([0.0, 1.0]), np.array([c0, 0.0]), block_sizes=[1, 1],
+                               constraints=[cs, bk.all_space(1)])
+    with pytest.raises(UnsupportedCombination, match="unbounded scalar quadratic subproblem"):
+        p.exact_solver(0, np.array([0.7, -0.4]))
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_lasso_shifted_scalar_solve_against_a_1d_search(boxed):
+    # argmin_t ||A x(t) - b||^2 + lam|t| + (gam/2)(t - cc)^2, x(t) = x with x_k = t
+    rng = np.random.default_rng(19)
+    A, b, lam = models.gen_lasso(12, 6, 0.8, seed=21)
+    cons = [bk.box([-0.5], [0.6])] * 6 if boxed else None
+    p = models.build_lasso(A, b, lam, constraints=cons)
+    lo, hi = (-0.5, 0.6) if boxed else (-8.0, 8.0)
+    for _ in range(30):
+        x = rng.standard_normal(6)
+        k = int(rng.integers(6))
+        gam = float(rng.uniform(0.1, 5.0))
+        cc = rng.standard_normal(1)
+        t = p.exact_solver(k, x, shift=(gam, cc))[0]
+
+        def fk(tt):
+            y = x.copy()
+            y[k] = tt
+            return bk.eval_objective(p, y) + 0.5 * gam * (tt - cc[0]) ** 2
+
+        assert lo <= t <= hi
+        assert abs(t - golden_section(fk, lo, hi, tol=1e-12)) <= 1e-6
+
 
 SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 EDGES = st.one_of(SIGNED, st.floats(-1e3, 1e3), st.sampled_from([-np.inf, np.inf]))
@@ -366,7 +415,7 @@ EDGES = st.one_of(SIGNED, st.floats(-1e3, 1e3), st.sampled_from([-np.inf, np.inf
 def scalar_steps(draw):
     """A scalar prox step: zero or l1 h, an interval set (bounds at signed
     zeros allowed), beta > 0 and v on a bound, on the threshold or anywhere."""
-    h = bk.NonsmoothBlock(kind=draw(st.sampled_from(["zero", "indicator", "l1"])),
+    h = bk.NonsmoothBlock(kind=draw(st.sampled_from(["zero", "l1"])),
                               weight=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])))
     kind = draw(st.sampled_from(["all-space", "box", "nonneg"]))
     if kind == "box":

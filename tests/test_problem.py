@@ -49,6 +49,14 @@ def test_eval_objective_examples():
     assert bk.eval_objective(svm, np.zeros(2)) == pytest.approx(3.0)
 
 
+def test_eval_objective_keeps_a_nan_and_an_infinity():
+    # a NaN in the data is a NaN objective, not a point outside the domain
+    lasso = models.build_lasso(np.eye(2), np.array([np.nan, 0.2]), 0.5)
+    assert np.isnan(bk.eval_objective(lasso, np.zeros(2)))
+    far = models.build_lasso(np.eye(2), np.array([np.inf, 0.2]), 0.5)
+    assert bk.eval_objective(far, np.zeros(2)) == np.inf
+
+
 def test_block_gradient_examples():
     quad = quadratic_worked_example()
     x = np.array([1.0, 1.0])
