@@ -300,11 +300,11 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
         )
     if surrogate is not None and surrogate.capped_solves:
         trace.meta.setdefault("warnings", []).append(
-            f"inner prox loop hit its cap: {surrogate.capped_solves} times"
+            f"inner loop hit its cap: {surrogate.capped_solves} times"
         )
     if ref.capped_solves:
         trace.meta.setdefault("warnings", []).append(
-            f"reference inner prox loop hit its cap: {ref.capped_solves} times"
+            f"reference inner loop hit its cap: {ref.capped_solves} times"
         )
 
     result = RunResult(
@@ -436,6 +436,21 @@ def run_report(result: RunResult) -> dict:
     return report
 
 
+def report_json(report: dict) -> str:
+    """report as RFC 8259 JSON, with every non-finite float written as null."""
+
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {key: finite(item) for key, item in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(item) for item in v]
+        return v
+
+    return json.dumps(finite(report), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _raised_where(exc: BaseException) -> str:
     """file:line of the innermost traceback frame inside this package."""
     here = os.path.dirname(os.path.abspath(__file__))
@@ -471,7 +486,7 @@ def run_experiment(spec: ExperimentSpec, output_dir: Optional[str] = None) -> tu
             _atomic_write(trace_path, trace_csv_text(result.trace))
             report = run_report(result)
         _atomic_write(os.path.join(out, f"{cfg.run_id}.report.json"),
-                      json.dumps(report, indent=2, sort_keys=True) + "\n")
+                      report_json(report) + "\n")
         results.append(result)
 
     rows = ["run_id,rule,surrogate,final_delta,fitted_slope,all_checks_pass"]
@@ -636,7 +651,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (ConfigError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = report_json(report)
         if args.output:
             _atomic_write(args.output, text + "\n")
         else:

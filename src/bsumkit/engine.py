@@ -105,36 +105,26 @@ def bsum_sweep(
     """One iteration: update the listed blocks in order, each anchored at the
     point holding all previously updated blocks of this sweep.
 
-    When g = phi(Ax - b) is declared and some block is minimized exactly, the
-    residual r = A w - b is built once per sweep and carried: exact blocks
-    read it, and every block's move d_k updates it by A_k d_k.
+    A sweep whose listed blocks are all exact, without an on_block_update
+    hook, goes to the model's exact_sweep when it declares one.
     """
-    w = np.array(x, dtype=float)
-    grad_stat = None
-    g_prev = None
-    if record_grads:
-        grad_stat = 0.0
-        g_prev = problem.smooth.grad(w)
-    linear = problem.smooth.linear
-    r = None
-    if linear is not None and "exact" in surrogate.kinds:
-        A = linear.A
-        r = A @ w - linear.b
-    for k in blocks:
-        if on_block_update is not None:
-            on_block_update(k, w.copy())
-        sl = problem.partition.block_slice(k)
-        if r is None:
-            w[sl] = surrogate.argmin(k, w)
-        else:
-            new = surrogate.argmin(k, w, resid=r)
-            r += A[:, sl].dot(new - w[sl])
-            w[sl] = new
-        if record_grads:
-            g_now = problem.smooth.grad(w)
-            diff = g_now - g_prev
-            grad_stat += float(diff @ diff)
-            g_prev = g_now
+    if (problem.exact_sweep is not None and on_block_update is None
+            and all(surrogate.kinds[k] == "exact" for k in blocks)):
+        w, grad_stat = problem.exact_sweep(blocks, x, record_grads,
+                                           on_cap=surrogate.count_cap)
+    else:
+        w = np.array(x, dtype=float)
+        grad_stat = 0.0 if record_grads else None
+        g_prev = problem.smooth.grad(w) if record_grads else None
+        for k in blocks:
+            if on_block_update is not None:
+                on_block_update(k, w.copy())
+            w[problem.partition.block_slice(k)] = surrogate.argmin(k, w)
+            if record_grads:
+                g_now = problem.smooth.grad(w)
+                diff = g_now - g_prev
+                grad_stat += float(diff @ diff)
+                g_prev = g_now
     d = w - x
     return w, float(d @ d), grad_stat
 

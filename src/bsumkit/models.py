@@ -234,7 +234,8 @@ def piecewise_quadratic_min(
 SECULAR_MAX_ITER = 200
 
 
-def _secular_root(z: Array, d: Array, weight: float, hi: float) -> float:
+def _secular_root(z: Array, d: Array, weight: float, hi: float,
+                  on_cap: Optional[Callable[[], None]] = None) -> float:
     """Root in [0, hi] of psi(s) = 1/||q(s)|| - 1, where q_i = z_i / (d_i s + weight).
 
     psi is concave and increasing with psi(0) < 0 <= psi(hi), so Newton steps
@@ -242,7 +243,8 @@ def _secular_root(z: Array, d: Array, weight: float, hi: float) -> float:
     pass the root, or hi, only by rounding: a step past hi stops at hi, and a
     Newton point right of the root is returned.  A step that is not finite
     bisects [lo, hi] instead, and a bisection point right of the root is the
-    new hi.
+    new hi.  After SECULAR_MAX_ITER steps it calls on_cap, when given, and
+    returns the last point left of the root.
     """
     lo = s = 0.0
     newton = True
@@ -263,18 +265,22 @@ def _secular_root(z: Array, d: Array, weight: float, hi: float) -> float:
             return s + step
         newton = step < math.inf
         s = min(s + step, hi) if newton else 0.5 * (lo + hi)
+    if on_cap is not None:
+        on_cap()
     return lo
 
 
 def group_l2_block_min(evals: Array, vecs: Array, target: Array, weight: float,
-                       shift: Optional[tuple[float, Array]] = None) -> Array:
+                       shift: Optional[tuple[float, Array]] = None,
+                       on_cap: Optional[Callable[[], None]] = None) -> Array:
     """argmin_u ||A u - rho||^2 + weight ||u|| (+ optional quadratic shift).
 
     evals/vecs is the eigendecomposition of A^T A and target equals A^T rho.
     Rank-deficient A is allowed; the weight == 0 branch returns the
     minimum-norm least-squares solution.  With weight > 0 the minimizer is
     u = V (z s / (d s + weight)) with s = ||u|| the root of a secular
-    equation, found by a safeguarded Newton iteration that never fails.
+    equation, found by a safeguarded Newton iteration that never fails; one
+    that reaches SECULAR_MAX_ITER calls on_cap, when given.
     """
     gamma, gc = (0.0, None) if shift is None else shift
     rhs = 2.0 * target + (gamma * gc if gc is not None else 0.0)
@@ -291,7 +297,7 @@ def group_l2_block_min(evals: Array, vecs: Array, target: Array, weight: float,
     if zz <= weight * weight:
         return np.zeros_like(z)
     hi = (math.sqrt(zz) - weight) / float(np.min(dvals[kept]))
-    s = _secular_root(z, dvals, weight, hi)
+    s = _secular_root(z, dvals, weight, hi, on_cap)
     return vecs @ (z * s / (dvals * s + weight))
 
 
@@ -321,16 +327,16 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
     nonsmooth = tuple(NonsmoothBlock(kind="l1", weight=lam) for _ in range(part.n_blocks))
     smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
 
-    solver = None
+    solver = sweep = None
     scalar = all(s == 1 for s in part.sizes)
     col_sq = np.sum(A * A, axis=0)
     if scalar and np.all(col_sq > 0.0):
         col_sq_f = col_sq.tolist()
 
-        def solver(k, x, shift=None, resid=None):
+        def solver(k, x, shift=None, on_cap=None):
             j = part.offsets[k]
             col = A[:, j]
-            rho = (A @ x - b if resid is None else resid) - col * x[j]
+            rho = (A @ x - b) - col * x[j]
             beta = 2.0 * col_sq_f[j]
             v = -float(col.dot(rho)) / col_sq_f[j]
             if shift is not None:
@@ -339,9 +345,34 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
                 beta = beta + gam
             return scalar_prox(nonsmooth[k], cons[k], beta, v)
 
+    if solver is not None and all(cs.kind == "all-space" for cs in cons):
+        # scalar_prox's soft-threshold sign(v) * max(|v| - lam/beta, 0), in Python floats
+        thresh = [lam / (2.0 * q) for q in col_sq_f]
+
+        def sweep(blocks, x, record_grads, on_cap=None):
+            # c = A^T (A w - b) is carried: block j's minimizer before the
+            # threshold is w_j - c_j / ||a_j||^2, and its move d adds d G[:, j]
+            w = np.array(x, dtype=float)
+            c = A.T @ (A @ w - b)
+            grad_stat = 0.0 if record_grads else None
+            for j in blocks:
+                old = w.item(j)
+                v = old - c.item(j) / col_sq_f[j]
+                if lam != 0.0:
+                    s = abs(v) - thresh[j]
+                    s = 0.0 if s <= 0.0 else s
+                    v = s if v >= 0.0 else -s
+                if v != old:
+                    w[j] = v
+                    u = (v - old) * gram[j]  # gram is symmetric: its row j is column j
+                    c += u
+                    if record_grads:  # grad g = 2c
+                        grad_stat += 4.0 * float(u @ u)
+            return w, grad_stat
+
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
-        name="lasso", block_curvature=tuple(curv), exact_solver=solver,
+        name="lasso", block_curvature=tuple(curv), exact_solver=solver, exact_sweep=sweep,
     )
 
 
@@ -373,18 +404,41 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     )
     smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
 
-    def solver(k, x, shift=None, resid=None):
+    def solver(k, x, shift=None, on_cap=None):
         if cons[k].kind != "all-space":
             raise UnsupportedCombination("exact group solve needs an unconstrained block")
         sl = part.block_slice(k)
-        rho = (b - A @ x if resid is None else -resid) + mats[k] @ x[sl]
+        rho = (b - A @ x) + mats[k] @ x[sl]
         evals, vecs = eigs[k]
         sh = None if shift is None else (shift[0], np.asarray(shift[1], dtype=float))
-        return group_l2_block_min(evals, vecs, mats[k].T @ rho, float(weights[k]), shift=sh)
+        return group_l2_block_min(evals, vecs, mats[k].T @ rho, float(weights[k]), shift=sh,
+                                  on_cap=on_cap)
 
+    def sweep(blocks, x, record_grads, on_cap=None):
+        # c = A^T (A w - b) is carried: block k's target A_k^T rho is
+        # G_kk w_k - c_k, and its move d adds G[:, k] d
+        w = np.array(x, dtype=float)
+        c = A.T @ (A @ w - b)
+        grad_stat = 0.0 if record_grads else None
+        for k in blocks:
+            sl = part.block_slice(k)
+            old = w[sl].copy()
+            new = group_l2_block_min(*eigs[k], gram[sl, sl] @ old - c[sl], float(weights[k]),
+                                     on_cap=on_cap)
+            d = new - old
+            if d.any():
+                w[sl] = new
+                u = d @ gram[sl]  # gram is symmetric: G[:, k] d
+                c += u
+                if record_grads:  # grad g = 2c
+                    grad_stat += 4.0 * float(u @ u)
+        return w, grad_stat
+
+    unconstrained = all(cs.kind == "all-space" for cs in cons)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
         name="group-lasso", block_curvature=tuple(curv), exact_solver=solver,
+        exact_sweep=sweep if unconstrained else None,
     )
 
 
@@ -447,10 +501,10 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
 
     solver = None
     if all(s == 1 for s in part.sizes):
-        def solver(k, x, shift=None, resid=None):
+        def solver(k, x, shift=None, on_cap=None):
             j = part.offsets[k]
             dcol = rows[:, j]
-            cvec = (1.0 - rows @ x if resid is None else -resid) + dcol * x[j]
+            cvec = (1.0 - rows @ x) + dcol * x[j]
             lo, hi = _constraint_interval(cons[k])
             sh = None if shift is None else (shift[0], float(np.asarray(shift[1])[0]))
             t = piecewise_quadratic_min(cvec, dcol, lam=float(l1_weight),
@@ -541,7 +595,7 @@ class ReweightingBound(Surrogate):
             if np.linalg.norm(x_new - x) <= 1e-13 * (1.0 + np.linalg.norm(x_new)):
                 return x_new
             x = x_new
-        self.capped_solves += 1
+        self.count_cap()
         return x
 
 
@@ -616,7 +670,7 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
     smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m, block_lipschitz=tuple(mk))
     nonsmooth = tuple(NonsmoothBlock(kind="zero") for _ in range(part.n_blocks))
 
-    def solver(k, x, shift=None):
+    def solver(k, x, shift=None, on_cap=None):
         sl = part.block_slice(k)
         rest = 2.0 * (Q[sl, :] @ x) - 2.0 * (Q[sl, sl] @ x[sl]) + c[sl]
         gamma, gc = (0.0, None) if shift is None else (shift[0], np.asarray(shift[1], float))

@@ -290,11 +290,15 @@ class Problem:
     # this is the curvature an exact per-block solve gets to exploit
     block_curvature: Optional[tuple[float, ...]] = None
     # exact per-block minimizer of g(., x_{-k}) + h_k over X_k; optional
-    # shift=(gamma, center) adds (gamma/2)||x_k - center||^2 to the subproblem.
-    # A solver for a model that declares smooth.linear also takes resid=None:
-    # given, it is A @ x - b (up to rounding) and replaces the solver's own
-    # rebuild of it; omitted, the solver computes A @ x - b itself
+    # shift=(gamma, center) adds (gamma/2)||x_k - center||^2 to the subproblem,
+    # and on_cap, when given, is called once for a solve whose inner loop
+    # stopped at its cap (the group solve's Newton iteration)
     exact_solver: Optional[Callable[..., Array]] = None
+    # exact_sweep(blocks, x, record_grads, on_cap=None) -> (w, grad_stat): the
+    # exact solves of the listed blocks in order from x, as a loop that the
+    # model owns; grad_stat is bsum_sweep's summed squared gradient change
+    # (None without record_grads)
+    exact_sweep: Optional[Callable[..., tuple[Array, Optional[float]]]] = None
     custom_surrogate_factory: Optional[Callable[["Problem"], object]] = None
     reference_solver: Optional[Callable[[], tuple[Array, float]]] = None
     layout: BlockLayout = field(init=False, repr=False)

@@ -82,8 +82,9 @@ class Surrogate:
     gamma (strong convexity of u_k in its own variable), lip (gradient
     Lipschitz constant in its own variable), anchor_lip (gradient Lipschitz
     constant with respect to the anchor point).  capped_solves counts the
-    block solves whose inner loop stopped at its step cap instead of
-    converging; only a model-specific bound with an inner loop adds to it.
+    block solves whose inner loop stopped at its cap instead of converging:
+    a model-specific bound's prox loop, or an exact solve's (the group
+    solve's Newton iteration), which reports through count_cap.
     make_surrogate builds these and checks that an exact block has a solver.
     """
 
@@ -133,19 +134,16 @@ class Surrogate:
         d = v_k - xk
         return float(p.smooth.value(anchor) + g @ d + 0.5 * self.lip[k] * (d @ d))
 
-    def argmin(self, k: int, anchor, grad_k: Optional[Array] = None,
-               resid: Optional[Array] = None) -> Array:
-        """argmin over X_k of u_k(.; anchor) + h_k.
+    def count_cap(self) -> None:
+        """Count one block solve whose inner loop stopped at its cap."""
+        self.capped_solves += 1
 
-        resid, when given, is A @ anchor - b of the declared g = phi(Ax - b);
-        an exact block's solver reads it instead of rebuilding it.
-        """
+    def argmin(self, k: int, anchor, grad_k: Optional[Array] = None) -> Array:
+        """argmin over X_k of u_k(.; anchor) + h_k."""
         p = self.problem
         anchor = np.asarray(anchor, dtype=float)
         if self.kinds[k] == "exact":
-            if resid is None:
-                return p.exact_solver(k, anchor)
-            return p.exact_solver(k, anchor, resid=resid)
+            return p.exact_solver(k, anchor, on_cap=self.count_cap)
         xk = p.partition.block(anchor, k)
         g = block_gradient(p, k, anchor) if grad_k is None else grad_k
         lk = self.lip[k]
@@ -157,7 +155,7 @@ class Surrogate:
         anchor = np.asarray(anchor, dtype=float)
         xk = p.partition.block(anchor, k)
         if self.kinds[k] == "exact":
-            return p.exact_solver(k, anchor, shift=(gamma, xk))
+            return p.exact_solver(k, anchor, shift=(gamma, xk), on_cap=self.count_cap)
         g = block_gradient(p, k, anchor)
         beta = self.lip[k] + gamma
         return prox_block(p.nonsmooth[k], p.constraints[k], beta, xk - g / beta)

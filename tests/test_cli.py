@@ -454,8 +454,8 @@ def test_capped_inner_prox_loop_is_reported(tmp_path, monkeypatch):
     # the reference solve sweeps the same bound, so its loops hit the cap too
     capped = results[0].reference.capped_solves
     assert capped > 0
-    assert report["warnings"] == ["inner prox loop hit its cap: 5 times",
-                                  f"reference inner prox loop hit its cap: {capped} times"]
+    assert report["warnings"] == ["inner loop hit its cap: 5 times",
+                                  f"reference inner loop hit its cap: {capped} times"]
 
 
 def test_capped_reference_prox_loop_is_reported(tmp_path, monkeypatch):
@@ -472,7 +472,7 @@ def test_capped_reference_prox_loop_is_reported(tmp_path, monkeypatch):
     ref = results[0].reference
     assert 0 < ref.capped_solves <= ref.sweeps  # one block solve per sweep
     report = json.loads((tmp_path / "capped" / "fw.report.json").read_text())
-    assert report["warnings"] == [f"reference inner prox loop hit its cap: "
+    assert report["warnings"] == [f"reference inner loop hit its cap: "
                                   f"{ref.capped_solves} times"]
 
 
@@ -656,8 +656,8 @@ def test_a_nan_read_from_a_file_fails_the_run(tmp_path, array, status):
         assert not any(e["passed"] for e in report["envelopes"])
 
 
-def test_a_nan_objective_is_recorded_as_nan(tmp_path):
-    # NaN is not +inf: the report and the trace keep it as NaN
+def nan_objective_run(tmp_path) -> tuple[str, Path]:
+    """A lasso run whose objective is NaN throughout: its config and output."""
     prefix = str(tmp_path / "inst")
     cli.generate_instance("lasso", {"m": 6, "n": 4, "seed": 3}, prefix)
     path = Path(f"{prefix}_b.txt")
@@ -665,12 +665,39 @@ def test_a_nan_objective_is_recorded_as_nan(tmp_path):
     path.write_text("\n".join([header, "nan", *rest]) + "\n")
     model = {"family": "lasso", "file_A": f"{prefix}_A.txt", "file_b": f"{prefix}_b.txt",
              "lam": 0.5}
-    out = tmp_path / "out"
-    cli.main(["run", write(tmp_path, run_text("r", model, iterations=3)), "-o", str(out)])
+    config, out = write(tmp_path, run_text("r", model, iterations=3)), tmp_path / "out"
+    cli.main(["run", config, "-o", str(out)])
+    return config, out
+
+
+def test_a_nan_objective_is_recorded_as_nan(tmp_path):
+    # NaN is not +inf: the trace keeps it as NaN, and the report, which is
+    # JSON, has no NaN and writes null
+    _, out = nan_objective_run(tmp_path)
     report = json.loads((out / "r.report.json").read_text())
-    assert np.isnan(report["reference"]["f_star"])
+    assert report["reference"]["f_star"] is None
     f_column = [line.split(",")[1] for line in (out / "r.trace.csv").read_text().splitlines()]
     assert f_column[0] == "f" and all(v.lower() == "nan" for v in f_column[1:])
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, as RFC 8259 does."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_with_non_finite_values_are_strict_json(tmp_path):
+    config, out = nan_objective_run(tmp_path)
+    report = strict_json((out / "r.report.json").read_text())
+    assert report["final_delta"] is None and not report["all_passed"]
+    assert report["checks"] and all(c["max_violation"] is None for c in report["checks"]
+                                    if not c["passed"])
+    certified = tmp_path / "certify.json"
+    assert cli.main(["certify", str(out / "r.trace.csv"), config, "-o", str(certified)]) == 3
+    assert strict_json(certified.read_text())["match"] is True
 
 
 GLASSO_SMALL = {"family": "group-lasso", "m": 8, "sizes": [2, 2], "weight": 0.3, "seed": 5}
@@ -704,3 +731,23 @@ def test_failed_run_reports_its_error_and_where_it_was_raised(tmp_path, monkeypa
     assert "boxed: error (UnsupportedCombination: exact group solve" in capsys.readouterr().out
     assert (out / "summary.csv").read_text().splitlines()[1] == "boxed,gauss-seidel,exact,,,error"
     assert not (out / "boxed.trace.csv").exists()
+
+
+def test_capped_newton_iteration_of_the_group_solve_is_reported(tmp_path, monkeypatch):
+    # the exact surrogate's sweeps are the model's own loop; the mixed one
+    # solves its exact block per block
+    text = "seed = 1\n" + run_text("ex", GLASSO_SMALL, surrogate="exact", iterations=5) + \
+        run_text("mix", GLASSO_SMALL, surrogate="mixed", surrogate_kinds=["exact", "prox-linear"],
+                 iterations=5)
+    spec = cli.parse_config(write(tmp_path, text))
+    results, code = cli.run_experiment(spec, output_dir=str(tmp_path / "free"))
+    assert code == 0 and [r.trace.meta["warnings"] for r in results] == [[], []]
+    monkeypatch.setattr(models, "SECULAR_MAX_ITER", 1)
+    results, _ = cli.run_experiment(spec, output_dir=str(tmp_path / "capped"))
+    for result in results:
+        capped = result.reference.capped_solves
+        assert capped > 0
+        report = json.loads((tmp_path / "capped" / f"{result.run_id}.report.json").read_text())
+        run_warning, ref_warning = report["warnings"]
+        assert run_warning.startswith("inner loop hit its cap: ")
+        assert ref_warning == f"reference inner loop hit its cap: {capped} times"

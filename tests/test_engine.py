@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bsumkit as bk
 from bsumkit import engine, models
-from bsumkit.problem import UnsupportedCombination, project_feasible
+from bsumkit.problem import UnsupportedCombination
 from bsumkit.surrogate import BLOCK_KINDS
 
 from conftest import irls_step
@@ -270,78 +270,63 @@ def test_gap_tolerance_stops_early_when_reference_known():
     assert tr.records[-1].f <= 1e-6
 
 
-def random_scalar_set(kind: str, rng):
-    if kind == "box":
-        return bk.box([-rng.uniform(0.0, 2.0)], [rng.uniform(0.0, 2.0)])
-    return bk.nonneg(1) if kind == "nonneg" else bk.all_space(1)
-
-
 @st.composite
-def carried_sweeps(draw):
-    """A random lasso, group lasso or l2svm, an exact or mixed surrogate with at
-    least one exact block, a feasible start and a block order with repeats."""
-    family = draw(st.sampled_from(["lasso", "group-lasso", "l2svm"]))
+def exact_sweeps(draw):
+    """A random lasso or group lasso, a mixed surrogate, a random start and a
+    block order with repeats."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if family == "group-lasso":
+    m = draw(st.integers(1, 12))
+    if draw(st.booleans()):
         sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
-        m = draw(st.integers(1, 12))
         weights = draw(st.lists(st.sampled_from([0.0, 0.1, 1.0, 5.0]),
                                 min_size=len(sizes), max_size=len(sizes)))
         p = models.build_group_lasso([rng.standard_normal((m, s)) for s in sizes],
                                      2.0 * rng.standard_normal(m), weights)
     else:
         n = draw(st.integers(1, 6))
-        kinds = draw(st.lists(st.sampled_from(["all-space", "box", "nonneg"]),
-                              min_size=n, max_size=n))
-        cons = [random_scalar_set(kind, rng) for kind in kinds]
-        if family == "lasso":
-            m = draw(st.integers(1, 12))
-            p = models.build_lasso(rng.standard_normal((m, n)), 2.0 * rng.standard_normal(m),
-                                   draw(st.sampled_from([0.0, 0.1, 1.0, 5.0])),
-                                   constraints=cons)
-        else:
-            # with an l1 weight the block minimizer is unique even where the
-            # squared hinge is flat along a coordinate
-            m = draw(st.integers(3 * n, 3 * n + 10))
-            p = models.build_l2svm(models.gen_l2svm(m, n, int(rng.integers(2**31))),
-                                   l1_weight=draw(st.sampled_from([0.1, 1.0])),
-                                   constraints=cons)
+        p = models.build_lasso(rng.standard_normal((m, n)), 2.0 * rng.standard_normal(m),
+                               draw(st.sampled_from([0.0, 0.1, 1.0, 5.0])))
     K = p.n_blocks
-    block_kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=K, max_size=K)
-                       .filter(lambda ks: "exact" in ks))
-    surrogate = bk.make_surrogate(p, "mixed", kinds=block_kinds)
+    # half the cases are all-exact, which every sweep hands to the model
+    kinds = draw(st.just(["exact"] * K) | st.lists(st.sampled_from(BLOCK_KINDS),
+                                                   min_size=K, max_size=K))
+    surrogate = bk.make_surrogate(p, "mixed", kinds=kinds)
     blocks = tuple(draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=3 * K)))
-    x0 = project_feasible(p, 2.0 * rng.standard_normal(p.dim))
-    return p, surrogate, x0, blocks
+    return p, surrogate, 2.0 * rng.standard_normal(p.dim), blocks, draw(st.booleans())
 
 
 def close(got, want) -> bool:
     return bool(np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want))))
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=carried_sweeps())
-def test_carried_residual_sweep_matches_rebuilt_solves(case):
-    p, surrogate, x0, blocks = case
-    A, b = p.smooth.linear.A, p.smooth.linear.b
+@settings(max_examples=200, deadline=None)
+@given(case=exact_sweeps())
+def test_exact_sweep_matches_rebuilt_solves(case):
+    p, surrogate, x0, blocks, record_grads = case
     solve = p.exact_solver
-    seen = []
+    calls = []
 
-    def recording(k, x, shift=None, resid=None):
-        seen.append((x.copy(), resid.copy()))
-        return solve(k, x, shift, resid=resid)
+    def counted(k, x, **kwargs):
+        calls.append(k)
+        return solve(k, x, **kwargs)
 
-    # a final exact solve reads the residual the listed blocks leave behind
-    order = blocks + (surrogate.kinds.index("exact"),)
-    p.exact_solver = recording
-    x1, _, _ = bk.bsum_sweep(p, surrogate, x0, order)
+    p.exact_solver = counted
+    x1, _, grad_stat = bk.bsum_sweep(p, surrogate, x0, blocks, record_grads=record_grads)
     p.exact_solver = solve
+    exact = [surrogate.kinds[k] == "exact" for k in blocks]
+    # an all-exact sweep is the model's own loop; any other runs block by block
+    assert calls == ([] if all(exact) else [k for k, e in zip(blocks, exact) if e])
 
     w = x0.copy()
-    for k in order:
-        exact = surrogate.kinds[k] == "exact"
-        w[p.partition.block_slice(k)] = solve(k, w) if exact else surrogate.argmin(k, w)
+    g_prev = p.smooth.grad(w)
+    want = 0.0
+    for k, e in zip(blocks, exact):
+        w[p.partition.block_slice(k)] = solve(k, w) if e else surrogate.argmin(k, w)
+        g_now = p.smooth.grad(w)
+        want += float((g_now - g_prev) @ (g_now - g_prev))
+        g_prev = g_now
     assert close(x1, w)
-    assert len(seen) == sum(surrogate.kinds[k] == "exact" for k in order)
-    for anchor, resid in seen:
-        assert close(resid, A @ anchor - b)
+    if record_grads:
+        assert abs(grad_stat - want) <= 1e-9 * want
+    else:
+        assert grad_stat is None

@@ -233,32 +233,47 @@ def test_group_l2_block_min_matches_a_bisection_to_adjacent_floats(problem):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_group_lasso_reference_with_a_tiny_weight_finishes():
+def test_group_lasso_reference_with_a_tiny_weight_finishes(monkeypatch):
     # a rank-deficient block, a large target and a weight near zero: the
     # rounding of z along the null space, divided by the weight, alone exceeds
     # 1 in ||q(s)||, so the secular equation has a root only once it is dropped
     mats, b, _ = models.gen_group_lasso(25, [8] * 4, 0.0, seed=102, deficient=[1])
     rhs, weight = 1e3 * b, 1e-12
     p = models.build_group_lasso(mats, rhs, [weight] * 4)
-    A = np.hstack(mats)
-    solve = p.exact_solver
+    solve = models.group_l2_block_min
     worst = []
 
-    def checked(k, x, shift=None, resid=None):
-        # group-l2 optimality of the block solve: 2 A_k^T (A_k u - rho) + weight u/||u|| = 0
-        u = solve(k, x, shift, resid=resid)
-        sl = p.partition.block_slice(k)
-        rho = rhs - A @ x + mats[k] @ x[sl]
-        grad = 2.0 * mats[k].T @ (mats[k] @ u - rho)
+    def checked(evals, vecs, target, wk, shift=None, on_cap=None):
+        # group-l2 optimality of the block solve, with A_k^T A_k = V diag(evals) V^T
+        # and target = A_k^T rho: 2 (A_k^T A_k u - target) + weight u/||u|| = 0
+        u = solve(evals, vecs, target, wk, shift, on_cap)
+        grad = 2.0 * (vecs @ (evals * (vecs.T @ u)) - target)
         assert np.linalg.norm(u) > 0.0
-        worst.append(np.linalg.norm(grad + weight * u / np.linalg.norm(u))
-                     / np.linalg.norm(2.0 * mats[k].T @ rho))
+        worst.append(np.linalg.norm(grad + wk * u / np.linalg.norm(u))
+                     / np.linalg.norm(2.0 * target))
         return u
 
-    p.exact_solver = checked
+    monkeypatch.setattr(models, "group_l2_block_min", checked)
     ref = bk.reference_solve(p)
     assert ref.converged and len(worst) == 4 * ref.sweeps
     assert max(worst) <= 1e-12
+
+
+def test_a_scalar_lasso_reference_sweeps_without_block_solver_calls():
+    A, b, lam = models.gen_lasso(30, 12, 1.0, seed=6)
+    p = models.build_lasso(A, b, lam)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference called the per-block solver")
+
+    p.exact_solver = refuse
+    ref = bk.reference_solve(p)
+    assert ref.converged and ref.sweeps > 0
+    # its minimizer is the per-block solves' to rounding
+    q = models.build_lasso(A, b, lam)
+    q.exact_sweep = None
+    want = bk.reference_solve(q)
+    assert np.max(np.abs(ref.x - want.x)) <= 1e-9 and abs(ref.f - want.f) <= 1e-12 * want.f
 
 
 def correctly_rounded_sigmoid(t: float) -> float:
@@ -451,8 +466,6 @@ def test_lasso_scalar_step_keeps_prox_blocks_refusals():
     x = np.zeros(2)
     with pytest.raises(UnsupportedCombination, match="l1 prox with 'ball'"):
         p.exact_solver(0, x)
-    with pytest.raises(UnsupportedCombination, match="l1 prox with 'ball'"):
-        p.exact_solver(0, x, resid=A @ x - b)
     # without the l1 term a ball is a plain projection, as prox_block makes it
     p0 = models.build_lasso(A, 10.0 * b, 0.0, constraints=[bk.ball([0.0], 1.0)] * 2)
     assert abs(p0.exact_solver(0, x)[0]) == 1.0
