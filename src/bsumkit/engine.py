@@ -100,15 +100,14 @@ def bsum_sweep(
     x: Array,
     blocks: tuple[int, ...],
     record_grads: bool = False,
-    on_block_update: Optional[Callable[[int, Array], None]] = None,
 ) -> tuple[Array, float, Optional[float]]:
     """One iteration: update the listed blocks in order, each anchored at the
     point holding all previously updated blocks of this sweep.
 
-    A sweep whose listed blocks are all exact, without an on_block_update
-    hook, goes to the model's exact_sweep when it declares one.
+    A sweep whose listed blocks are all exact goes to the model's
+    exact_sweep when it declares one.
     """
-    if (problem.exact_sweep is not None and on_block_update is None
+    if (problem.exact_sweep is not None
             and all(surrogate.kinds[k] == "exact" for k in blocks)):
         w, grad_stat = problem.exact_sweep(blocks, x, record_grads,
                                            on_cap=surrogate.count_cap)
@@ -117,8 +116,6 @@ def bsum_sweep(
         grad_stat = 0.0 if record_grads else None
         g_prev = problem.smooth.grad(w) if record_grads else None
         for k in blocks:
-            if on_block_update is not None:
-                on_block_update(k, w.copy())
             w[problem.partition.block_slice(k)] = surrogate.argmin(k, w)
             if record_grads:
                 g_now = problem.smooth.grad(w)
@@ -138,7 +135,6 @@ def run_bsum(
     tol: float = 0.0,
     f_star: Optional[float] = None,
     compute_auxiliary: bool = False,
-    on_block_update: Optional[Callable[[int, Array], None]] = None,
     meta: Optional[dict] = None,
 ) -> Trace:
     """Run the block upper-bound minimization loop for a fixed budget.
@@ -196,8 +192,7 @@ def run_bsum(
             aux_sq = float(np.sum((cand - x) ** 2))
         blocks = schedule.select(r - 1, vu)
         x_new, step_sq, grad_sq = bsum_sweep(
-            problem, surrogate, x, blocks,
-            record_grads=want_grads, on_block_update=on_block_update,
+            problem, surrogate, x, blocks, record_grads=want_grads,
         )
         f_new = eval_objective(problem, x_new)
         slack = (f - f_new) - _descent_rhs(schedule, gamma, step_sq, virt_sq)
@@ -256,9 +251,11 @@ def run_a2bsum(
     block takes a proximal step with constant m_outer, and the momentum
     point is advanced.  Recorded iterates pair the outer variable with a
     fresh exact inner solve so the trace reports the objective the scheme
-    actually certifies.
+    actually certifies.  Inner solves whose loop stopped at its cap are
+    counted into a warning, as a block run's are.
     """
-    reduced, assemble = _reduction(problem, outer, inner)
+    capped = []
+    reduced, assemble = _reduction(problem, outer, inner, on_cap=lambda: capped.append(1))
     if iterations < 1:
         raise ValueError("need at least one iteration")
     m1 = float(m_outer) if m_outer is not None else reduced.smooth.lipschitz
@@ -304,6 +301,8 @@ def run_a2bsum(
         trace.iterates.append(rec_point)
         trace.virtual_points.append(None)
         trace.aux_points.append(None)
+    if capped:
+        warnings.append(f"inner loop hit its cap: {len(capped)} times")
     return trace
 
 
@@ -311,10 +310,12 @@ def run_a2bsum(
 # two-block reduction: eliminate the exactly-minimized block
 
 
-def _reduction(problem: Problem, outer: int,
-               inner: int) -> tuple[Problem, Callable[[Array], Array]]:
+def _reduction(problem: Problem, outer: int, inner: int,
+               on_cap: Optional[Callable[[], None]] = None,
+               ) -> tuple[Problem, Callable[[Array], Array]]:
     """The reduced single-block problem over the outer variable, and the map
-    from an outer point to the full point with the inner block solved exactly."""
+    from an outer point to the full point with the inner block solved exactly
+    (on_cap goes to every inner solve)."""
     if problem.n_blocks != 2:
         raise UnsupportedCombination("the two-block reduction needs exactly two blocks")
     if {outer, inner} != {0, 1}:
@@ -330,7 +331,7 @@ def _reduction(problem: Problem, outer: int,
     def assemble(x1):
         y = template.copy()
         y[sl_out] = x1
-        y[sl_in] = problem.exact_solver(inner, y)
+        y[sl_in] = problem.exact_solver(inner, y, on_cap=on_cap)
         return y
 
     def value(x1):

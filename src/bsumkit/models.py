@@ -100,24 +100,6 @@ def _constraint_interval(cs: ConstraintSet) -> tuple[float, float]:
     raise ValueError(f"unknown constraint kind {cs.kind!r}")
 
 
-def scalar_prox(h: NonsmoothBlock, cs: ConstraintSet, beta: float, v: float) -> Array:
-    """prox_block(h, cs, beta, [v]) for a scalar block.
-
-    Zero or l1 h on an unconstrained block is computed in Python floats with
-    the semantics of prox_block's numpy calls: the soft-threshold
-    sign(v) * max(|v| - w/beta, 0), where sign(-0.0) is 0.  The result is
-    prox_block's bit for bit, signed zeros and infinities included (a NaN
-    stays NaN); constrained blocks and other pairings call prox_block.
-    """
-    if beta <= 0 or cs.kind != "all-space" or h.kind not in ("zero", "l1"):
-        return prox_block(h, cs, beta, np.array([v]))
-    if not h.is_zero:
-        s = abs(v) - h.weight / beta
-        s = 0.0 if s <= 0.0 else s
-        v = s if v >= 0.0 else -s
-    return np.array([v])
-
-
 def _default_constraints(partition: BlockPartition, constraints) -> tuple[ConstraintSet, ...]:
     if constraints is None:
         return tuple(all_space(s) for s in partition.sizes)
@@ -334,19 +316,18 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
         col_sq_f = col_sq.tolist()
 
         def solver(k, x, shift=None, on_cap=None):
+            # the sweep's step from a fresh c_j = a_j^T (A x - b), then the prox
             j = part.offsets[k]
-            col = A[:, j]
-            rho = (A @ x - b) - col * x[j]
+            xj = float(x[j])
+            v = xj - float(A[:, j] @ (A @ x - b)) / col_sq_f[j]
             beta = 2.0 * col_sq_f[j]
-            v = -float(col.dot(rho)) / col_sq_f[j]
             if shift is not None:
-                gam, cc = shift
-                v = (beta * v + gam * float(cc[0])) / (beta + gam)
-                beta = beta + gam
-            return scalar_prox(nonsmooth[k], cons[k], beta, v)
+                v = (beta * v + shift * xj) / (beta + shift)
+                beta = beta + shift
+            return prox_block(nonsmooth[k], cons[k], beta, [v])
 
     if solver is not None and all(cs.kind == "all-space" for cs in cons):
-        # scalar_prox's soft-threshold sign(v) * max(|v| - lam/beta, 0), in Python floats
+        # prox_block's soft-threshold sign(v) * max(|v| - lam/beta, 0), in Python floats
         thresh = [lam / (2.0 * q) for q in col_sq_f]
 
         def sweep(blocks, x, record_grads, on_cap=None):
@@ -407,12 +388,11 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     def solver(k, x, shift=None, on_cap=None):
         if cons[k].kind != "all-space":
             raise UnsupportedCombination("exact group solve needs an unconstrained block")
+        # the sweep's target G_kk x_k - c_k, from a fresh c_k = A_k^T (A x - b)
         sl = part.block_slice(k)
-        rho = (b - A @ x) + mats[k] @ x[sl]
-        evals, vecs = eigs[k]
-        sh = None if shift is None else (shift[0], np.asarray(shift[1], dtype=float))
-        return group_l2_block_min(evals, vecs, mats[k].T @ rho, float(weights[k]), shift=sh,
-                                  on_cap=on_cap)
+        target = gram[sl, sl] @ x[sl] - mats[k].T @ (A @ x - b)
+        sh = None if shift is None else (shift, x[sl])
+        return group_l2_block_min(*eigs[k], target, float(weights[k]), shift=sh, on_cap=on_cap)
 
     def sweep(blocks, x, record_grads, on_cap=None):
         # c = A^T (A w - b) is carried: block k's target A_k^T rho is
@@ -506,7 +486,7 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
             dcol = rows[:, j]
             cvec = (1.0 - rows @ x) + dcol * x[j]
             lo, hi = _constraint_interval(cons[k])
-            sh = None if shift is None else (shift[0], float(np.asarray(shift[1])[0]))
+            sh = None if shift is None else (shift, float(x[j]))
             t = piecewise_quadratic_min(cvec, dcol, lam=float(l1_weight),
                                         lo=lo, hi=hi, shift=sh)
             return np.array([t])
@@ -673,7 +653,7 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
     def solver(k, x, shift=None, on_cap=None):
         sl = part.block_slice(k)
         rest = 2.0 * (Q[sl, :] @ x) - 2.0 * (Q[sl, sl] @ x[sl]) + c[sl]
-        gamma, gc = (0.0, None) if shift is None else (shift[0], np.asarray(shift[1], float))
+        gamma, gc = (0.0, None) if shift is None else (shift, x[sl])
         if part.sizes[k] == 1:
             a2 = 2.0 * float(Q[sl, sl][0, 0]) + gamma
             b1 = float(rest[0]) - (gamma * float(gc[0]) if gc is not None else 0.0)
@@ -809,12 +789,25 @@ def matrix_text(M) -> str:
 
 
 def read_matrix(path) -> Array:
+    """The matrix in a file of matrix_text's format.  A malformed header or
+    value is a ValueError naming the path, the line, the place and the token."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'rows cols'")
-        rows, cols = int(header[0]), int(header[1])
-        data = np.array(fh.read().split(), dtype=float)
+        lines = fh.read().splitlines()
+    if not lines or len(lines[0].split()) != 2:
+        raise ValueError(f"{path}: expected header 'rows cols'")
+    values = []
+    for line_no, line in enumerate(lines, 1):
+        for place, token in enumerate(line.split(), 1):
+            try:
+                v = float(token)
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v) or (line_no == 1 and not token.isdigit()):
+                kind = "a nonnegative integer" if line_no == 1 else "a finite number"
+                raise ValueError(f"{path}: line {line_no}, token {place}: {token!r} is not {kind}")
+            values.append(v)
+    rows, cols = map(int, lines[0].split())
+    data = np.array(values[2:])
     if data.size != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} values, found {data.size}")
     return data.reshape(rows, cols)

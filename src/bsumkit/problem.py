@@ -290,7 +290,7 @@ class Problem:
     # this is the curvature an exact per-block solve gets to exploit
     block_curvature: Optional[tuple[float, ...]] = None
     # exact per-block minimizer of g(., x_{-k}) + h_k over X_k; optional
-    # shift=(gamma, center) adds (gamma/2)||x_k - center||^2 to the subproblem,
+    # shift=gamma adds (gamma/2)||u - x_k||^2 to the subproblem in u,
     # and on_cap, when given, is called once for a solve whose inner loop
     # stopped at its cap (the group solve's Newton iteration)
     exact_solver: Optional[Callable[..., Array]] = None

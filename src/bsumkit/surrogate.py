@@ -153,9 +153,9 @@ class Surrogate:
         """argmin of u_k(.; anchor) + h_k + (gamma/2)||. - anchor_k||^2."""
         p = self.problem
         anchor = np.asarray(anchor, dtype=float)
-        xk = p.partition.block(anchor, k)
         if self.kinds[k] == "exact":
-            return p.exact_solver(k, anchor, shift=(gamma, xk), on_cap=self.count_cap)
+            return p.exact_solver(k, anchor, shift=gamma, on_cap=self.count_cap)
+        xk = p.partition.block(anchor, k)
         g = block_gradient(p, k, anchor)
         beta = self.lip[k] + gamma
         return prox_block(p.nonsmooth[k], p.constraints[k], beta, xk - g / beta)

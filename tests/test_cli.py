@@ -635,8 +635,8 @@ def test_gen_rejects_non_finite_numbers(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("array,status", [("b", "false"), ("A", "error")])
-def test_a_nan_read_from_a_file_fails_the_run(tmp_path, array, status):
+@pytest.mark.parametrize("array", ["A", "b"], ids=["A-error", "b-error"])
+def test_a_nan_read_from_a_file_fails_the_run(tmp_path, array):
     prefix = str(tmp_path / "inst")
     cli.generate_instance("lasso", {"m": 6, "n": 4, "seed": 3}, prefix)
     path = Path(f"{prefix}_{array}.txt")
@@ -648,34 +648,40 @@ def test_a_nan_read_from_a_file_fails_the_run(tmp_path, array, status):
     code = cli.main(["run", write(tmp_path, run_text("r", model, surrogate="exact",
                                                      iterations=5)), "-o", str(out)])
     assert code != 0
-    assert (out / "summary.csv").read_text().splitlines()[1].endswith("," + status)
-    if status == "false":  # the objective is NaN from the start
-        report = json.loads((out / "r.report.json").read_text())
-        assert report["reference"]["converged"] is False and report["reference"]["sweeps"] == 0
-        assert report["checks"] and not any(c["passed"] for c in report["checks"])
-        assert not any(e["passed"] for e in report["envelopes"])
+    assert (out / "summary.csv").read_text().splitlines()[1].endswith(",error")
+    error = json.loads((out / "r.report.json").read_text())["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == f"{path}: line 2, token 1: 'nan' is not a finite number"
 
 
-def nan_objective_run(tmp_path) -> tuple[str, Path]:
+def build_nan_lasso(model, default_seed):
+    """The config's lasso with a NaN in b, which no matrix file can carry."""
+    family = models.FAMILIES["lasso"]
+    arrays = family.generate(model, int(model["seed"]))
+    arrays["b"][0] = np.nan
+    return family.build(arrays, model)
+
+
+def nan_objective_run(tmp_path, monkeypatch) -> tuple[str, Path]:
     """A lasso run whose objective is NaN throughout: its config and output."""
-    prefix = str(tmp_path / "inst")
-    cli.generate_instance("lasso", {"m": 6, "n": 4, "seed": 3}, prefix)
-    path = Path(f"{prefix}_b.txt")
-    header, _, *rest = path.read_text().splitlines()
-    path.write_text("\n".join([header, "nan", *rest]) + "\n")
-    model = {"family": "lasso", "file_A": f"{prefix}_A.txt", "file_b": f"{prefix}_b.txt",
-             "lam": 0.5}
+    monkeypatch.setattr(cli, "build_model", build_nan_lasso)
+    model = {"family": "lasso", "m": 6, "n": 4, "lam": 0.5, "seed": 3}
     config, out = write(tmp_path, run_text("r", model, iterations=3)), tmp_path / "out"
-    cli.main(["run", config, "-o", str(out)])
+    assert cli.main(["run", config, "-o", str(out)]) != 0
     return config, out
 
 
-def test_a_nan_objective_is_recorded_as_nan(tmp_path):
+def test_a_nan_objective_is_recorded_as_nan(tmp_path, monkeypatch):
     # NaN is not +inf: the trace keeps it as NaN, and the report, which is
     # JSON, has no NaN and writes null
-    _, out = nan_objective_run(tmp_path)
+    _, out = nan_objective_run(tmp_path, monkeypatch)
+    assert (out / "summary.csv").read_text().splitlines()[1].endswith(",false")
     report = json.loads((out / "r.report.json").read_text())
     assert report["reference"]["f_star"] is None
+    # the objective is NaN from the start: the reference stops at once
+    assert report["reference"]["converged"] is False and report["reference"]["sweeps"] == 0
+    assert report["checks"] and not any(c["passed"] for c in report["checks"])
+    assert not any(e["passed"] for e in report["envelopes"])
     f_column = [line.split(",")[1] for line in (out / "r.trace.csv").read_text().splitlines()]
     assert f_column[0] == "f" and all(v.lower() == "nan" for v in f_column[1:])
 
@@ -689,8 +695,8 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_reports_with_non_finite_values_are_strict_json(tmp_path):
-    config, out = nan_objective_run(tmp_path)
+def test_reports_with_non_finite_values_are_strict_json(tmp_path, monkeypatch):
+    config, out = nan_objective_run(tmp_path, monkeypatch)
     report = strict_json((out / "r.report.json").read_text())
     assert report["final_delta"] is None and not report["all_passed"]
     assert report["checks"] and all(c["max_violation"] is None for c in report["checks"]

@@ -80,8 +80,15 @@ def test_anchor_discipline_instrumented():
     s = bk.make_surrogate(p, "prox-linear")
     sch = bk.make_schedule("gauss-seidel", 6)
     seen = []
-    tr = bk.run_bsum(p, s, sch, iterations=3,
-                     on_block_update=lambda k, w: seen.append((k, w)))
+    argmin = s.argmin
+
+    def recorded(k, anchor, grad_k=None):
+        seen.append((k, np.array(anchor)))
+        return argmin(k, anchor, grad_k)
+
+    s.argmin = recorded
+    tr = bk.run_bsum(p, s, sch, iterations=3)
+    assert len(seen) == 18
     for it in range(3):
         x_prev = tr.iterates[it]
         x_next = tr.iterates[it + 1]
@@ -177,6 +184,18 @@ def test_a2bsum_warns_on_a_rank_deficient_group_lasso_inner_block():
     tr = bk.run_a2bsum(p, outer=1, inner=0, iterations=2)
     assert tr.meta["warnings"] == ["inner block minimizer may be non-unique"]
     assert bk.run_a2bsum(p, outer=0, inner=1, iterations=2).meta["warnings"] == []
+
+
+def test_a2bsum_counts_inner_solves_that_hit_their_cap(monkeypatch):
+    p = models.build_group_lasso(*models.gen_group_lasso(8, [2, 2], 0.3, seed=5))
+    free = bk.run_a2bsum(p, outer=1, inner=0, iterations=5)
+    assert free.meta["warnings"] == []
+    monkeypatch.setattr(models, "SECULAR_MAX_ITER", 1)
+    capped = bk.run_a2bsum(p, outer=1, inner=0, iterations=5)
+    # one inner solve at the start, then two per iteration: the gradient's
+    # and the recorded point's
+    assert capped.meta["warnings"] == ["inner loop hit its cap: 11 times"]
+    assert capped.fvals()[-1] > free.fvals()[-1]
 
 
 def test_a2bsum_beats_plain_two_block():

@@ -398,69 +398,30 @@ def test_quadratic_scalar_solve_toward_an_infinite_end_is_unbounded(c0, cs):
         p.exact_solver(0, np.array([0.7, -0.4]))
 
 
-@pytest.mark.parametrize("boxed", [False, True])
-def test_lasso_shifted_scalar_solve_against_a_1d_search(boxed):
-    # argmin_t ||A x(t) - b||^2 + lam|t| + (gam/2)(t - cc)^2, x(t) = x with x_k = t
+@pytest.mark.parametrize("kind", ["all-space", "box", "nonneg"])
+def test_lasso_shifted_scalar_solve_against_a_1d_search(kind):
+    # argmin_t ||A x(t) - b||^2 + lam|t| + (gam/2)(t - x_k)^2, x(t) = x with x_k = t
     rng = np.random.default_rng(19)
     A, b, lam = models.gen_lasso(12, 6, 0.8, seed=21)
-    cons = [bk.box([-0.5], [0.6])] * 6 if boxed else None
-    p = models.build_lasso(A, b, lam, constraints=cons)
-    lo, hi = (-0.5, 0.6) if boxed else (-8.0, 8.0)
+    cs, lo, hi = {"all-space": (None, -8.0, 8.0), "box": (bk.box([-0.5], [0.6]), -0.5, 0.6),
+                  "nonneg": (bk.nonneg(1), 0.0, 8.0)}[kind]
+    p = models.build_lasso(A, b, lam, constraints=None if cs is None else [cs] * 6)
     for _ in range(30):
         x = rng.standard_normal(6)
         k = int(rng.integers(6))
         gam = float(rng.uniform(0.1, 5.0))
-        cc = rng.standard_normal(1)
-        t = p.exact_solver(k, x, shift=(gam, cc))[0]
+        t = p.exact_solver(k, x, shift=gam)[0]
 
         def fk(tt):
             y = x.copy()
             y[k] = tt
-            return bk.eval_objective(p, y) + 0.5 * gam * (tt - cc[0]) ** 2
+            return bk.eval_objective(p, y) + 0.5 * gam * (tt - x[k]) ** 2
 
         assert lo <= t <= hi
         assert abs(t - golden_section(fk, lo, hi, tol=1e-12)) <= 1e-6
 
 
-SIGNED = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
-EDGES = st.one_of(SIGNED, st.floats(-1e3, 1e3), st.sampled_from([-np.inf, np.inf]))
-
-
-@st.composite
-def scalar_steps(draw):
-    """A scalar prox step: zero or l1 h, an interval set (bounds at signed
-    zeros allowed), beta > 0 and v on a bound, on the threshold or anywhere."""
-    h = bk.NonsmoothBlock(kind=draw(st.sampled_from(["zero", "l1"])),
-                              weight=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])))
-    kind = draw(st.sampled_from(["all-space", "box", "nonneg"]))
-    if kind == "box":
-        lo, hi = sorted([draw(SIGNED | st.floats(-1e3, 1e3)),
-                         draw(SIGNED | st.floats(-1e3, 1e3))])
-        cs = bk.box([lo], [hi])
-    else:
-        cs = bk.nonneg(1) if kind == "nonneg" else bk.all_space(1)
-    beta = draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(1e-3, 1e3))
-    threshold = h.weight / beta
-    v = draw(EDGES | st.sampled_from([threshold, -threshold])
-             | st.sampled_from([float(e) for e in (cs.lo if kind == "box" else [0.0])]))
-    return h, cs, beta, v
-
-
-@settings(max_examples=600)
-@given(step=scalar_steps())
-def test_lasso_scalar_step_is_prox_block_bit_for_bit(step):
-    h, cs, beta, v = step
-    got = models.scalar_prox(h, cs, beta, v)
-    want = bk.prox_block(h, cs, beta, np.array([v]))
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (got, want)
-
-
 def test_lasso_scalar_step_keeps_prox_blocks_refusals():
-    h = bk.NonsmoothBlock(kind="l1", weight=1.0)
-    with pytest.raises(UnsupportedCombination, match="l1 prox with 'ball'"):
-        models.scalar_prox(h, bk.ball([0.0], 1.0), 2.0, 0.3)
-    with pytest.raises(ValueError, match="prox requires beta > 0"):
-        models.scalar_prox(h, bk.all_space(1), 0.0, 0.3)
     A, b, _ = models.gen_lasso(6, 2, 0.0, seed=4)
     p = models.build_lasso(A, b, 1.0, constraints=[bk.ball([0.0], 1.0)] * 2)
     x = np.zeros(2)
@@ -715,3 +676,20 @@ def test_matrix_io_round_trip(tmp_path):
         fh.write("2 2\n1.0 2.0 3.0\n")
     with pytest.raises(ValueError, match="expected 4 values"):
         models.read_matrix(tmp_path / "bad.txt")
+
+
+@pytest.mark.parametrize("text,where", [
+    ("2 x\n1 2\n3 4\n", "line 1, token 2: 'x' is not a nonnegative integer"),
+    ("2.0 2\n1 2\n3 4\n", "line 1, token 1: '2.0' is not a nonnegative integer"),
+    ("-2 2\n1 2\n3 4\n", "line 1, token 1: '-2' is not a nonnegative integer"),
+    ("2 2\n1 2\n3 abc\n", "line 3, token 2: 'abc' is not a finite number"),
+    ("2 2\n1 nan\n3 4\n", "line 2, token 2: 'nan' is not a finite number"),
+    ("2 2\n1 2\n-inf 4\n", "line 3, token 1: '-inf' is not a finite number"),
+    ("2 2\n1 1e999\n3 4\n", "line 2, token 2: '1e999' is not a finite number"),
+], ids=["header-word", "header-float", "header-negative", "word", "nan", "inf", "overflow"])
+def test_malformed_matrix_files_name_the_path_the_place_and_the_token(tmp_path, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        models.read_matrix(path)
+    assert str(err.value) == f"{path}: {where}"

@@ -8,6 +8,8 @@ derived from the code that plans the checks.
 
 import json
 
+import pytest
+
 from bsumkit import cli
 
 ALL_SUITES = ["descent", "cost-to-go", "envelope", "nesterov", "fd"]
@@ -125,10 +127,20 @@ def coverage_config_text(iterations: int = 30) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_every_run_gets_the_checks_of_its_certificates(tmp_path):
-    cfg = tmp_path / "coverage.cfg"
+def run_coverage(out_dir):
+    cfg = out_dir.parent / f"{out_dir.name}.cfg"
     cfg.write_text(coverage_config_text())
-    results, _ = cli.run_experiment(cli.parse_config(str(cfg)), output_dir=str(tmp_path / "out"))
+    return cli.run_experiment(cli.parse_config(str(cfg)), output_dir=str(out_dir))[0]
+
+
+@pytest.fixture(scope="module")
+def coverage_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("coverage") / "out"
+    return run_coverage(out), out
+
+
+def test_every_run_gets_the_checks_of_its_certificates(coverage_run):
+    results, _ = coverage_run
     assert [r.run_id for r in results] == list(EXPECTED)
     for res in results:
         assert res.error is None, (res.run_id, res.error)
@@ -136,3 +148,14 @@ def test_every_run_gets_the_checks_of_its_certificates(tmp_path):
         envelopes = [e["id"] for e in res.envelopes]
         assert (checks, envelopes) == (list(EXPECTED[res.run_id][0]),
                                        EXPECTED[res.run_id][1]), res.run_id
+
+
+def test_a_rerun_of_every_family_and_rule_is_byte_identical(coverage_run, tmp_path):
+    _, first = coverage_run
+    again = tmp_path / "again"
+    run_coverage(again)
+    artifacts = ["summary.csv"] + [f"{run_id}.{kind}" for run_id in RUNS
+                                   for kind in ("trace.csv", "report.json")]
+    assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in again.iterdir())
+    for name in artifacts:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
