@@ -40,8 +40,8 @@ from .diagnostics import (
     sigma_for,
 )
 from .engine import ReferenceSolution, Trace, reference_solve, run_a2bsum, run_bsum, run_sum
-from .problem import Problem, project_feasible
-from .schedule import make_schedule
+from .problem import Problem, is_integer, is_number, project_feasible
+from .schedule import make_schedule, period_map_slots
 from .surrogate import check_block_kinds, make_surrogate
 
 OUTPUT_DIR_ENV = "BSUMKIT_OUTPUT_DIR"
@@ -84,7 +84,7 @@ class RunConfig:
 
 
 RUN_KEYS = {f.name for f in fields(RunConfig)} - {"run_id"}
-# run fields whose JSON value is converted at parse time
+# run fields whose JSON value is checked and converted at parse time
 RUN_NUMBERS = {"q": float, "iterations": int, "tolerance": float, "outer": int, "inner": int,
                "schedule_seed": int}
 
@@ -139,14 +139,14 @@ def _parse_lines(path: str) -> dict:
 
 
 def _number(where: str, key: str, value, convert):
-    """convert(value) when it is finite, else a ConfigError that names the key."""
-    try:
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
+    """convert(value) when it is of the kind convert names, else a ConfigError
+    that names the key: an int field takes an integer, a float field any
+    finite number, and neither takes a bool or a string."""
+    if convert is int and not is_integer(value):
+        raise ConfigError(f"{where}{key!r} must be an integer, not {value!r}")
+    if not is_number(value):
         raise ConfigError(f"{where}{key!r} must be a finite number, not {value!r}")
-    return number
+    return convert(value)
 
 
 def parse_config(path: str) -> ExperimentSpec:
@@ -178,6 +178,9 @@ def parse_config(path: str) -> ExperimentSpec:
     if not runs_raw:
         raise ConfigError("config defines no runs")
     seed = _number("", "seed", top.get("seed", 0), int)
+    output_dir = top.get("output_dir")
+    if "output_dir" in top and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, not {output_dir!r}")
     suites = top.get("suites", ["descent", "cost-to-go", "envelope"])
     if not isinstance(suites, list):
         raise ConfigError(f"suites must be a list of suite names, not {suites!r}")
@@ -230,18 +233,18 @@ def parse_config(path: str) -> ExperimentSpec:
             if cfg.surrogate == "mixed":
                 cfg.surrogate_kinds = check_block_kinds(cfg.surrogate_kinds, n_blocks)
             if n_blocks is None:  # only the files fix it
-                n_blocks = 1 + max((int(i) for slot in cfg.period_map or () for i in slot),
-                                   default=0)
+                n_blocks = 1 + max((i for slot in period_map_slots(cfg.period_map or ())
+                                    for i in slot), default=0)
             schedule = make_schedule(cfg.rule, n_blocks, period_map=cfg.period_map, q=cfg.q,
                                      seed=cfg.schedule_seed)
         except ValueError as exc:
             raise ConfigError(f"run {run_id!r}: {exc}") from None
         cfg.period_map = schedule.period_map
-        cfg.compute_auxiliary = bool(cfg.compute_auxiliary)
+        if not isinstance(cfg.compute_auxiliary, bool):
+            raise ConfigError(f"run {run_id!r}: 'compute_auxiliary' must be true or false, "
+                              f"not {cfg.compute_auxiliary!r}")
         runs.append(cfg)
-    return ExperimentSpec(
-        seed=seed, runs=runs, suites=tuple(suites), output_dir=top.get("output_dir"),
-    )
+    return ExperimentSpec(seed=seed, runs=runs, suites=tuple(suites), output_dir=output_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +538,10 @@ def compare_traces(paths: list[str]) -> str:
             col = {}
             for row in reader:
                 col[int(row["r"])] = row["delta"]
+            if not col:
+                raise ValueError(f"{path}: trace has no rows")
             columns.append(col)
-    last = max(max(col) for col in columns if col)
+    last = max(max(col) for col in columns)
     lines = ["r," + ",".join(f"delta_{n}" for n in names)]
     for r in range(0, last + 1):
         lines.append(str(r) + "," + ",".join(col.get(r, "") for col in columns))

@@ -25,6 +25,8 @@ from .problem import (
     SmoothPart,
     UnsupportedCombination,
     all_space,
+    is_integer,
+    is_number,
     linear_smooth,
     make_partition,
 )
@@ -864,18 +866,13 @@ INT_LIST_FIELDS = frozenset({"sizes", "blocks", "deficient"})
 def check_numbers(params: dict) -> None:
     """Raise ValueError naming the first numeric model field whose value is not
     of its kind; the values themselves are left as given."""
-
-    def integer(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
     for key, value in params.items():
-        if key in INT_FIELDS and not integer(value):
+        if key in INT_FIELDS and not is_integer(value):
             kind = "an integer"
-        elif key in FLOAT_FIELDS and not (integer(value) or (isinstance(value, float)
-                                                             and math.isfinite(value))):
+        elif key in FLOAT_FIELDS and not is_number(value):
             kind = "a finite number"
         elif key in INT_LIST_FIELDS and not (isinstance(value, list)
-                                             and all(map(integer, value))):
+                                             and all(map(is_integer, value))):
             kind = "a list of integers"
         else:
             continue

@@ -8,6 +8,7 @@ are pure functions, so instances can be shared freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -18,6 +19,16 @@ Array = np.ndarray
 
 class UnsupportedCombination(ValueError):
     """An operation the model / regularizer / constraint pairing cannot do exactly."""
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer; not a bool, float or string, so nothing is cast."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An integer or a finite float; not a bool or string."""
+    return is_integer(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 # ---------------------------------------------------------------------------

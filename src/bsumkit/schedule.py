@@ -18,6 +18,7 @@ from .problem import (
     block_values,
     eval_objective,
     full_gradient,
+    is_integer,
     objective_with_block,
 )
 from .surrogate import prox_coordinates
@@ -137,14 +138,21 @@ class Schedule:
         raise ValueError(f"unknown rule {self.rule!r}")
 
 
+def period_map_slots(period_map) -> tuple[tuple[int, ...], ...]:
+    """The period map's slots as sorted index tuples; ValueError unless it is
+    a list of lists of integers."""
+    sequence = (list, tuple, np.ndarray)
+    if not isinstance(period_map, sequence) or not all(
+            isinstance(slot, sequence) and all(map(is_integer, slot)) for slot in period_map):
+        raise ValueError(f"period_map must be a list of lists of integers, not {period_map!r}")
+    return tuple(tuple(sorted(int(i) for i in slot)) for slot in period_map)
+
+
 def _validate_period_map(period_map, n_blocks: int) -> tuple[tuple[int, ...], ...]:
-    cleaned = []
-    for slot in period_map:
-        idx = tuple(int(i) for i in slot)
-        for i in idx:
-            if not 0 <= i < n_blocks:
-                raise ValueError(f"period map contains out-of-range block index {i}")
-        cleaned.append(tuple(sorted(idx)))
+    cleaned = period_map_slots(period_map)
+    for i in (i for slot in cleaned for i in slot):
+        if not 0 <= i < n_blocks:
+            raise ValueError(f"period map contains out-of-range block index {i}")
     covered = set().union(*[set(s) for s in cleaned]) if cleaned else set()
     missing = sorted(set(range(n_blocks)) - covered)
     if missing:
@@ -152,7 +160,7 @@ def _validate_period_map(period_map, n_blocks: int) -> tuple[tuple[int, ...], ..
             f"period map does not cover block indices {missing}; every index "
             f"must appear at least once per period"
         )
-    return tuple(cleaned)
+    return cleaned
 
 
 def make_schedule(

@@ -76,7 +76,7 @@ def test_criterion_2_cost_to_go_suite(matrix_outcome):
             worst = max(worst, rep.max_violation)
             assert rep.passed, (run_id, rep.variant, rep.max_violation)
         prov = res.certificate.provenance
-        assert prov["R"] in ("sampled-bound", "computed-exact")
+        assert prov["R"] in ("trajectory", "computed-exact")
         # gaps stay nonnegative once the reference is attached
         assert float(np.min(res.trace.deltas())) >= -INEQ_TOL
     _criterion(2, worst <= INEQ_TOL,

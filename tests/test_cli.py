@@ -239,6 +239,16 @@ def test_compare_rejects_malformed(tmp_path):
         cli.compare_traces([str(bad)])
 
 
+def test_compare_names_a_trace_without_rows(tmp_path, capsys):
+    full = tmp_path / "full.trace.csv"
+    full.write_text("r,f,delta\n0,1,1\n")
+    empty = tmp_path / "empty.trace.csv"
+    empty.write_text("r,f,delta\n")
+    assert cli.main(["compare", str(full), str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"compare error: {empty}: trace has no rows\n"
+
+
 def test_gen_rejects_a_missing_generator_key(tmp_path, capsys):
     prefix = str(tmp_path / "gx")
     with pytest.raises(ConfigError, match=r"missing model fields \['m'\]"):
@@ -575,6 +585,18 @@ def test_parse_rejects_bad_surrogate_kinds(tmp_path, capsys, kinds, message):
     ('run.r.tolerance = Infinity', "tolerance"),
     ('run.r.iterations = Infinity', "iterations"),
     ('seed = -Infinity', "seed"),
+    # integer fields take integers only, nothing truncated or cast
+    ('seed = 7.9', "seed"),
+    ('run.r.iterations = 2.5', "iterations"),
+    ('run.r.iterations = true', "iterations"),
+    ('run.r.rule = "random-permutation"\nrun.r.schedule_seed = 1.7', "schedule_seed"),
+    ('run.r.rule = "essentially-cyclic"\nrun.r.period_map = [[0.9, "1"], [true, 3, 2]]',
+     "period_map"),
+    ('run.r.rule = "essentially-cyclic"\nrun.r.period_map = 3', "period_map"),
+    ('run.r.rule = "gauss-southwell"\nrun.r.q = true', "q"),
+    ('run.r.tolerance = false', "tolerance"),
+    ('run.r.compute_auxiliary = "no"', "compute_auxiliary"),
+    ('output_dir = 5', "output_dir"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, line, key):
     model = {"family": "two-block-quadratic", "n_inner": 2, "n_outer": 3}

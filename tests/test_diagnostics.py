@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsumkit as bk
 from bsumkit import cli, models
@@ -71,8 +73,50 @@ def test_constants_unconstrained_trajectory_max():
     cert = bk.estimate_constants(p, s, tr)
     # the level set of f(x^1) is smaller than ||x^0||, so the max sits at r=0
     assert cert.radius == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert cert.provenance["R"] == "sampled-bound"
+    assert cert.provenance["R"] == "trajectory"
     assert cert.radius >= max(np.linalg.norm(it) for it in tr.iterates)
+
+
+@st.composite
+def unbounded_runs(draw):
+    """A small random lasso or l2svm run under a random rule, with scalar
+    blocks or one block (which records the auxiliary step)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    blocks = [n] if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 10))
+        p = models.build_lasso(rng.standard_normal((m, n)), rng.standard_normal(m),
+                               draw(st.sampled_from([0.0, 0.5, 2.0])), block_sizes=blocks)
+    else:
+        p = models.build_l2svm(rng.standard_normal((draw(st.integers(2, 12)), n)),
+                               block_sizes=blocks,
+                               l1_weight=draw(st.sampled_from([0.0, 0.5])))
+    exact = p.exact_solver is not None and draw(st.booleans())  # l2svm: scalar blocks only
+    s = bk.make_surrogate(p, "exact" if exact else "prox-linear")
+    sch = bk.make_schedule(draw(st.sampled_from(["gauss-seidel", "gauss-southwell", "mbi"])),
+                           p.n_blocks)
+    tr = bk.run_bsum(p, s, sch, x0=rng.standard_normal(n),
+                     iterations=draw(st.integers(1, 8)),
+                     compute_auxiliary=p.n_blocks == 1)
+    ref = bk.reference_solve(p)
+    tr.attach_reference(ref.x, ref.f)
+    return p, s, tr
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=unbounded_runs())
+def test_trajectory_constants_are_the_run_maxima(case):
+    p, s, tr = case
+    points = list(tr.iterates) + [q for q in tr.virtual_points + tr.aux_points
+                                  if q is not None]
+    cert = bk.estimate_constants(p, s, tr)
+    assert cert.radius == max(max(float(np.linalg.norm(q - tr.x_star)) for q in points),
+                              1e-12)
+    assert cert.grad_bound == max(float(np.linalg.norm(p.smooth.grad(x)))
+                                  for x in tr.iterates)
+    assert cert.provenance["R"] == cert.provenance["Q"] == "trajectory"
+    assert bk.estimate_constants(p, s, tr).to_dict() == cert.to_dict()
 
 
 def test_constants_require_reference():

@@ -438,6 +438,13 @@ def test_numeric_model_fields_are_all_declared():
         assert family.gen_keys | family.build_keys <= declared, name
 
 
+def test_numeric_model_fields_take_numpy_integers_and_no_bools():
+    models.check_numbers({"m": np.int64(3), "sizes": [np.int32(2)], "lam": np.int8(1)})
+    for params in ({"m": True}, {"sizes": [2, False]}, {"lam": True}, {"m": 3.0}):
+        with pytest.raises(ValueError, match="model field"):
+            models.check_numbers(params)
+
+
 # The scan over every piece that piecewise_quadratic_min replaced, verbatim.
 # The sorted-breakpoint solve must return its result bit for bit.
 def scan_piecewise_quadratic_min(

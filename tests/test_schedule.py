@@ -87,6 +87,19 @@ def test_period_map_coverage_validation():
     assert sch.select(2) == (0, 1)
 
 
+@pytest.mark.parametrize("period_map", [[[0.9, 1], [2]], [[0, "1"], [2]], [[True, 1], [2]],
+                                        [[0, 1], 2], 3])
+def test_period_map_entries_must_be_integers(period_map):
+    with pytest.raises(ValueError, match="period_map must be a list of lists of integers"):
+        bk.make_schedule("essentially-cyclic", 3, period_map=period_map)
+
+
+def test_period_map_takes_numpy_integers():
+    sch = bk.make_schedule("essentially-cyclic", 3, period_map=[np.arange(2), [np.int64(2)]])
+    assert sch.period_map == ((0, 1), (2,))
+    assert all(type(i) is int for slot in sch.period_map for i in slot)
+
+
 def test_period_one_recovers_gauss_seidel():
     sch = bk.make_schedule("essentially-cyclic", 3, period_map=[[0, 1, 2]])
     gs = bk.make_schedule("gauss-seidel", 3)
