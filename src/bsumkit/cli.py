@@ -196,10 +196,11 @@ def parse_config(path: str) -> ExperimentSpec:
         model = bucket.get("model")
         if not model or "family" not in model:
             raise ConfigError(f"run {run_id!r}: model.family is required")
-        family = models.FAMILIES.get(model["family"])
+        name = model["family"]
+        family = models.FAMILIES.get(name) if isinstance(name, str) else None
         if family is None:
             raise ConfigError(
-                f"run {run_id!r}: unsupported model family {model['family']!r}"
+                f"run {run_id!r}: unsupported model family {name!r}"
             )
 
         for key, convert in RUN_NUMBERS.items():

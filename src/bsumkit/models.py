@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def _default_constraints(partition: BlockPartition, constraints) -> tuple[Constr
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional piecewise-quadratic minimization (exact, by sorted breakpoints)
+# one-dimensional piecewise-quadratic minimization (exact, by a search across pieces)
 
 
 def _interval_quadratic_min(quad: float, cross: float, a: float, b: float) -> float:
@@ -127,53 +127,24 @@ def _interval_quadratic_min(quad: float, cross: float, a: float, b: float) -> fl
     return min(max(0.0, a), b)
 
 
-def _piece_candidate(c: Array, d: Array, lam: float, gamma: float, center: float,
-                     a: float, b: float) -> float:
-    """Closed-form minimizer on the piece [a, b], from the rows active at its midpoint."""
-    if np.isfinite(a) and np.isfinite(b):
+def _piece_quadratic(c: Array, d: Array, lam: float, gamma: float, center: float,
+                     a: float, b: float) -> tuple[float, float]:
+    """(quad, cross) of the objective (quad/2) t^2 - cross t + const on the piece
+    [a, b], from the rows active at its midpoint."""
+    if math.isfinite(a) and math.isfinite(b):
         mid = 0.5 * (a + b)
-    elif np.isfinite(a):
+    elif math.isfinite(a):
         mid = a + 1.0
-    elif np.isfinite(b):
+    elif math.isfinite(b):
         mid = b - 1.0
     else:
         mid = 0.0
     act = (c - d * mid) > 0.0
-    sgn = 0.0 if lam == 0.0 else float(np.sign(mid))
-    quad = 2.0 * float(np.sum(d[act] ** 2)) + gamma
-    cross = 2.0 * float(np.sum(c[act] * d[act])) + gamma * center
-    return _interval_quadratic_min(quad, cross - lam * sgn, a, b)
-
-
-def _minimizing_piece(c: Array, d: Array, lam: float, gamma: float, center: float,
-                      knots: Array, lo: float, hi: float) -> int:
-    """Index of the piece where the objective's slope turns nonnegative.
-
-    Piece p spans (edges[p], edges[p+1]) with edges = [lo, *knots, hi].  A row
-    with d > 0 is active left of its knot, so on a prefix of the pieces; a row
-    with d < 0 is active right of its knot, so on a suffix.  One suffix sum and
-    one prefix sum give every piece's active sums of d^2 and c*d.
-    """
-    n_pieces = knots.size + 1
-    pos, neg = d > 0.0, d < 0.0
-    at_pos = c[pos] / d[pos]
-    at_neg = c[neg] / d[neg]
-    # pieces 0 .. ends-1 hold the d > 0 rows; pieces starts .. n_pieces-1 the d < 0 rows
-    ends = np.searchsorted(knots, at_pos, side="right") + (at_pos >= hi)
-    starts = np.searchsorted(knots, at_neg, side="left") + (at_neg > lo)
-
-    def active_sums(w_pos: Array, w_neg: Array) -> Array:
-        by_end = np.bincount(ends, weights=w_pos, minlength=n_pieces + 1)
-        by_start = np.bincount(starts, weights=w_neg, minlength=n_pieces + 1)
-        return np.cumsum(by_end[::-1])[::-1][1:] + np.cumsum(by_start)[:-1]
-
-    quad = 2.0 * active_sums(d[pos] ** 2, d[neg] ** 2) + gamma
-    cross = 2.0 * active_sums(c[pos] * d[pos], c[neg] * d[neg]) + gamma * center
-    # with lam > 0, zero is a knot or outside (lo, hi): each piece has one sign
-    sgn = np.where(np.concatenate(([lo], knots)) >= 0.0, 1.0, -1.0)
-    right_slope = quad[:-1] * knots - cross[:-1] + lam * sgn[:-1]
-    turned = np.flatnonzero(right_slope >= 0.0)
-    return int(turned[0]) if turned.size else n_pieces - 1
+    da = d[act]
+    sgn = 0.0 if lam == 0.0 else float((mid > 0.0) - (mid < 0.0))
+    quad = 2.0 * float(np.sum(da ** 2)) + gamma
+    cross = 2.0 * float(np.sum(c[act] * da)) + gamma * center
+    return quad, cross - lam * sgn
 
 
 def piecewise_quadratic_min(
@@ -183,16 +154,23 @@ def piecewise_quadratic_min(
     lo: float = -np.inf,
     hi: float = np.inf,
     shift: Optional[tuple[float, float]] = None,
+    start: float = 0.0,
 ) -> float:
     """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| (+ optional quadratic shift).
 
     The objective is convex piecewise quadratic between the breakpoints c_i/d_i
-    (and 0 when lam > 0).  Sorted breakpoints and running sums find the first
-    piece whose right-end slope is nonnegative; a minimizer lies on it, and
-    its closed form is returned: O(m log m), exact up to first-order rounding.
-    A flat set of minimizers (lam = 0, zero shift weight) is one piece; the
-    search stops on the piece before it, at its left breakpoint, unless that
-    slope rounds below 0 or the set starts at lo: then its point nearest 0 wins.
+    (and 0 when lam > 0).  The search starts on the piece holding start,
+    clamped into [lo, hi]: a warm start is the block's current value.  Each
+    step minimizes the piece's quadratic in closed form and stops when that
+    point stays in the piece; otherwise the slope's sign moves one end of a
+    bracket [a, b] that holds a minimizer to the piece's edge, and the next
+    piece is the one holding the quadratic's minimizer.  A minimizer outside
+    the bracket, or a bracket whose breakpoints did not halve in two steps,
+    gives way to the median breakpoint inside it, so a search takes
+    O(log m) steps of O(m) and a warm one usually one step.  The piece's
+    closed form is returned, exact up to first-order rounding.  On a flat set
+    of minimizers (lam = 0, zero shift weight) the search stops at the first
+    of its points it reaches: an edge, or the point nearest 0 inside a piece.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -204,47 +182,68 @@ def piecewise_quadratic_min(
     knots = c[nz] / d[nz]
     if lam > 0.0:
         knots = np.append(knots, 0.0)
-    knots = np.unique(knots[(lo < knots) & (knots < hi)])
-
-    p = _minimizing_piece(c, d, lam, gamma, center, knots, lo, hi)
-    edges = np.concatenate(([lo], knots, [hi]))
-    return float(_piece_candidate(c, d, lam, gamma, center, edges[p], edges[p + 1]))
+    a, b = lo, hi  # a minimizer lies in [a, b], and knots holds the breakpoints inside
+    knots = knots[(a < knots) & (knots < b)]
+    t = min(max(float(start), lo), hi)
+    older = old = math.inf  # breakpoints inside the bracket two steps and one step ago
+    while True:
+        if not a <= t <= b or 2 * knots.size > older:
+            t = float(np.partition(knots, knots.size // 2)[knots.size // 2]) if knots.size else a
+        older, old = old, knots.size
+        below = knots <= t
+        left = float(np.max(knots, initial=a, where=below))
+        right = float(np.min(knots, initial=b, where=~below))
+        quad, cross = _piece_quadratic(c, d, lam, gamma, center, left, right)
+        x = _interval_quadratic_min(quad, cross, left, right)
+        if x == right != b:  # the slope at right is negative (or the piece flat)
+            a, knots = right, knots[knots > right]
+        elif x == left != a:
+            b, knots = left, knots[knots < left]
+        else:
+            return float(x)
+        t = cross / quad if quad > 0.0 else math.nan
 
 
 # ---------------------------------------------------------------------------
 # l2-norm block subproblem (exact, by a one-dimensional secular equation)
 
-# Newton steps converge in about 5; each bisection halves the bracket
+# Newton steps converge in about 2 from a warm start and 4 from 0; each
+# bisection halves the bracket
 SECULAR_MAX_ITER = 200
 
 
-def _secular_root(z: Array, d: Array, weight: float, hi: float,
+def _secular_root(z: Array, d: Array, weight: float, hi: float, start: float = 0.0,
                   on_cap: Optional[Callable[[], None]] = None) -> float:
     """Root in [0, hi] of psi(s) = 1/||q(s)|| - 1, where q_i = z_i / (d_i s + weight).
 
-    psi is concave and increasing with psi(0) < 0 <= psi(hi), so Newton steps
-    from s = 0 climb to the root from the left (More & Sorensen 1983).  They
-    pass the root, or hi, only by rounding: a step past hi stops at hi, and a
-    Newton point right of the root is returned.  A step that is not finite
-    bisects [lo, hi] instead, and a bisection point right of the root is the
-    new hi.  After SECULAR_MAX_ITER steps it calls on_cap, when given, and
-    returns the last point left of the root.
+    psi is concave and increasing with psi(0) < 0 <= psi(hi).  The iteration
+    starts at min(start, hi).  From a start right of the root one Newton step,
+    clamped at 0, lands at or left of it: the tangent of a concave function
+    lies above it.  From the left Newton steps climb to the root (More &
+    Sorensen 1983).  They pass the root, or hi, only by rounding: a step past
+    hi stops at hi, and a Newton point right of the root is returned.  A step
+    that is not finite bisects [lo, hi] instead, and a bisection point right
+    of the root is the new hi.  After SECULAR_MAX_ITER steps it calls on_cap,
+    when given, and returns the last point left of the root.
     """
-    lo = s = 0.0
+    lo, s = 0.0, min(start, hi)
     newton = True
-    for _ in range(SECULAR_MAX_ITER):
+    for i in range(SECULAR_MAX_ITER):
         den = d * s + weight
         q = z / den
         qq = float(q @ q)
-        if qq <= 1.0:  # at or right of the root
+        if qq <= 1.0 and i > 0:  # at or right of the root
             if newton:
                 return s
             hi, s = s, 0.5 * (lo + s)
             continue
-        lo = s
         # -psi(s) / psi'(s), with psi'(s) = sum_i q_i^2 d_i / (d_i s + weight) / ||q||^3
         slope = float(q @ (q * (d / den)))
         step = (math.sqrt(qq) - 1.0) * qq / slope if slope > 0.0 else math.inf
+        if qq <= 1.0:  # a start right of the root (psi(0) < 0 puts 0 left of it)
+            hi, s = s, (max(s + step, 0.0) if step < math.inf else 0.0)
+            continue
+        lo = s
         if step <= 1e-15 * (1.0 + s):
             return s + step
         newton = step < math.inf
@@ -254,35 +253,49 @@ def _secular_root(z: Array, d: Array, weight: float, hi: float,
     return lo
 
 
-def group_l2_block_min(evals: Array, vecs: Array, target: Array, weight: float,
-                       shift: Optional[tuple[float, Array]] = None,
-                       on_cap: Optional[Callable[[], None]] = None) -> Array:
-    """argmin_u ||A u - rho||^2 + weight ||u|| (+ optional quadratic shift).
+class BlockHessian(NamedTuple):
+    """The Hessian V diag(d) V^T of a block subproblem's quadratic part, the
+    directions whose d rises above rounding, and the smallest such d."""
 
-    evals/vecs is the eigendecomposition of A^T A and target equals A^T rho.
-    Rank-deficient A is allowed; the weight == 0 branch returns the
-    minimum-norm least-squares solution.  With weight > 0 the minimizer is
-    u = V (z s / (d s + weight)) with s = ||u|| the root of a secular
-    equation, found by a safeguarded Newton iteration that never fails; one
-    that reaches SECULAR_MAX_ITER calls on_cap, when given.
+    vecs: Array
+    d: Array
+    kept: Array
+    d_min: float
+
+
+def block_hessian(evals: Array, vecs: Array, gamma: float = 0.0) -> BlockHessian:
+    """2 A^T A + gamma I, given A^T A = vecs diag(evals) vecs^T."""
+    d = 2.0 * evals + gamma
+    kept = d > 1e-12 * max(float(np.max(d)), 1.0)
+    return BlockHessian(vecs, d, kept, float(np.min(d, initial=np.inf, where=kept)))
+
+
+def group_l2_block_min(h: BlockHessian, rhs: Array, weight: float, start: float = 0.0,
+                       on_cap: Optional[Callable[[], None]] = None) -> Array:
+    """argmin_u (1/2) u^T H u - rhs^T u + weight ||u||, with H = V diag(d) V^T given by h.
+
+    ||A u - rho||^2 + weight ||u|| (+ (gamma/2)||u - g||^2) is this problem
+    with h = block_hessian(evals, vecs, gamma), for the eigendecomposition of
+    A^T A, and rhs = 2 A^T rho (+ gamma g).  Rank-deficient A is allowed; the
+    weight == 0 branch returns the minimum-norm least-squares solution.  With
+    weight > 0 the minimizer is u = V (z s / (d s + weight)), z = V^T rhs,
+    with s = ||u|| the root of a secular equation, found by a safeguarded
+    Newton iteration from start (the block's current norm is a warm start)
+    that never fails; one that reaches SECULAR_MAX_ITER calls on_cap, when given.
     """
-    gamma, gc = (0.0, None) if shift is None else shift
-    rhs = 2.0 * target + (gamma * gc if gc is not None else 0.0)
-    z = vecs.T @ rhs
-    dvals = 2.0 * evals + gamma
-    kept = dvals > 1e-12 * max(float(np.max(dvals)), 1.0)
+    z = h.vecs.T @ rhs
     if weight == 0.0:
-        coef = np.where(kept, z / np.where(kept, dvals, 1.0), 0.0)
-        return vecs @ coef
-    # target lies in the range of A^T A: z outside the kept directions is
+        coef = np.where(h.kept, z / np.where(h.kept, h.d, 1.0), 0.0)
+        return h.vecs @ coef
+    # rhs lies in the range of H: z outside the kept directions is
     # rounding, and without it ||q(s)|| <= ||z|| / (d_min s + weight) bounds the root
-    z = np.where(kept, z, 0.0)
+    z = np.where(h.kept, z, 0.0)
     zz = float(z @ z)
     if zz <= weight * weight:
         return np.zeros_like(z)
-    hi = (math.sqrt(zz) - weight) / float(np.min(dvals[kept]))
-    s = _secular_root(z, dvals, weight, hi, on_cap)
-    return vecs @ (z * s / (dvals * s + weight))
+    hi = (math.sqrt(zz) - weight) / h.d_min
+    s = _secular_root(z, h.d, weight, hi, start, on_cap)
+    return h.vecs @ (z * s / (h.d * s + weight))
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +400,22 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     )
     smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
 
+    # per block: its slice, G_kk and the rows G[k, :] (views of gram), the
+    # unshifted subproblem's Hessian and the weight
+    slices = map(part.block_slice, range(part.n_blocks))
+    per_block = [(sl, gram[sl, sl], gram[sl], block_hessian(*eig), float(wk))
+                 for sl, eig, wk in zip(slices, eigs, weights)]
+
     def solver(k, x, shift=None, on_cap=None):
         if cons[k].kind != "all-space":
             raise UnsupportedCombination("exact group solve needs an unconstrained block")
-        # the sweep's target G_kk x_k - c_k, from a fresh c_k = A_k^T (A x - b)
-        sl = part.block_slice(k)
-        target = gram[sl, sl] @ x[sl] - mats[k].T @ (A @ x - b)
-        sh = None if shift is None else (shift, x[sl])
-        return group_l2_block_min(*eigs[k], target, float(weights[k]), shift=sh, on_cap=on_cap)
+        # the sweep's step, from a fresh c_k = A_k^T (A x - b)
+        sl, g_kk, _, h, wk = per_block[k]
+        xk = x[sl]
+        rhs = 2.0 * (g_kk @ xk - mats[k].T @ (A @ x - b))
+        if shift is not None:
+            h, rhs = block_hessian(*eigs[k], shift), rhs + shift * xk
+        return group_l2_block_min(h, rhs, wk, math.sqrt(float(xk @ xk)), on_cap)
 
     def sweep(blocks, x, record_grads, on_cap=None):
         # c = A^T (A w - b) is carried: block k's target A_k^T rho is
@@ -403,14 +424,14 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
         c = A.T @ (A @ w - b)
         grad_stat = 0.0 if record_grads else None
         for k in blocks:
-            sl = part.block_slice(k)
+            sl, g_kk, g_rows, h, wk = per_block[k]
             old = w[sl].copy()
-            new = group_l2_block_min(*eigs[k], gram[sl, sl] @ old - c[sl], float(weights[k]),
-                                     on_cap=on_cap)
+            new = group_l2_block_min(h, 2.0 * (g_kk @ old - c[sl]), wk,
+                                     math.sqrt(float(old @ old)), on_cap)
             d = new - old
             if d.any():
                 w[sl] = new
-                u = d @ gram[sl]  # gram is symmetric: G[:, k] d
+                u = d @ g_rows  # gram is symmetric: G[:, k] d
                 c += u
                 if record_grads:  # grad g = 2c
                     grad_stat += 4.0 * float(u @ u)
@@ -458,7 +479,7 @@ def build_logistic(A, y, weight: float, block_sizes=None, constraints=None) -> P
 
 
 # ---------------------------------------------------------------------------
-# squared-hinge SVM loss (scalar blocks carry an exact breakpoint-scan solve)
+# squared-hinge SVM loss (scalar blocks carry an exact breakpoint-search solve)
 
 
 def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None) -> Problem:
@@ -490,7 +511,7 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
             lo, hi = _constraint_interval(cons[k])
             sh = None if shift is None else (shift, float(x[j]))
             t = piecewise_quadratic_min(cvec, dcol, lam=float(l1_weight),
-                                        lo=lo, hi=hi, shift=sh)
+                                        lo=lo, hi=hi, shift=sh, start=float(x[j]))
             return np.array([t])
 
     return Problem(
@@ -666,7 +687,7 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
         if cons[k].kind != "all-space":
             raise UnsupportedCombination("exact quadratic solve needs an unconstrained block")
         # minimum-norm solution of the block optimality system
-        return group_l2_block_min(*eigs[k], -0.5 * rest, 0.0, shift=(gamma, gc))
+        return group_l2_block_min(block_hessian(*eigs[k], gamma), gamma * x[sl] - rest, 0.0)
 
     def reference():
         x_star, *_ = np.linalg.lstsq(2.0 * Q, -c, rcond=None)

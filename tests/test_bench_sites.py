@@ -31,6 +31,12 @@ run.exact.model.rows = 20
 run.exact.model.n = 4
 run.exact.surrogate = "exact"
 run.exact.iterations = 5
+run.group.model.family = "group-lasso"
+run.group.model.m = 8
+run.group.model.sizes = [2, 3]
+run.group.model.weight = 0.3
+run.group.surrogate = "exact"
+run.group.iterations = 5
 """
 
 
@@ -45,7 +51,7 @@ def test_tracer_patches_live_sites_and_restores_them(tmp_path):
                                            output_dir=str(tmp_path / "out"))
     finally:
         tracer.uninstall()
-    assert code == 0 and [r.error for r in results] == [None, None]
+    assert code == 0 and [r.error for r in results] == [None, None, None]
     for name in ("cli.parse_config", "cli.build_model", "engine.run_bsum",
                  "engine.reference_solve", "engine.bsum_sweep",
                  "diagnostics.estimate_constants", "diagnostics.checks", "cli.artifacts",
@@ -53,7 +59,7 @@ def test_tracer_patches_live_sites_and_restores_them(tmp_path):
                  "problem.smooth_value", "problem.smooth_grad", "problem.block_grad",
                  "surrogate.argmin", "surrogate.prox_block",
                  "models.exact_solver.l2svm", "models.piecewise_quadratic_min",
-                 "models.spectral_norm_psd"):
+                 "models.group_l2_block_min", "models.spectral_norm_psd"):
         assert tracer.calls[name] > 0, name
     after = [dict(vars(owner)) for owner in OWNERS]
     for owner, old, new in zip(OWNERS, before, after):

@@ -597,6 +597,7 @@ def test_parse_rejects_bad_surrogate_kinds(tmp_path, capsys, kinds, message):
     ('run.r.tolerance = false', "tolerance"),
     ('run.r.compute_auxiliary = "no"', "compute_auxiliary"),
     ('output_dir = 5', "output_dir"),
+    ('run.s.model.family = ["lasso"]', "family"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, line, key):
     model = {"family": "two-block-quadratic", "n_inner": 2, "n_outer": 3}

@@ -226,10 +226,22 @@ def group_subproblems(draw):
 
 
 @settings(max_examples=300)
-@given(problem=group_subproblems())
-def test_group_l2_block_min_matches_a_bisection_to_adjacent_floats(problem):
-    got = models.group_l2_block_min(*problem)
+@given(problem=group_subproblems(),
+       where=st.sampled_from(("zero", "below", "root", "above", "past hi")),
+       frac=st.floats(0.0, 1.0))
+def test_group_l2_block_min_matches_a_bisection_to_adjacent_floats(problem, where, frac):
+    # the Newton iteration starts at 0, left or right of the root s = ||u||,
+    # at it, or past the upper end hi of its bracket
+    evals, vecs, target, weight, shift = problem
     want = bisect_group_l2_block_min(*problem)
+    gamma, gc = (0.0, 0.0) if shift is None else shift
+    h = models.block_hessian(evals, vecs, gamma)
+    rhs = 2.0 * target + gamma * gc
+    root = float(np.linalg.norm(want))
+    hi = max(float(np.linalg.norm(np.where(h.kept, vecs.T @ rhs, 0.0))) - weight, 0.0) / h.d_min
+    start = {"zero": 0.0, "below": frac * root, "root": root,
+             "above": root + frac * (hi - root), "past hi": (1.0 + frac) * hi + 1.0}[where]
+    got = models.group_l2_block_min(h, rhs, weight, start)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -243,14 +255,13 @@ def test_group_lasso_reference_with_a_tiny_weight_finishes(monkeypatch):
     solve = models.group_l2_block_min
     worst = []
 
-    def checked(evals, vecs, target, wk, shift=None, on_cap=None):
-        # group-l2 optimality of the block solve, with A_k^T A_k = V diag(evals) V^T
-        # and target = A_k^T rho: 2 (A_k^T A_k u - target) + weight u/||u|| = 0
-        u = solve(evals, vecs, target, wk, shift, on_cap)
-        grad = 2.0 * (vecs @ (evals * (vecs.T @ u)) - target)
+    def checked(h, rhs, wk, start=0.0, on_cap=None):
+        # group-l2 optimality of the block solve, with 2 A_k^T A_k = V diag(d) V^T
+        # and rhs = 2 A_k^T rho: 2 (A_k^T A_k u - A_k^T rho) + weight u/||u|| = 0
+        u = solve(h, rhs, wk, start, on_cap)
+        grad = h.vecs @ (h.d * (h.vecs.T @ u)) - rhs
         assert np.linalg.norm(u) > 0.0
-        worst.append(np.linalg.norm(grad + wk * u / np.linalg.norm(u))
-                     / np.linalg.norm(2.0 * target))
+        worst.append(np.linalg.norm(grad + wk * u / np.linalg.norm(u)) / np.linalg.norm(rhs))
         return u
 
     monkeypatch.setattr(models, "group_l2_block_min", checked)
@@ -445,8 +456,8 @@ def test_numeric_model_fields_take_numpy_integers_and_no_bools():
             models.check_numbers(params)
 
 
-# The scan over every piece that piecewise_quadratic_min replaced, verbatim.
-# The sorted-breakpoint solve must return its result bit for bit.
+# The scan over every piece that the sorted search below replaced, verbatim.
+# piecewise_quadratic_min's objective must stay within rounding of its result.
 def scan_piecewise_quadratic_min(
     c: Array,
     d: Array,
@@ -518,18 +529,108 @@ def scan_piecewise_quadratic_min(
     return float(ts[order[0]])
 
 
+# The sorted-breakpoint search that the warm-started search replaced, verbatim
+# but for its names.  Where the minimizer is unique and off the breakpoints,
+# and the breakpoints are not clustered, the search must return its bits.
+def sorted_piece_candidate(c: Array, d: Array, lam: float, gamma: float, center: float,
+                           a: float, b: float) -> float:
+    """Closed-form minimizer on the piece [a, b], from the rows active at its midpoint."""
+    if np.isfinite(a) and np.isfinite(b):
+        mid = 0.5 * (a + b)
+    elif np.isfinite(a):
+        mid = a + 1.0
+    elif np.isfinite(b):
+        mid = b - 1.0
+    else:
+        mid = 0.0
+    act = (c - d * mid) > 0.0
+    sgn = 0.0 if lam == 0.0 else float(np.sign(mid))
+    quad = 2.0 * float(np.sum(d[act] ** 2)) + gamma
+    cross = 2.0 * float(np.sum(c[act] * d[act])) + gamma * center
+    return models._interval_quadratic_min(quad, cross - lam * sgn, a, b)
+
+
+def sorted_minimizing_piece(c: Array, d: Array, lam: float, gamma: float, center: float,
+                            knots: Array, lo: float, hi: float) -> int:
+    """Index of the piece where the objective's slope turns nonnegative.
+
+    Piece p spans (edges[p], edges[p+1]) with edges = [lo, *knots, hi].  A row
+    with d > 0 is active left of its knot, so on a prefix of the pieces; a row
+    with d < 0 is active right of its knot, so on a suffix.  One suffix sum and
+    one prefix sum give every piece's active sums of d^2 and c*d.
+    """
+    n_pieces = knots.size + 1
+    pos, neg = d > 0.0, d < 0.0
+    at_pos = c[pos] / d[pos]
+    at_neg = c[neg] / d[neg]
+    # pieces 0 .. ends-1 hold the d > 0 rows; pieces starts .. n_pieces-1 the d < 0 rows
+    ends = np.searchsorted(knots, at_pos, side="right") + (at_pos >= hi)
+    starts = np.searchsorted(knots, at_neg, side="left") + (at_neg > lo)
+
+    def active_sums(w_pos: Array, w_neg: Array) -> Array:
+        by_end = np.bincount(ends, weights=w_pos, minlength=n_pieces + 1)
+        by_start = np.bincount(starts, weights=w_neg, minlength=n_pieces + 1)
+        return np.cumsum(by_end[::-1])[::-1][1:] + np.cumsum(by_start)[:-1]
+
+    quad = 2.0 * active_sums(d[pos] ** 2, d[neg] ** 2) + gamma
+    cross = 2.0 * active_sums(c[pos] * d[pos], c[neg] * d[neg]) + gamma * center
+    # with lam > 0, zero is a knot or outside (lo, hi): each piece has one sign
+    sgn = np.where(np.concatenate(([lo], knots)) >= 0.0, 1.0, -1.0)
+    right_slope = quad[:-1] * knots - cross[:-1] + lam * sgn[:-1]
+    turned = np.flatnonzero(right_slope >= 0.0)
+    return int(turned[0]) if turned.size else n_pieces - 1
+
+
+def sorted_piecewise_quadratic_min(
+    c: Array,
+    d: Array,
+    lam: float = 0.0,
+    lo: float = -np.inf,
+    hi: float = np.inf,
+    shift: Optional[tuple[float, float]] = None,
+) -> float:
+    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| (+ optional quadratic shift).
+
+    The objective is convex piecewise quadratic between the breakpoints c_i/d_i
+    (and 0 when lam > 0).  Sorted breakpoints and running sums find the first
+    piece whose right-end slope is nonnegative; a minimizer lies on it, and
+    its closed form is returned: O(m log m), exact up to first-order rounding.
+    A flat set of minimizers (lam = 0, zero shift weight) is one piece; the
+    search stops on the piece before it, at its left breakpoint, unless that
+    slope rounds below 0 or the set starts at lo: then its point nearest 0 wins.
+    """
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if lo == hi:
+        return float(lo)
+    gamma, center = shift if shift is not None else (0.0, 0.0)
+
+    nz = d != 0.0
+    knots = c[nz] / d[nz]
+    if lam > 0.0:
+        knots = np.append(knots, 0.0)
+    knots = np.unique(knots[(lo < knots) & (knots < hi)])
+
+    p = sorted_minimizing_piece(c, d, lam, gamma, center, knots, lo, hi)
+    edges = np.concatenate(([lo], knots, [hi]))
+    return float(sorted_piece_candidate(c, d, lam, gamma, center, edges[p], edges[p + 1]))
+
+
 @st.composite
 def scalar_problems(draw):
     """Squared-hinge rows c_i - d_i t with breakpoints on a 0.1 grid (so that
     breakpoints repeat and pieces go flat) or clustered a few rounding units
-    apart, plus rows with d = 0, bounds and shifts."""
+    apart, plus rows with d = 0, bounds and shifts, and a start: inside the
+    range, at +-1e6, on a breakpoint, at 0 or at a bound.  Returns
+    (c, d, kwargs, start, clustered)."""
     m = draw(st.integers(1, 40))
     signs = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=m, max_size=m)))
     if draw(st.booleans()) and draw(st.booleans()):
         signs[:] = 0.0  # no breakpoints at all
     size = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=m, max_size=m)))
     offsets = np.array(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m)))
-    if draw(st.integers(0, 2)):
+    clustered = not draw(st.integers(0, 2))
+    if not clustered:
         knots = offsets / 10.0
     else:  # all breakpoints within a few rounding units of 0.3
         knots = 0.3 + draw(st.sampled_from((1e-9, 1e-15))) * (offsets % 7 - 3)
@@ -549,7 +650,12 @@ def scalar_problems(draw):
     shift = draw(st.sampled_from((None, 0.0, 1.0)))
     if shift is not None:
         kwargs["shift"] = (shift, draw(st.integers(-30, 30)) / 10.0)
-    return c, d, kwargs
+    ends = [kwargs[key] for key in ("lo", "hi") if key in kwargs]
+    breakpoints = (c[d != 0.0] / d[d != 0.0]).tolist() + [0.0]
+    start = draw(st.one_of(st.floats(kwargs.get("lo", -4.0), kwargs.get("hi", 4.0)),
+                           st.sampled_from((-1e6, 1e6, 0.0)), st.sampled_from(breakpoints),
+                           *([st.sampled_from(ends)] if ends else [])))
+    return c, d, kwargs, start, clustered
 
 
 def scalar_objective(c, d, t, lam=0.0, lo=-np.inf, hi=np.inf, shift=None):
@@ -569,16 +675,33 @@ def scalar_rounding_bound(c, d, size, lam=0.0, lo=-np.inf, hi=np.inf, shift=None
         + gamma * (size + abs(center)) ** 2)
 
 
+def has_flat_minimizers(c, d, lam=0.0, lo=-np.inf, hi=np.inf, shift=None):
+    """Whether the minimizers fill an interval: with lam = 0 and no shift weight,
+    every t in [lo, hi] at which each row with d != 0 is inactive minimizes."""
+    if lam > 0.0 or (shift is not None and shift[0] > 0.0):
+        return False
+    left = max([lo] + (c[d > 0.0] / d[d > 0.0]).tolist())
+    right = min([hi] + (c[d < 0.0] / d[d < 0.0]).tolist())
+    return left < right
+
+
 @settings(max_examples=400)
 @given(problem=scalar_problems())
 def test_piecewise_quadratic_min_matches_the_full_scan_up_to_rounding(problem):
-    c, d, kwargs = problem
-    got = models.piecewise_quadratic_min(c, d, **kwargs)
+    c, d, kwargs, start, clustered = problem
+    got = models.piecewise_quadratic_min(c, d, start=start, **kwargs)
     want = scan_piecewise_quadratic_min(c, d, **kwargs)
     assert math.isfinite(got)
     assert kwargs.get("lo", -np.inf) <= got <= kwargs.get("hi", np.inf)
     bound = scalar_rounding_bound(c, d, max(abs(got), abs(want)), **kwargs)
     assert scalar_objective(c, d, got, **kwargs) <= scalar_objective(c, d, want, **kwargs) + bound
+    # a minimizer on a breakpoint c_i/d_i, where the objective is smooth,
+    # ties the pieces on either side: each search may settle on either one
+    ref = sorted_piecewise_quadratic_min(c, d, **kwargs)
+    nz = d != 0.0
+    tie = bool(np.any(np.abs(c[nz] / d[nz] - ref) <= 1e-9 * (1.0 + abs(ref))))
+    if not (clustered or tie or has_flat_minimizers(c, d, **kwargs)):
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 def test_reweighting_l1_step_is_the_soft_threshold():
