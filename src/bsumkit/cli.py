@@ -427,6 +427,7 @@ def run_report(result: RunResult) -> dict:
             "f_star": result.reference.f,
             "converged": result.reference.converged,
             "sweeps": result.reference.sweeps,
+            "gap": result.reference.gap,
         },
         "final_delta": result.final_delta,
         "fitted_slope": result.fitted_slope,

@@ -409,6 +409,38 @@ def nonsmooth_value(problem: Problem, x: Array) -> float:
     return float(np.add.accumulate(block_values(problem, x))[-1])
 
 
+def squares_dual(problem: Problem) -> Optional[Callable[[Array], float]]:
+    """x -> D(u), a lower bound on min f read off x, when f = ||Ax - b||^2 + h
+    with every h_k a positively weighted l1 or group-l2 norm and no block
+    constrained; None for any other problem.
+
+    u = 2(Ax - b), which is the dual optimum at a minimizer, is scaled down
+    until ||A_k^T u||_inf <= w_k on l1 blocks and ||A_k^T u||_2 <= w_k on
+    group-l2 blocks, the domain of h*(-A^T u); there the Fenchel dual is
+    D(u) = -||u||^2/4 - u^T b (Fercoq, Gramfort & Salmon 2015).  A zero
+    weight would shrink its block's dual set to A_k^T u = 0, so it gets None.
+    """
+    lin = problem.smooth.linear
+    if (lin is None or lin.phi.name != "squares" or problem.layout.project_blocks
+            or not all(h.kind in ("l1", "group-l2") and h.weight > 0.0
+                       for h in problem.nonsmooth)):
+        return None
+    A, b = lin.A, lin.b
+    offsets = np.asarray(problem.partition.offsets)
+    weights = np.array([h.weight for h in problem.nonsmooth])
+    group = np.array([h.kind == "group-l2" for h in problem.nonsmooth])
+
+    def dual(x: Array) -> float:
+        u = 2.0 * (A @ x - b)
+        c = A.T @ u
+        norms = np.where(group, np.sqrt(np.add.reduceat(c * c, offsets)),
+                         np.maximum.reduceat(np.abs(c), offsets))
+        u = u / max(1.0, float(np.max(norms / weights)))
+        return -0.25 * float(u @ u) - float(u @ b)
+
+    return dual
+
+
 def nonsmooth_lipschitz(problem: Problem) -> float:
     """Lipschitz constant of h(x) = sum_k h_k(x_k) w.r.t. the l2 norm."""
     per_block = [

@@ -205,6 +205,19 @@ def test_converged_reference_adds_no_warning(tmp_path):
     assert report["warnings"] == []
 
 
+def test_the_report_carries_the_reference_gap(tmp_path):
+    # a lasso has a dual point, an l2svm none: its gap is null
+    text = (run_text("lasso", {"family": "lasso", "m": 8, "n": 4, "lam": 0.5, "seed": 42})
+            + run_text("svm", {"family": "l2svm", "rows": 12, "n": 3, "seed": 4}))
+    out = tmp_path / "out"
+    results, _ = cli.run_experiment(cli.parse_config(write(tmp_path, text)), output_dir=str(out))
+    gaps = {r.run_id: r.reference.gap for r in results}
+    assert abs(gaps["lasso"]) <= 1e-12 and gaps["svm"] is None
+    for run_id, gap in gaps.items():
+        report = json.loads((out / f"{run_id}.report.json").read_text())
+        assert report["reference"]["gap"] == gap
+
+
 def test_compare_traces(tmp_path):
     spec = cli.parse_config(write(tmp_path, TWO_RUN))
     out = tmp_path / "out"
@@ -700,7 +713,7 @@ def test_a_nan_objective_is_recorded_as_nan(tmp_path, monkeypatch):
     _, out = nan_objective_run(tmp_path, monkeypatch)
     assert (out / "summary.csv").read_text().splitlines()[1].endswith(",false")
     report = json.loads((out / "r.report.json").read_text())
-    assert report["reference"]["f_star"] is None
+    assert report["reference"]["f_star"] is None and report["reference"]["gap"] is None
     # the objective is NaN from the start: the reference stops at once
     assert report["reference"]["converged"] is False and report["reference"]["sweeps"] == 0
     assert report["checks"] and not any(c["passed"] for c in report["checks"])

@@ -1,12 +1,14 @@
 """Engine behavior: sweeps, anchoring, specializations, references."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsumkit as bk
-from bsumkit import engine, models
+from bsumkit import cli, engine, models
 from bsumkit.problem import UnsupportedCombination
 from bsumkit.surrogate import BLOCK_KINDS
 
@@ -267,6 +269,153 @@ def test_reference_stops_at_a_non_finite_objective(monkeypatch):
     monkeypatch.setattr(engine, "eval_objective", nan_after_three_sweeps)
     ref = bk.reference_solve(models.build_lasso(A, b, lam))
     assert not ref.converged and ref.sweeps == 4 and np.isfinite(ref.f)
+
+
+@pytest.mark.parametrize("problem, has_dual", [
+    (lambda: models.build_lasso(*models.gen_lasso(30, 12, 1.0, seed=6)), True),
+    (lambda: models.build_group_lasso(*models.gen_group_lasso(12, [3, 3, 2], 0.4, seed=5)),
+     True),
+    (lambda: models.build_l2svm(models.gen_l2svm(20, 4, seed=4)), False),
+    (lambda: models.build_logistic(*models.gen_logistic(30, 6, 0.5, seed=3)), False),
+])
+def test_reference_sweeps_count_bsum_sweep_calls(monkeypatch, problem, has_dual):
+    # extrapolations are not sweeps: the benchmark reads bsum_sweep calls as
+    # run iterations plus reference sweeps
+    sweep, calls = engine.bsum_sweep, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "bsum_sweep", counted)
+    ref = bk.reference_solve(problem())
+    assert ref.converged and ref.sweeps == len(calls) > 0
+    assert (ref.gap is not None) == has_dual
+    calls.clear()
+    capped = bk.reference_solve(problem(), max_sweeps=7)
+    assert capped.sweeps == len(calls) == 7
+
+
+def test_a_rejected_extrapolation_leaves_the_iterate_and_objective(monkeypatch):
+    A, b, lam = models.gen_lasso(30, 12, 1.0, seed=6)
+    p = models.build_lasso(A, b, lam)
+    monkeypatch.setattr(engine, "_anderson_point", lambda history: None)
+    plain = bk.reference_solve(p)
+    offered = []
+
+    def worse(history):
+        offered.append(1)
+        return history[-1] + 1.0  # a point with a larger objective
+
+    monkeypatch.setattr(engine, "_anderson_point", worse)
+    ref = bk.reference_solve(p)
+    # every candidate was refused, so the solve is the plain one, bit for bit
+    assert offered and len(offered) == ref.sweeps // engine.ANDERSON_K
+    assert ref.sweeps == plain.sweeps and ref.f == plain.f and ref.gap == plain.gap
+    assert np.array_equal(ref.x, plain.x)
+
+
+def test_the_reference_of_a_box_constrained_lasso_stays_feasible(monkeypatch):
+    A, b, lam = models.gen_lasso(20, 10, 0.5, seed=3)
+    p = models.build_lasso(A, b, lam, constraints=[bk.box([-0.2], [0.2])] * 10)
+    anderson, outside = engine._anderson_point, []
+
+    def spy(history):
+        x = anderson(history)
+        outside.append(x is not None and bool(np.any(np.abs(x) > 0.2)))
+        return x
+
+    monkeypatch.setattr(engine, "_anderson_point", spy)
+    ref = bk.reference_solve(p)
+    assert any(outside)  # some extrapolation left the box before its projection
+    assert ref.converged and ref.gap is None  # no dual for constrained blocks
+    assert np.all(np.abs(ref.x) <= 0.2) and np.any(np.abs(ref.x) == 0.2)
+
+
+@pytest.mark.parametrize("box", [False, True])
+def test_an_optimal_start_extrapolates_without_warnings(box):
+    # lam >= 2 ||A^T b||_inf makes 0 the minimizer: every sweep stays at the
+    # start, U = 0, and the extrapolation's system is singular
+    A, b, _ = models.gen_lasso(8, 5, 1.0, seed=2)
+    lam = 2.0 * float(np.max(np.abs(A.T @ b))) + 1.0
+    cons = [bk.box([-1.0], [1.0])] * 5 if box else None
+    p = models.build_lasso(A, b, lam, constraints=cons)
+    assert engine._anderson_point([np.zeros(5)] * (engine.ANDERSON_K + 1)) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = bk.reference_solve(p)
+    assert ref.converged and np.array_equal(ref.x, np.zeros(5))
+    # the dual's gap stops at the first extrapolation point; the stall rule
+    # needs its 50 sweeps
+    assert ref.sweeps == (50 if box else engine.ANDERSON_K)
+    assert ref.gap == (None if box else 0.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3])
+def test_a_scaled_lasso_reference_converges_in_as_many_sweeps(scale):
+    # f scales by scale^2; the stall threshold follows |f| and so fires
+    # where an absolute 1e-12 lies below one ulp of f
+    A, b, lam = models.gen_lasso(20, 50, 2.0, seed=101)
+    unit = bk.reference_solve(models.build_lasso(A, b, lam))
+    ref = bk.reference_solve(models.build_lasso(A, scale * b, scale * lam))
+    assert ref.converged and ref.sweeps <= 2 * unit.sweeps
+    assert abs(ref.f - scale**2 * unit.f) <= 1e-12 * scale**2 * unit.f
+
+
+def test_the_greedy_wide_reference_stops_on_its_duality_gap():
+    p = cli.build_model({"family": "lasso", "m": 300, "n": 150, "lam": 2.0, "seed": 1}, 1)
+    ref = bk.reference_solve(p)
+    assert ref.converged and ref.sweeps <= 65
+    assert abs(ref.gap) <= engine.GAP_TOL
+
+
+def plain_sweeps_value(p, sweeps: int) -> float:
+    """f after the given number of plain reference sweeps from the start.
+
+    A sweep is a function of its start point, so once an iterate repeats the
+    rest of the sequence cycles, and the point after the given count is read
+    off the cycle instead of swept."""
+    surrogate = engine._strongest_surrogate(p)
+    blocks = tuple(range(p.n_blocks))
+    x = bk.feasible_start(p)
+    seen, points = {}, []
+    while x.tobytes() not in seen and len(points) < sweeps:
+        seen[x.tobytes()] = len(points)
+        points.append(x)
+        x, _, _ = bk.bsum_sweep(p, surrogate, x, blocks)
+    if len(points) < sweeps:
+        first = seen[x.tobytes()]
+        x = points[first + (sweeps - first) % (len(points) - first)]
+    return bk.eval_objective(p, x)
+
+
+@st.composite
+def squares_problems(draw):
+    """A small random lasso (scalar blocks or one block) or group lasso, zero
+    weights included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 8))
+    weights = st.sampled_from([0.0, 0.1, 1.0, 5.0])
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        return models.build_group_lasso(
+            [rng.standard_normal((m, s)) for s in sizes], 2.0 * rng.standard_normal(m),
+            draw(st.lists(weights, min_size=len(sizes), max_size=len(sizes))))
+    n = draw(st.integers(1, 5))
+    return models.build_lasso(rng.standard_normal((m, n)), 2.0 * rng.standard_normal(m),
+                              draw(weights), block_sizes=draw(st.sampled_from([None, [n]])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=squares_problems())
+def test_the_reference_gap_bounds_its_distance_to_a_long_solve(p):
+    ref = bk.reference_solve(p)
+    assert ref.converged
+    # a zero weight shrinks its block's dual set to A_k^T u = 0: no dual point
+    assert (ref.gap is None) == any(h.weight == 0.0 for h in p.nonsmooth)
+    if ref.gap is not None:
+        assert ref.gap >= -1e-12
+        assert ref.f - plain_sweeps_value(p, 20000) <= ref.gap + 1e-12
 
 
 def test_run_config_validation():
