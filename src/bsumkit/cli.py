@@ -78,7 +78,6 @@ class RunConfig:
     algorithm: str = "bsum"
     outer: int = field(default=1, metadata=_read_by(("a2bsum",)))
     inner: int = field(default=0, metadata=_read_by(("a2bsum",)))
-    compute_auxiliary: bool = field(default=False, metadata=_read_by(("bsum", "sum")))
     schedule_seed: Optional[int] = field(
         default=None, metadata=_read_by(rules=("random-permutation",)))
 
@@ -241,9 +240,6 @@ def parse_config(path: str) -> ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"run {run_id!r}: {exc}") from None
         cfg.period_map = schedule.period_map
-        if not isinstance(cfg.compute_auxiliary, bool):
-            raise ConfigError(f"run {run_id!r}: 'compute_auxiliary' must be true or false, "
-                              f"not {cfg.compute_auxiliary!r}")
         runs.append(cfg)
     return ExperimentSpec(seed=seed, runs=runs, suites=tuple(suites), output_dir=output_dir)
 
@@ -273,13 +269,12 @@ def _run_algorithm(cfg: RunConfig, problem: Problem, surrogate,
                           iterations=cfg.iterations, meta=meta)
     if cfg.algorithm == "sum":
         return run_sum(problem, surrogate, iterations=cfg.iterations,
-                       tol=cfg.tolerance, f_star=f_star,
-                       compute_auxiliary=cfg.compute_auxiliary, meta=meta)
+                       tol=cfg.tolerance, f_star=f_star, meta=meta)
     schedule = make_schedule(cfg.rule, problem.n_blocks, period_map=cfg.period_map,
                              q=cfg.q, seed=cfg.schedule_seed)
     return run_bsum(
         problem, surrogate, schedule, iterations=cfg.iterations, tol=cfg.tolerance,
-        f_star=f_star, compute_auxiliary=cfg.compute_auxiliary, meta=meta,
+        f_star=f_star, meta=meta,
     )
 
 

@@ -98,8 +98,8 @@ def _report(check_id: str, variant: str, slacks, tolerance: float) -> CheckRepor
 def estimate_constants(problem: Problem, surrogate, trace: Trace) -> RateCertificate:
     """Assemble certificate constants for a trace with an attached reference.
 
-    The radius covers every trace point (iterates, virtual and auxiliary
-    points) and the gradient bound every iterate; on fully bounded feasible
+    The radius covers every trace point (iterates and virtual points) and
+    the gradient bound every iterate; on fully bounded feasible
     sets both are replaced by the exact farthest-point bounds.
     """
     if trace.f_star is None or trace.x_star is None:
@@ -125,8 +125,7 @@ def estimate_constants(problem: Problem, surrogate, trace: Trace) -> RateCertifi
         prov["R"] = "computed-exact"
         prov["Q"] = "computed-exact"
     else:
-        points = trace.iterates + [p for p in trace.virtual_points + trace.aux_points
-                                   if p is not None]
+        points = trace.iterates + [p for p in trace.virtual_points if p is not None]
         dists = [float(np.linalg.norm(p - x_star)) for p in points]
         radius = max(max(dists), 1e-12)
         grad_bound = max(float(np.linalg.norm(problem.smooth.grad(p)))

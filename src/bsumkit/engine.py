@@ -46,7 +46,6 @@ class IterationRecord:
     grad_diff_sq: Optional[float] = None
     blocks: Optional[tuple[int, ...]] = None
     descent_slack: Optional[float] = None
-    aux_step_sq: Optional[float] = None
 
 
 @dataclass(eq=False)
@@ -64,9 +63,10 @@ class Trace:
     records: list[IterationRecord]
     iterates: list[Array]
     virtual_points: list[Optional[Array]]
-    aux_points: list[Optional[Array]]
     meta: dict
     acc_states: list[AccState] = field(default_factory=list)
+    # always empty; read only by perfbench/layers.py:107
+    aux_points: list[Optional[Array]] = field(default_factory=list)
     f_star: Optional[float] = None
     x_star: Optional[Array] = None
 
@@ -136,7 +136,6 @@ def run_bsum(
     iterations: int = 100,
     tol: float = 0.0,
     f_star: Optional[float] = None,
-    compute_auxiliary: bool = False,
     meta: Optional[dict] = None,
 ) -> Trace:
     """Run the block upper-bound minimization loop for a fixed budget.
@@ -150,13 +149,10 @@ def run_bsum(
         raise ValueError("tolerance must be nonnegative")
     if schedule.n_blocks != problem.n_blocks:
         raise ValueError("schedule and problem disagree on the block count")
-    if compute_auxiliary and problem.n_blocks != 1:
-        raise ValueError("the auxiliary regularized step is a single-block construct")
 
     want_virtual = schedule.needs_virtual()
     want_grads = surrogate.kind == "exact"
     gamma = surrogate.gamma
-    aux_g = 4.0 * surrogate.l_max if compute_auxiliary else None
 
     x = feasible_start(problem) if x0 is None else np.array(x0, dtype=float)
     f = eval_objective(problem, x)
@@ -176,7 +172,6 @@ def run_bsum(
         records=[IterationRecord(r=0, f=f)],
         iterates=[x.copy()],
         virtual_points=[None],
-        aux_points=[None],
         meta=run_meta,
     )
 
@@ -186,12 +181,6 @@ def run_bsum(
         if want_virtual:
             vu = virtual_updates(problem, surrogate, x)
             virt_sq = float(np.sum(vu.step_norms**2))
-        aux_sq = None
-        aux_point = None
-        if compute_auxiliary:
-            cand = surrogate.argmin_regularized(0, x, aux_g)
-            aux_point = cand.copy()
-            aux_sq = float(np.sum((cand - x) ** 2))
         blocks = schedule.select(r - 1, vu)
         x_new, step_sq, grad_sq = bsum_sweep(
             problem, surrogate, x, blocks, record_grads=want_grads,
@@ -201,11 +190,9 @@ def run_bsum(
         trace.records.append(IterationRecord(
             r=r, f=f_new, step_sq=step_sq, virt_step_sq=virt_sq,
             grad_diff_sq=grad_sq, blocks=tuple(blocks), descent_slack=slack,
-            aux_step_sq=aux_sq,
         ))
         trace.iterates.append(x_new.copy())
         trace.virtual_points.append(None if vu is None else vu.x_hat.copy())
-        trace.aux_points.append(aux_point)
         x, f = x_new, f_new
         if f_star is not None and f - f_star <= tol:
             break
@@ -219,7 +206,6 @@ def run_sum(
     iterations: int = 100,
     tol: float = 0.0,
     f_star: Optional[float] = None,
-    compute_auxiliary: bool = False,
     meta: Optional[dict] = None,
 ) -> Trace:
     """Single-block specialization: each iteration minimizes the bound once."""
@@ -231,8 +217,7 @@ def run_sum(
         extra.update(meta)
     return run_bsum(
         problem, surrogate, schedule, x0=x0, iterations=iterations, tol=tol,
-        f_star=f_star, compute_auxiliary=compute_auxiliary,
-        meta=extra,
+        f_star=f_star, meta=extra,
     )
 
 
@@ -278,7 +263,6 @@ def run_a2bsum(
         records=[IterationRecord(r=0, f=eval_objective(problem, x))],
         iterates=[x],
         virtual_points=[None],
-        aux_points=[None],
         meta=run_meta,
     )
 
@@ -302,7 +286,6 @@ def run_a2bsum(
         ))
         trace.iterates.append(rec_point)
         trace.virtual_points.append(None)
-        trace.aux_points.append(None)
     if capped:
         warnings.append(f"inner loop hit its cap: {len(capped)} times")
     return trace

@@ -127,8 +127,7 @@ def _interval_quadratic_min(quad: float, cross: float, a: float, b: float) -> fl
     return min(max(0.0, a), b)
 
 
-def _piece_quadratic(c: Array, d: Array, lam: float, gamma: float, center: float,
-                     a: float, b: float) -> tuple[float, float]:
+def _piece_quadratic(c: Array, d: Array, lam: float, a: float, b: float) -> tuple[float, float]:
     """(quad, cross) of the objective (quad/2) t^2 - cross t + const on the piece
     [a, b], from the rows active at its midpoint."""
     if math.isfinite(a) and math.isfinite(b):
@@ -142,8 +141,8 @@ def _piece_quadratic(c: Array, d: Array, lam: float, gamma: float, center: float
     act = (c - d * mid) > 0.0
     da = d[act]
     sgn = 0.0 if lam == 0.0 else float((mid > 0.0) - (mid < 0.0))
-    quad = 2.0 * float(np.sum(da ** 2)) + gamma
-    cross = 2.0 * float(np.sum(c[act] * da)) + gamma * center
+    quad = 2.0 * float(np.sum(da ** 2))
+    cross = 2.0 * float(np.sum(c[act] * da))
     return quad, cross - lam * sgn
 
 
@@ -153,10 +152,9 @@ def piecewise_quadratic_min(
     lam: float = 0.0,
     lo: float = -np.inf,
     hi: float = np.inf,
-    shift: Optional[tuple[float, float]] = None,
     start: float = 0.0,
 ) -> float:
-    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| (+ optional quadratic shift).
+    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| over [lo, hi].
 
     The objective is convex piecewise quadratic between the breakpoints c_i/d_i
     (and 0 when lam > 0).  The search starts on the piece holding start,
@@ -169,14 +167,13 @@ def piecewise_quadratic_min(
     gives way to the median breakpoint inside it, so a search takes
     O(log m) steps of O(m) and a warm one usually one step.  The piece's
     closed form is returned, exact up to first-order rounding.  On a flat set
-    of minimizers (lam = 0, zero shift weight) the search stops at the first
+    of minimizers (lam = 0) the search stops at the first
     of its points it reaches: an edge, or the point nearest 0 inside a piece.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     if lo == hi:
         return float(lo)
-    gamma, center = shift if shift is not None else (0.0, 0.0)
 
     nz = d != 0.0
     knots = c[nz] / d[nz]
@@ -193,7 +190,7 @@ def piecewise_quadratic_min(
         below = knots <= t
         left = float(np.max(knots, initial=a, where=below))
         right = float(np.min(knots, initial=b, where=~below))
-        quad, cross = _piece_quadratic(c, d, lam, gamma, center, left, right)
+        quad, cross = _piece_quadratic(c, d, lam, left, right)
         x = _interval_quadratic_min(quad, cross, left, right)
         if x == right != b:  # the slope at right is negative (or the piece flat)
             a, knots = right, knots[knots > right]
@@ -263,9 +260,9 @@ class BlockHessian(NamedTuple):
     d_min: float
 
 
-def block_hessian(evals: Array, vecs: Array, gamma: float = 0.0) -> BlockHessian:
-    """2 A^T A + gamma I, given A^T A = vecs diag(evals) vecs^T."""
-    d = 2.0 * evals + gamma
+def block_hessian(evals: Array, vecs: Array) -> BlockHessian:
+    """2 A^T A, given A^T A = vecs diag(evals) vecs^T."""
+    d = 2.0 * evals
     kept = d > 1e-12 * max(float(np.max(d)), 1.0)
     return BlockHessian(vecs, d, kept, float(np.min(d, initial=np.inf, where=kept)))
 
@@ -274,10 +271,10 @@ def group_l2_block_min(h: BlockHessian, rhs: Array, weight: float, start: float 
                        on_cap: Optional[Callable[[], None]] = None) -> Array:
     """argmin_u (1/2) u^T H u - rhs^T u + weight ||u||, with H = V diag(d) V^T given by h.
 
-    ||A u - rho||^2 + weight ||u|| (+ (gamma/2)||u - g||^2) is this problem
-    with h = block_hessian(evals, vecs, gamma), for the eigendecomposition of
-    A^T A, and rhs = 2 A^T rho (+ gamma g).  Rank-deficient A is allowed; the
-    weight == 0 branch returns the minimum-norm least-squares solution.  With
+    ||A u - rho||^2 + weight ||u|| is this problem with h =
+    block_hessian(evals, vecs), for the eigendecomposition of A^T A, and
+    rhs = 2 A^T rho.  Rank-deficient A is allowed; the weight == 0 branch
+    returns the minimum-norm least-squares solution.  With
     weight > 0 the minimizer is u = V (z s / (d s + weight)), z = V^T rhs,
     with s = ||u|| the root of a secular equation, found by a safeguarded
     Newton iteration from start (the block's current norm is a warm start)
@@ -330,16 +327,11 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
     if scalar and np.all(col_sq > 0.0):
         col_sq_f = col_sq.tolist()
 
-        def solver(k, x, shift=None, on_cap=None):
+        def solver(k, x, on_cap=None):
             # the sweep's step from a fresh c_j = a_j^T (A x - b), then the prox
             j = part.offsets[k]
-            xj = float(x[j])
-            v = xj - float(A[:, j] @ (A @ x - b)) / col_sq_f[j]
-            beta = 2.0 * col_sq_f[j]
-            if shift is not None:
-                v = (beta * v + shift * xj) / (beta + shift)
-                beta = beta + shift
-            return prox_block(nonsmooth[k], cons[k], beta, [v])
+            v = float(x[j]) - float(A[:, j] @ (A @ x - b)) / col_sq_f[j]
+            return prox_block(nonsmooth[k], cons[k], 2.0 * col_sq_f[j], [v])
 
     if solver is not None and all(cs.kind == "all-space" for cs in cons):
         # prox_block's soft-threshold sign(v) * max(|v| - lam/beta, 0), in Python floats
@@ -401,20 +393,18 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
 
     # per block: its slice, G_kk and the rows G[k, :] (views of gram), the
-    # unshifted subproblem's Hessian and the weight
+    # subproblem's Hessian and the weight
     slices = map(part.block_slice, range(part.n_blocks))
     per_block = [(sl, gram[sl, sl], gram[sl], block_hessian(*eig), float(wk))
                  for sl, eig, wk in zip(slices, eigs, weights)]
 
-    def solver(k, x, shift=None, on_cap=None):
+    def solver(k, x, on_cap=None):
         if cons[k].kind != "all-space":
             raise UnsupportedCombination("exact group solve needs an unconstrained block")
         # the sweep's step, from a fresh c_k = A_k^T (A x - b)
         sl, g_kk, _, h, wk = per_block[k]
         xk = x[sl]
         rhs = 2.0 * (g_kk @ xk - mats[k].T @ (A @ x - b))
-        if shift is not None:
-            h, rhs = block_hessian(*eigs[k], shift), rhs + shift * xk
         return group_l2_block_min(h, rhs, wk, math.sqrt(float(xk @ xk)), on_cap)
 
     def sweep(blocks, x, record_grads, on_cap=None):
@@ -504,14 +494,13 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
 
     solver = None
     if all(s == 1 for s in part.sizes):
-        def solver(k, x, shift=None, on_cap=None):
+        def solver(k, x, on_cap=None):
             j = part.offsets[k]
             dcol = rows[:, j]
             cvec = (1.0 - rows @ x) + dcol * x[j]
             lo, hi = _constraint_interval(cons[k])
-            sh = None if shift is None else (shift, float(x[j]))
             t = piecewise_quadratic_min(cvec, dcol, lam=float(l1_weight),
-                                        lo=lo, hi=hi, shift=sh, start=float(x[j]))
+                                        lo=lo, hi=hi, start=float(x[j]))
             return np.array([t])
 
     return Problem(
@@ -554,7 +543,7 @@ class ReweightingBound(Surrogate):
         self._grams = tuple(A.T @ A for A in mats)
         self._cross = tuple(A.T @ b for A, b in zip(mats, offsets))
 
-    def value(self, k: int, v, anchor, grad_k=None) -> float:
+    def value(self, k: int, v, anchor) -> float:
         v = np.asarray(v, dtype=float)
         w = smoothed_norms(self.mats, self.offsets, self.eta, np.asarray(anchor, dtype=float))
         total = 0.0
@@ -564,12 +553,7 @@ class ReweightingBound(Surrogate):
         return float(total)
 
     def argmin(self, k: int, anchor, grad_k=None) -> Array:
-        return self._solve(np.asarray(anchor, dtype=float), 0.0)
-
-    def argmin_regularized(self, k: int, anchor, gamma: float) -> Array:
-        return self._solve(np.asarray(anchor, dtype=float), float(gamma))
-
-    def _solve(self, anchor: Array, gamma: float) -> Array:
+        anchor = np.asarray(anchor, dtype=float)
         p = self.problem
         w = smoothed_norms(self.mats, self.offsets, self.eta, anchor)
         dim = p.dim
@@ -578,9 +562,6 @@ class ReweightingBound(Surrogate):
         for j in range(len(self._grams)):
             H += self._grams[j] / w[j]
             rhs -= self._cross[j] / w[j]
-        if gamma > 0.0:
-            H = H + gamma * np.eye(dim)
-            rhs = rhs + gamma * anchor
         h = p.nonsmooth[0]
         cs = p.constraints[0]
         if h.is_zero and cs.kind == "all-space":
@@ -673,21 +654,19 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
     smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m, block_lipschitz=tuple(mk))
     nonsmooth = tuple(NonsmoothBlock(kind="zero") for _ in range(part.n_blocks))
 
-    def solver(k, x, shift=None, on_cap=None):
+    def solver(k, x, on_cap=None):
         sl = part.block_slice(k)
         rest = 2.0 * (Q[sl, :] @ x) - 2.0 * (Q[sl, sl] @ x[sl]) + c[sl]
-        gamma, gc = (0.0, None) if shift is None else (shift, x[sl])
         if part.sizes[k] == 1:
-            a2 = 2.0 * float(Q[sl, sl][0, 0]) + gamma
-            b1 = float(rest[0]) - (gamma * float(gc[0]) if gc is not None else 0.0)
-            t = _interval_quadratic_min(a2, -b1, *_constraint_interval(cons[k]))
+            a2 = 2.0 * float(Q[sl, sl][0, 0])
+            t = _interval_quadratic_min(a2, -float(rest[0]), *_constraint_interval(cons[k]))
             if not np.isfinite(t):
                 raise UnsupportedCombination("unbounded scalar quadratic subproblem")
             return np.array([t])
         if cons[k].kind != "all-space":
             raise UnsupportedCombination("exact quadratic solve needs an unconstrained block")
         # minimum-norm solution of the block optimality system
-        return group_l2_block_min(block_hessian(*eigs[k], gamma), gamma * x[sl] - rest, 0.0)
+        return group_l2_block_min(block_hessian(*eigs[k]), -rest, 0.0)
 
     def reference():
         x_star, *_ = np.linalg.lstsq(2.0 * Q, -c, rcond=None)

@@ -300,10 +300,9 @@ class Problem:
     # strong-convexity modulus of g restricted to each block (0 when absent);
     # this is the curvature an exact per-block solve gets to exploit
     block_curvature: Optional[tuple[float, ...]] = None
-    # exact per-block minimizer of g(., x_{-k}) + h_k over X_k; optional
-    # shift=gamma adds (gamma/2)||u - x_k||^2 to the subproblem in u,
-    # and on_cap, when given, is called once for a solve whose inner loop
-    # stopped at its cap (the group solve's Newton iteration)
+    # exact_solver(k, x, on_cap=None): the exact per-block minimizer of
+    # g(., x_{-k}) + h_k over X_k; on_cap, when given, is called once for a
+    # solve whose inner loop stopped at its cap (the group solve's Newton iteration)
     exact_solver: Optional[Callable[..., Array]] = None
     # exact_sweep(blocks, x, record_grads, on_cap=None) -> (w, grad_stat): the
     # exact solves of the listed blocks in order from x, as a loop that the

@@ -120,7 +120,7 @@ class Surrogate:
 
     # -- oracles ------------------------------------------------------------
 
-    def value(self, k: int, v_k, anchor, grad_k: Optional[Array] = None) -> float:
+    def value(self, k: int, v_k, anchor) -> float:
         """u_k(v_k; anchor), the smooth-part bound only (no h_k)."""
         p = self.problem
         v_k = np.atleast_1d(np.asarray(v_k, dtype=float))
@@ -130,7 +130,7 @@ class Surrogate:
             y[p.partition.block_slice(k)] = v_k
             return float(p.smooth.value(y))
         xk = p.partition.block(anchor, k)
-        g = block_gradient(p, k, anchor) if grad_k is None else grad_k
+        g = block_gradient(p, k, anchor)
         d = v_k - xk
         return float(p.smooth.value(anchor) + g @ d + 0.5 * self.lip[k] * (d @ d))
 
@@ -148,17 +148,6 @@ class Surrogate:
         g = block_gradient(p, k, anchor) if grad_k is None else grad_k
         lk = self.lip[k]
         return prox_block(p.nonsmooth[k], p.constraints[k], lk, xk - g / lk)
-
-    def argmin_regularized(self, k: int, anchor, gamma: float) -> Array:
-        """argmin of u_k(.; anchor) + h_k + (gamma/2)||. - anchor_k||^2."""
-        p = self.problem
-        anchor = np.asarray(anchor, dtype=float)
-        if self.kinds[k] == "exact":
-            return p.exact_solver(k, anchor, shift=gamma, on_cap=self.count_cap)
-        xk = p.partition.block(anchor, k)
-        g = block_gradient(p, k, anchor)
-        beta = self.lip[k] + gamma
-        return prox_block(p.nonsmooth[k], p.constraints[k], beta, xk - g / beta)
 
 
 BLOCK_KINDS = ("exact", "prox-linear")

@@ -109,7 +109,7 @@ def test_criterion_4_reweighting_equals_single_block_runs():
         want_l = float(np.linalg.eigvalsh(gram_sum)[-1]) / eta
         assert abs(p.smooth.lipschitz - want_l) <= 1e-8 * want_l
         s = bk.make_surrogate(p, "model-custom")
-        tr = bk.run_sum(p, s, iterations=200, compute_auxiliary=True)
+        tr = bk.run_sum(p, s, iterations=200)
         x = bk.feasible_start(p)
         for j in range(1, 201):
             x = irls_step(mats, offs, eta, x)

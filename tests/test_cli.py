@@ -414,8 +414,6 @@ def test_tolerance_stops_the_run_at_the_gap(tmp_path):
      "'surrogate_kinds' applies to algorithm 'bsum' or 'sum' only"),
     (TWO_BLOCK, {"surrogate": "exact", "surrogate_kinds": ["exact", "prox-linear"]},
      "'surrogate_kinds' applies to surrogate 'mixed' only"),
-    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "compute_auxiliary": True},
-     "'compute_auxiliary' applies to algorithm 'bsum' or 'sum' only"),
 ])
 def test_parse_rejects_fields_an_algorithm_ignores(tmp_path, model, fields, message):
     with pytest.raises(ConfigError, match=message):
@@ -531,16 +529,19 @@ def test_parse_rejects_partial_or_mixed_file_keys(tmp_path, model):
         cli.parse_config(write(tmp_path, run_text("r", model)))
 
 
-def test_compute_auxiliary_reaches_the_block_run(tmp_path):
-    text = run_text("one", QUAD_ONE_BLOCK, surrogate="exact", iterations=5,
-                    compute_auxiliary=True) \
-        + run_text("many", LASSO_20x50, iterations=5, compute_auxiliary=True)
-    results, code = cli.run_experiment(cli.parse_config(write(tmp_path, text)),
-                                       output_dir=str(tmp_path / "out"))
-    one, many = results
-    assert one.error is None
-    assert all(p is not None for p in one.trace.aux_points[1:])
-    assert "single-block construct" in many.error and code == 2
+@pytest.mark.parametrize("model,fields", [
+    (LASSO_20x50, {}),
+    (QUAD_ONE_BLOCK, {"algorithm": "sum", "surrogate": "exact"}),
+    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0}),
+], ids=["bsum", "sum", "a2bsum"])
+def test_compute_auxiliary_is_a_config_error(tmp_path, capsys, model, fields):
+    # no run computes an auxiliary step, so the key is unknown to every algorithm
+    path = write(tmp_path, run_text("r", model, compute_auxiliary=True, **fields))
+    with pytest.raises(ConfigError, match=r"unknown fields \['compute_auxiliary'\]"):
+        cli.parse_config(path)
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    assert "config error: run 'r': unknown fields ['compute_auxiliary']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # one example model per family; the family's declared block count must be the

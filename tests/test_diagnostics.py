@@ -28,8 +28,7 @@ def synthetic_trace(deltas, f_star=0.0, **meta):
     full_meta = {"rule": "gauss-seidel", "n_blocks": 2, "q": 1.0, "period": 1}
     full_meta.update(meta)
     tr = Trace(records=records, iterates=[np.zeros(1)] * len(deltas),
-               virtual_points=[None] * len(deltas),
-               aux_points=[None] * len(deltas), meta=full_meta)
+               virtual_points=[None] * len(deltas), meta=full_meta)
     tr.attach_reference(np.zeros(1), f_star)
     return tr
 
@@ -80,7 +79,7 @@ def test_constants_unconstrained_trajectory_max():
 @st.composite
 def unbounded_runs(draw):
     """A small random lasso or l2svm run under a random rule, with scalar
-    blocks or one block (which records the auxiliary step)."""
+    blocks or one block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 5))
     blocks = [n] if draw(st.booleans()) else None
@@ -97,8 +96,7 @@ def unbounded_runs(draw):
     sch = bk.make_schedule(draw(st.sampled_from(["gauss-seidel", "gauss-southwell", "mbi"])),
                            p.n_blocks)
     tr = bk.run_bsum(p, s, sch, x0=rng.standard_normal(n),
-                     iterations=draw(st.integers(1, 8)),
-                     compute_auxiliary=p.n_blocks == 1)
+                     iterations=draw(st.integers(1, 8)))
     ref = bk.reference_solve(p)
     tr.attach_reference(ref.x, ref.f)
     return p, s, tr
@@ -108,8 +106,7 @@ def unbounded_runs(draw):
 @given(case=unbounded_runs())
 def test_trajectory_constants_are_the_run_maxima(case):
     p, s, tr = case
-    points = list(tr.iterates) + [q for q in tr.virtual_points + tr.aux_points
-                                  if q is not None]
+    points = list(tr.iterates) + [q for q in tr.virtual_points if q is not None]
     cert = bk.estimate_constants(p, s, tr)
     assert cert.radius == max(max(float(np.linalg.norm(q - tr.x_star)) for q in points),
                               1e-12)

@@ -139,20 +139,6 @@ def test_sum_reweighting_reproduces_classical_iteration():
         assert np.max(np.abs(x - tr.iterates[j])) <= 1e-10
 
 
-def test_auxiliary_step_descent_chain():
-    # f(x_r) - f(x_{r+1}) >= (gamma/2) ||aux - x_r||^2 with gamma = 4L
-    mats, offs = models.gen_fermat_weber(8, 4, seed=13)
-    p = models.build_irls(mats, offs, 0.2)
-    s = bk.make_surrogate(p, "model-custom")
-    tr = bk.run_sum(p, s, iterations=40, compute_auxiliary=True)
-    gamma = 4.0 * s.l_max
-    f = tr.fvals()
-    for j in range(1, 41):
-        assert tr.records[j].aux_step_sq is not None
-        drop = f[j - 1] - f[j]
-        assert drop >= 0.5 * gamma * tr.records[j].aux_step_sq - 1e-9
-
-
 def test_a2bsum_theta_and_momentum():
     Q, c, sizes = models.gen_two_block_quadratic(4, 5, seed=2)
     p = models.build_quadratic(Q, c, block_sizes=list(sizes))
@@ -351,7 +337,7 @@ def test_an_optimal_start_extrapolates_without_warnings(box):
     assert ref.gap == (None if box else 0.0)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3])
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3, 1e4])
 def test_a_scaled_lasso_reference_converges_in_as_many_sweeps(scale):
     # f scales by scale^2; the stall threshold follows |f| and so fires
     # where an absolute 1e-12 lies below one ulp of f

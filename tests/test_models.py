@@ -6,7 +6,6 @@ import subprocess
 import sys
 import warnings
 from decimal import Context, Decimal
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -171,7 +170,7 @@ def test_group_block_solver_against_golden_section_radius():
             assert base <= fobj(u + 1e-4 * rng.standard_normal(5)) + 1e-12
 
 
-def bisect_group_l2_block_min(evals, vecs, target, weight, shift=None):
+def bisect_group_l2_block_min(evals, vecs, target, weight):
     """group_l2_block_min by bisection on the secular equation, run until no
     float lies strictly between the ends.
 
@@ -180,9 +179,8 @@ def bisect_group_l2_block_min(evals, vecs, target, weight, shift=None):
     with d_i at most 1e-12 max(max d, 1) are rounding of a target in the range
     of A^T A and are dropped, as the weight == 0 solve drops them.
     """
-    gamma, gc = (0.0, None) if shift is None else shift
-    z = vecs.T @ (2.0 * target + (gamma * gc if gc is not None else 0.0))
-    d = 2.0 * evals + gamma
+    z = vecs.T @ (2.0 * target)
+    d = 2.0 * evals
     z = np.where(d > 1e-12 * max(float(np.max(d)), 1.0), z, 0.0)
     if float(np.linalg.norm(z)) <= weight:
         return np.zeros_like(z)
@@ -204,8 +202,8 @@ def bisect_group_l2_block_min(evals, vecs, target, weight, shift=None):
 @st.composite
 def group_subproblems(draw):
     """Blocks of 1 to 16 columns, half of them with duplicated columns
-    (rank-deficient), targets A^T rho scaled by 1e-3 .. 1e3, weights below and
-    above ||z|| and shifts gamma > 0."""
+    (rank-deficient), targets A^T rho scaled by 1e-3 .. 1e3, and weights below
+    and above ||z||."""
     size = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.standard_normal((size + draw(st.integers(0, 8)), size))
@@ -214,15 +212,11 @@ def group_subproblems(draw):
         A[:, half:] = A[:, :size - half]
     (evals, vecs), = models._block_eighs([A.T @ A])
     target = A.T @ rng.standard_normal(A.shape[0]) * 10.0 ** draw(st.integers(-3, 3))
-    shift = None
-    if draw(st.booleans()):
-        shift = (draw(st.floats(0.01, 10.0)), rng.standard_normal(size))
-    gamma, gc = (0.0, 0.0) if shift is None else shift
-    d = 2.0 * evals + gamma
-    z = vecs.T @ (2.0 * target + gamma * gc)
+    d = 2.0 * evals
+    z = vecs.T @ (2.0 * target)
     znorm = float(np.linalg.norm(z[d > 1e-12 * max(float(np.max(d)), 1.0)]))
     ratio = draw(st.one_of(st.floats(0.02, 0.9), st.floats(1.1, 3.0)))
-    return evals, vecs, target, ratio * znorm, shift
+    return evals, vecs, target, ratio * znorm
 
 
 @settings(max_examples=300)
@@ -232,11 +226,10 @@ def group_subproblems(draw):
 def test_group_l2_block_min_matches_a_bisection_to_adjacent_floats(problem, where, frac):
     # the Newton iteration starts at 0, left or right of the root s = ||u||,
     # at it, or past the upper end hi of its bracket
-    evals, vecs, target, weight, shift = problem
+    evals, vecs, target, weight = problem
     want = bisect_group_l2_block_min(*problem)
-    gamma, gc = (0.0, 0.0) if shift is None else shift
-    h = models.block_hessian(evals, vecs, gamma)
-    rhs = 2.0 * target + gamma * gc
+    h = models.block_hessian(evals, vecs)
+    rhs = 2.0 * target
     root = float(np.linalg.norm(want))
     hi = max(float(np.linalg.norm(np.where(h.kept, vecs.T @ rhs, 0.0))) - weight, 0.0) / h.d_min
     start = {"zero": 0.0, "below": frac * root, "root": root,
@@ -409,29 +402,6 @@ def test_quadratic_scalar_solve_toward_an_infinite_end_is_unbounded(c0, cs):
         p.exact_solver(0, np.array([0.7, -0.4]))
 
 
-@pytest.mark.parametrize("kind", ["all-space", "box", "nonneg"])
-def test_lasso_shifted_scalar_solve_against_a_1d_search(kind):
-    # argmin_t ||A x(t) - b||^2 + lam|t| + (gam/2)(t - x_k)^2, x(t) = x with x_k = t
-    rng = np.random.default_rng(19)
-    A, b, lam = models.gen_lasso(12, 6, 0.8, seed=21)
-    cs, lo, hi = {"all-space": (None, -8.0, 8.0), "box": (bk.box([-0.5], [0.6]), -0.5, 0.6),
-                  "nonneg": (bk.nonneg(1), 0.0, 8.0)}[kind]
-    p = models.build_lasso(A, b, lam, constraints=None if cs is None else [cs] * 6)
-    for _ in range(30):
-        x = rng.standard_normal(6)
-        k = int(rng.integers(6))
-        gam = float(rng.uniform(0.1, 5.0))
-        t = p.exact_solver(k, x, shift=gam)[0]
-
-        def fk(tt):
-            y = x.copy()
-            y[k] = tt
-            return bk.eval_objective(p, y) + 0.5 * gam * (tt - x[k]) ** 2
-
-        assert lo <= t <= hi
-        assert abs(t - golden_section(fk, lo, hi, tol=1e-12)) <= 1e-6
-
-
 def test_lasso_scalar_step_keeps_prox_blocks_refusals():
     A, b, _ = models.gen_lasso(6, 2, 0.0, seed=4)
     p = models.build_lasso(A, b, 1.0, constraints=[bk.ball([0.0], 1.0)] * 2)
@@ -456,7 +426,8 @@ def test_numeric_model_fields_take_numpy_integers_and_no_bools():
             models.check_numbers(params)
 
 
-# The scan over every piece that the sorted search below replaced, verbatim.
+# The scan over every piece that the sorted search below replaced, verbatim
+# but for the quadratic shift it took.
 # piecewise_quadratic_min's objective must stay within rounding of its result.
 def scan_piecewise_quadratic_min(
     c: Array,
@@ -464,9 +435,8 @@ def scan_piecewise_quadratic_min(
     lam: float = 0.0,
     lo: float = -np.inf,
     hi: float = np.inf,
-    shift: Optional[tuple[float, float]] = None,
 ) -> float:
-    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| (+ optional quadratic shift).
+    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| over [lo, hi].
 
     The objective is convex piecewise quadratic; every piece is minimized in
     closed form between breakpoints and the best candidate wins.  Ties break
@@ -474,7 +444,6 @@ def scan_piecewise_quadratic_min(
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    gamma, center = shift if shift is not None else (0.0, 0.0)
 
     knots = []
     nz = d != 0.0
@@ -506,8 +475,8 @@ def scan_piecewise_quadratic_min(
             mid = 0.0
         act = (c - d * mid) > 0.0
         sgn = 0.0 if lam == 0.0 else float(np.sign(mid))
-        quad = 2.0 * float(np.sum(d[act] ** 2)) + gamma
-        cross = 2.0 * float(np.sum(c[act] * d[act])) + gamma * center
+        quad = 2.0 * float(np.sum(d[act] ** 2))
+        cross = 2.0 * float(np.sum(c[act] * d[act]))
         if quad > 0.0:
             cands.append(min(max((cross - lam * sgn) / quad, a), b))
         else:
@@ -524,16 +493,16 @@ def scan_piecewise_quadratic_min(
     if ts.size == 0:
         return 0.0
     vals = np.sum(np.maximum(c[:, None] - d[:, None] * ts[None, :], 0.0) ** 2, axis=0)
-    vals += lam * np.abs(ts) + 0.5 * gamma * (ts - center) ** 2
+    vals += lam * np.abs(ts)
     order = np.lexsort((ts, np.abs(ts), vals))
     return float(ts[order[0]])
 
 
 # The sorted-breakpoint search that the warm-started search replaced, verbatim
-# but for its names.  Where the minimizer is unique and off the breakpoints,
-# and the breakpoints are not clustered, the search must return its bits.
-def sorted_piece_candidate(c: Array, d: Array, lam: float, gamma: float, center: float,
-                           a: float, b: float) -> float:
+# but for its names and the quadratic shift it took.  Where the minimizer is
+# unique and off the breakpoints, and the breakpoints are not clustered, the
+# search must return its bits.
+def sorted_piece_candidate(c: Array, d: Array, lam: float, a: float, b: float) -> float:
     """Closed-form minimizer on the piece [a, b], from the rows active at its midpoint."""
     if np.isfinite(a) and np.isfinite(b):
         mid = 0.5 * (a + b)
@@ -545,13 +514,13 @@ def sorted_piece_candidate(c: Array, d: Array, lam: float, gamma: float, center:
         mid = 0.0
     act = (c - d * mid) > 0.0
     sgn = 0.0 if lam == 0.0 else float(np.sign(mid))
-    quad = 2.0 * float(np.sum(d[act] ** 2)) + gamma
-    cross = 2.0 * float(np.sum(c[act] * d[act])) + gamma * center
+    quad = 2.0 * float(np.sum(d[act] ** 2))
+    cross = 2.0 * float(np.sum(c[act] * d[act]))
     return models._interval_quadratic_min(quad, cross - lam * sgn, a, b)
 
 
-def sorted_minimizing_piece(c: Array, d: Array, lam: float, gamma: float, center: float,
-                            knots: Array, lo: float, hi: float) -> int:
+def sorted_minimizing_piece(c: Array, d: Array, lam: float, knots: Array,
+                            lo: float, hi: float) -> int:
     """Index of the piece where the objective's slope turns nonnegative.
 
     Piece p spans (edges[p], edges[p+1]) with edges = [lo, *knots, hi].  A row
@@ -572,8 +541,8 @@ def sorted_minimizing_piece(c: Array, d: Array, lam: float, gamma: float, center
         by_start = np.bincount(starts, weights=w_neg, minlength=n_pieces + 1)
         return np.cumsum(by_end[::-1])[::-1][1:] + np.cumsum(by_start)[:-1]
 
-    quad = 2.0 * active_sums(d[pos] ** 2, d[neg] ** 2) + gamma
-    cross = 2.0 * active_sums(c[pos] * d[pos], c[neg] * d[neg]) + gamma * center
+    quad = 2.0 * active_sums(d[pos] ** 2, d[neg] ** 2)
+    cross = 2.0 * active_sums(c[pos] * d[pos], c[neg] * d[neg])
     # with lam > 0, zero is a knot or outside (lo, hi): each piece has one sign
     sgn = np.where(np.concatenate(([lo], knots)) >= 0.0, 1.0, -1.0)
     right_slope = quad[:-1] * knots - cross[:-1] + lam * sgn[:-1]
@@ -587,15 +556,14 @@ def sorted_piecewise_quadratic_min(
     lam: float = 0.0,
     lo: float = -np.inf,
     hi: float = np.inf,
-    shift: Optional[tuple[float, float]] = None,
 ) -> float:
-    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| (+ optional quadratic shift).
+    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| over [lo, hi].
 
     The objective is convex piecewise quadratic between the breakpoints c_i/d_i
     (and 0 when lam > 0).  Sorted breakpoints and running sums find the first
     piece whose right-end slope is nonnegative; a minimizer lies on it, and
     its closed form is returned: O(m log m), exact up to first-order rounding.
-    A flat set of minimizers (lam = 0, zero shift weight) is one piece; the
+    A flat set of minimizers (lam = 0) is one piece; the
     search stops on the piece before it, at its left breakpoint, unless that
     slope rounds below 0 or the set starts at lo: then its point nearest 0 wins.
     """
@@ -603,7 +571,6 @@ def sorted_piecewise_quadratic_min(
     d = np.asarray(d, dtype=float)
     if lo == hi:
         return float(lo)
-    gamma, center = shift if shift is not None else (0.0, 0.0)
 
     nz = d != 0.0
     knots = c[nz] / d[nz]
@@ -611,16 +578,16 @@ def sorted_piecewise_quadratic_min(
         knots = np.append(knots, 0.0)
     knots = np.unique(knots[(lo < knots) & (knots < hi)])
 
-    p = sorted_minimizing_piece(c, d, lam, gamma, center, knots, lo, hi)
+    p = sorted_minimizing_piece(c, d, lam, knots, lo, hi)
     edges = np.concatenate(([lo], knots, [hi]))
-    return float(sorted_piece_candidate(c, d, lam, gamma, center, edges[p], edges[p + 1]))
+    return float(sorted_piece_candidate(c, d, lam, edges[p], edges[p + 1]))
 
 
 @st.composite
 def scalar_problems(draw):
     """Squared-hinge rows c_i - d_i t with breakpoints on a 0.1 grid (so that
     breakpoints repeat and pieces go flat) or clustered a few rounding units
-    apart, plus rows with d = 0, bounds and shifts, and a start: inside the
+    apart, plus rows with d = 0, bounds, and a start: inside the
     range, at +-1e6, on a breakpoint, at 0 or at a bound.  Returns
     (c, d, kwargs, start, clustered)."""
     m = draw(st.integers(1, 40))
@@ -647,9 +614,6 @@ def scalar_problems(draw):
             kwargs["lo"], kwargs["hi"] = ends
     elif bounds != "none":
         kwargs[bounds] = draw(edge)
-    shift = draw(st.sampled_from((None, 0.0, 1.0)))
-    if shift is not None:
-        kwargs["shift"] = (shift, draw(st.integers(-30, 30)) / 10.0)
     ends = [kwargs[key] for key in ("lo", "hi") if key in kwargs]
     breakpoints = (c[d != 0.0] / d[d != 0.0]).tolist() + [0.0]
     start = draw(st.one_of(st.floats(kwargs.get("lo", -4.0), kwargs.get("hi", 4.0)),
@@ -658,27 +622,23 @@ def scalar_problems(draw):
     return c, d, kwargs, start, clustered
 
 
-def scalar_objective(c, d, t, lam=0.0, lo=-np.inf, hi=np.inf, shift=None):
+def scalar_objective(c, d, t, lam=0.0, lo=-np.inf, hi=np.inf):
     """The objective piecewise_quadratic_min minimizes, evaluated as the scan scores it;
     lo and hi are taken so that a problem's keyword arguments pass through."""
-    gamma, center = shift if shift is not None else (0.0, 0.0)
-    return (float(np.sum(np.maximum(c - d * t, 0.0) ** 2))
-            + lam * abs(t) + 0.5 * gamma * (t - center) ** 2)
+    return float(np.sum(np.maximum(c - d * t, 0.0) ** 2)) + lam * abs(t)
 
 
-def scalar_rounding_bound(c, d, size, lam=0.0, lo=-np.inf, hi=np.inf, shift=None):
+def scalar_rounding_bound(c, d, size, lam=0.0, lo=-np.inf, hi=np.inf):
     """First-order rounding bound of scalar_objective at |t| <= size;
     (|c_i| + |d_i t|)^2 <= 2 c_i^2 + 2 d_i^2 t^2 bounds each row's scale."""
-    gamma, center = shift if shift is not None else (0.0, 0.0)
     return (c.size + 8) * np.finfo(float).eps * (
-        2.0 * (float(c @ c) + float(d @ d) * size**2) + lam * size
-        + gamma * (size + abs(center)) ** 2)
+        2.0 * (float(c @ c) + float(d @ d) * size**2) + lam * size)
 
 
-def has_flat_minimizers(c, d, lam=0.0, lo=-np.inf, hi=np.inf, shift=None):
-    """Whether the minimizers fill an interval: with lam = 0 and no shift weight,
-    every t in [lo, hi] at which each row with d != 0 is inactive minimizes."""
-    if lam > 0.0 or (shift is not None and shift[0] > 0.0):
+def has_flat_minimizers(c, d, lam=0.0, lo=-np.inf, hi=np.inf):
+    """Whether the minimizers fill an interval: with lam = 0, every t in
+    [lo, hi] at which each row with d != 0 is inactive minimizes."""
+    if lam > 0.0:
         return False
     left = max([lo] + (c[d > 0.0] / d[d > 0.0]).tolist())
     right = min([hi] + (c[d < 0.0] / d[d < 0.0]).tolist())

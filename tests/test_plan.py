@@ -59,8 +59,7 @@ RUNS = {
     "tbq_mixed_gs": (TWO_BLOCK, {"surrogate": "mixed",
                                  "surrogate_kinds": ["exact", "prox-linear"]}),
     "tbq_a2bsum": (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0}),
-    "fw_custom_sum": (FW, {"surrogate": "model-custom", "algorithm": "sum",
-                           "compute_auxiliary": True}),
+    "fw_custom_sum": (FW, {"surrogate": "model-custom", "algorithm": "sum"}),
     "fw_custom_bsum": (FW, {"surrogate": "model-custom"}),
     "fw_pl_mbi": (FW, {"rule": "mbi"}),
 }

@@ -8,7 +8,7 @@ from bsumkit import models
 from bsumkit.problem import NonsmoothBlock, UnsupportedCombination
 from bsumkit.surrogate import prox_block
 
-from conftest import golden_section, grid_min_1d
+from conftest import grid_min_1d
 
 L1 = lambda w: NonsmoothBlock(kind="l1", weight=w)
 GROUP = lambda w: NonsmoothBlock(kind="group-l2", weight=w)
@@ -190,30 +190,6 @@ def test_reweighting_bound_gradient_lipschitz_transfers():
         v = rng.standard_normal(4)
         lhs = np.linalg.norm(p.smooth.grad(x) - p.smooth.grad(v))
         assert lhs <= L * np.linalg.norm(x - v) * (1 + 1e-9)
-
-
-def test_prox_linear_regularized_step_is_prox_block_at_the_summed_constant():
-    # u_k + h_k + (gamma/2)||. - x_k||^2 has curvature L_k + gamma: one prox step
-    A, b, lam = models.gen_lasso(10, 9, 0.6, seed=12)
-    p = models.build_lasso(A, b, lam, block_sizes=[3, 1, 5],
-                           constraints=[bk.all_space(3), bk.box([-0.2], [0.3]), bk.nonneg(5)])
-    s = bk.make_surrogate(p, "prox-linear")
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        x = rng.standard_normal(9)
-        k = int(rng.integers(3))
-        gamma = float(rng.uniform(0.0, 4.0))
-        sl = p.partition.block_slice(k)
-        beta = s.lip[k] + gamma
-        want = prox_block(p.nonsmooth[k], p.constraints[k], beta,
-                          x[sl] - bk.block_gradient(p, k, x) / beta)
-        assert s.argmin_regularized(k, x, gamma).tobytes() == want.tobytes()
-    # scalar block: the step minimizes the regularized bound over its box
-    x = rng.standard_normal(9)
-    t = s.argmin_regularized(1, x, 1.5)[0]
-    want = golden_section(lambda u: s.value(1, [u], x) + lam * abs(u) + 0.75 * (u - x[3]) ** 2,
-                          -0.2, 0.3, tol=1e-12)
-    assert abs(t - want) <= 1e-6
 
 
 def test_projected_gradient_step_form():
