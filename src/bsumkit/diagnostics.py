@@ -295,16 +295,15 @@ def sigma_for(
         return _pair(
             1.0 / (2.0 * K**2 * cert.period * R**2 * cert.big_m), cert, cert.period
         )
-    A = problem.smooth.linear.A
-    blocks = [A[:, problem.partition.block_slice(k)] for k in range(n_blocks)]
     if rate_id == "composite-gs":
         # phi = ||.||^2 is 2-strongly convex; its gradient moves by at most
-        # 2 sqrt(K - 1) times the change in the other blocks' outputs
-        cross = 2.0 * np.sqrt(K - 1.0)
-        worst = max(float(np.linalg.eigvalsh(Ak.T @ Ak)[-1]) * (cross * cross)
-                    for Ak in blocks)
+        # 2 sqrt(K - 1) times the change in the other blocks' outputs, so the
+        # worst case is 4 (K - 1) max_k lambda_max(A_k^T A_k) = 2 (K - 1) M_max
+        worst = 2.0 * (K - 1.0) * cert.m_max
         return _pair(2.0 / (2.0 * K * R**2 * worst), cert, 0)
     # l2svm-gs
+    A = problem.smooth.linear.A
+    blocks = [A[:, problem.partition.block_slice(k)] for k in range(n_blocks)]
     row_sum = sum(float(np.max(np.linalg.norm(Ak, axis=1))) for Ak in blocks)
     return _pair(1.0 / (8.0 * row_sum**2 * K * A.shape[0] * R**2), cert, 0)
 
@@ -409,7 +408,7 @@ def check_rate_envelope(
 
 def check_nesterov_inequality(
     problem: Problem, big_m: Optional[float] = None, n_pairs: int = 100,
-    seed: int = 0, tolerance: float = 1e-10, scale: float = 1.0,
+    seed: int = 0, tolerance: float = 1e-10,
 ) -> CheckReport:
     """Smooth convexity with curvature M implies a gradient-difference bound;
     sample feasible pairs and report the worst slack."""
@@ -417,8 +416,8 @@ def check_nesterov_inequality(
     rng = np.random.default_rng([0xAE5, seed])
     slacks = []
     for _ in range(n_pairs):
-        x = project_feasible(problem, scale * rng.standard_normal(problem.dim))
-        v = project_feasible(problem, scale * rng.standard_normal(problem.dim))
+        x = project_feasible(problem, rng.standard_normal(problem.dim))
+        v = project_feasible(problem, rng.standard_normal(problem.dim))
         gx = problem.smooth.grad(x)
         gv = problem.smooth.grad(v)
         lhs = float(problem.smooth.value(x)) - float(problem.smooth.value(v))
@@ -429,14 +428,14 @@ def check_nesterov_inequality(
 
 def check_gradient_lipschitz(
     problem: Problem, n_pairs: int = 100, seed: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE, scale: float = 1.0,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
     """Sampled validation of the declared full-gradient Lipschitz constant."""
     rng = np.random.default_rng([0x11b, seed])
     slacks = []
     for _ in range(n_pairs):
-        x = project_feasible(problem, scale * rng.standard_normal(problem.dim))
-        v = project_feasible(problem, scale * rng.standard_normal(problem.dim))
+        x = project_feasible(problem, rng.standard_normal(problem.dim))
+        v = project_feasible(problem, rng.standard_normal(problem.dim))
         lhs = float(np.linalg.norm(problem.smooth.grad(x) - problem.smooth.grad(v)))
         slacks.append(problem.smooth.lipschitz * float(np.linalg.norm(x - v)) - lhs)
     return _report("gradient-lipschitz", "pairs", slacks, tolerance)
@@ -469,14 +468,13 @@ def fd_gradient_check(
 
 def fit_decay_exponent(
     trace: Trace, burn_in: int, r_max: Optional[int] = None,
-    min_delta: float = 1e-14,
 ) -> float:
     """Least-squares slope of log gap against log iteration index."""
     deltas = trace.deltas()
     last = len(deltas) - 1 if r_max is None else min(r_max, len(deltas) - 1)
     rs, ds = [], []
     for j in range(max(burn_in + 1, 1), last + 1):
-        if deltas[j] > min_delta:
+        if deltas[j] > 1e-14:  # a gap at rounding level has no slope to fit
             rs.append(j)
             ds.append(deltas[j])
     if len(rs) < 20:

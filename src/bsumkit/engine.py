@@ -366,7 +366,9 @@ class ReferenceSolution:
 ANDERSON_K = 5  # sweeps between extrapolations; each uses the last K + 1 iterates
 ANDERSON_REG = 1e-14  # Tikhonov weight on U U^T, relative to its trace
 GAP_TOL = 1e-12  # duality gap at which a reference with a dual stops
+STALL_TOL = 1e-12  # the stall threshold's absolute part
 STALL_ULPS = 4.0  # the stall threshold's part relative to |f|, in units of eps * |f|
+STALL_SWEEPS = 50  # consecutive stalled sweeps that stop a reference
 
 
 def _strongest_surrogate(problem: Problem):
@@ -400,8 +402,6 @@ def _anderson_point(history: list[Array]) -> Optional[Array]:
 def reference_solve(
     problem: Problem,
     max_sweeps: int = 60000,
-    stall_tol: float = 1e-12,
-    stall_sweeps: int = 50,
 ) -> ReferenceSolution:
     """High-accuracy minimizer for attaching gap values to traces.
 
@@ -409,8 +409,8 @@ def reference_solve(
     the strongest available per-block solver, and every ANDERSON_K sweeps
     replaces the iterate by its Anderson extrapolation when that lowers f
     (constrained blocks projected first).  It stops, converged, when the
-    objective change stays within max(stall_tol, STALL_ULPS eps |f|) for
-    stall_sweeps consecutive sweeps or, where squares_dual gives a dual, when
+    objective change stays within max(STALL_TOL, STALL_ULPS eps |f|) for
+    STALL_SWEEPS consecutive sweeps or, where squares_dual gives a dual, when
     the best f minus the best dual value, taken at the extrapolation points,
     is at most GAP_TOL.  A reference whose objective is not finite is
     unconverged; the sweeps stop at it.
@@ -437,7 +437,7 @@ def reference_solve(
         x, _, _ = bsum_sweep(problem, surrogate, x, blocks)
         f_new = eval_objective(problem, x)
         change = f - f_new
-        tol = max(stall_tol, STALL_ULPS * np.finfo(float).eps * abs(f))
+        tol = max(STALL_TOL, STALL_ULPS * np.finfo(float).eps * abs(f))
         stall = stall + 1 if abs(change) <= tol else 0
         f = f_new
         sweeps += 1
@@ -456,7 +456,7 @@ def reference_solve(
                 lower = max(lower, dual(x))
         if f < best_f:
             best_f, best_x = f, x.copy()
-        converged = stall >= stall_sweeps or best_f - lower <= GAP_TOL
+        converged = stall >= STALL_SWEEPS or best_f - lower <= GAP_TOL
     gap = None
     if dual is not None:
         gap = best_f - max(lower, dual(best_x))

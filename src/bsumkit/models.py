@@ -19,6 +19,7 @@ from .problem import (
     Array,
     BlockPartition,
     ConstraintSet,
+    LinearLoss,
     NonsmoothBlock,
     Problem,
     SeparableLoss,
@@ -27,7 +28,6 @@ from .problem import (
     all_space,
     is_integer,
     is_number,
-    linear_smooth,
     make_partition,
 )
 from .surrogate import Surrogate, prox_block
@@ -40,18 +40,6 @@ from .surrogate import Surrogate, prox_block
 def spectral_norm_psd(S: Array) -> float:
     """Largest eigenvalue of a symmetric PSD matrix (its spectral norm)."""
     return float(np.linalg.eigvalsh(np.asarray(S, dtype=float))[-1])
-
-
-def _block_gram_eigs(gram: Array, part: BlockPartition) -> tuple[list[float], list[float]]:
-    """Largest and smallest (clipped at 0) eigenvalue of each diagonal block of a Gram matrix."""
-    top, bottom = [], []
-    for k in range(part.n_blocks):
-        sl = part.block_slice(k)
-        sub = gram[sl, sl]
-        ev = sub[0] if sub.shape[0] == 1 else np.linalg.eigvalsh(sub)
-        top.append(float(ev[-1]))
-        bottom.append(max(float(ev[0]), 0.0))
-    return top, bottom
 
 
 def _block_eighs(blocks) -> list[tuple[Array, Array]]:
@@ -76,16 +64,56 @@ def sigmoid(t: Array) -> Array:
 
 # phi(r) = ||r||^2
 SQUARES = SeparableLoss(name="squares", value=lambda r: float(r @ r),
-                        grad=lambda r: 2.0 * r, pointwise=np.square)
-# phi(z) = sum_i log(1 + exp(-z_i)), z_i the signed margins
+                        grad=lambda r: 2.0 * r, pointwise=np.square,
+                        curvature=2.0, strong_convexity=2.0)
+# phi(z) = sum_i log(1 + exp(-z_i)), z_i the signed margins; its ell'' is
+# sigma(z)(1 - sigma(z)) <= 1/4 (Bohning & Lindsay 1988)
 LOGISTIC = SeparableLoss(name="logistic",
                          value=lambda z: float(np.sum(np.logaddexp(0.0, -z))),
                          grad=lambda z: -sigmoid(-z),
-                         pointwise=lambda z: np.logaddexp(0.0, -z))
+                         pointwise=lambda z: np.logaddexp(0.0, -z), curvature=0.25)
 # phi(r) = sum_i max(0, -r_i)^2, r_i = <a_i, x> - 1
 SQUARED_HINGE = SeparableLoss(name="squared-hinge", value=_squared_hinge_value,
                               grad=lambda r: -2.0 * _hinge(r),
-                              pointwise=lambda r: np.square(_hinge(r)))
+                              pointwise=lambda r: np.square(_hinge(r)), curvature=2.0)
+
+
+def linear_smooth(phi: SeparableLoss, A: Array, b: Array,
+                  partition: BlockPartition) -> SmoothPart:
+    """The smooth part g(x) = phi(A x - b), with its oracles and constants.
+
+    The Hessian A^T diag(phi'') A lies between mu G and c G, G = A^T A, for
+    phi's strong_convexity mu and curvature c.  So M = c lambda_max(G),
+    M_k = c lambda_max(G_kk) and, when mu > 0, the block curvature is
+    mu lambda_min(G_kk), or 0 when that is at rounding level (as
+    block_hessian drops such directions).  G and the eigendecompositions of
+    its diagonal blocks stay on the declaration for the exact solves.
+    """
+    gram = A.T @ A
+    one = np.ones((1, 1))
+    # a 1x1 block, a sum of squares, is its own eigendecomposition
+    eighs = tuple(
+        (gram[o:o + 1, o], one) if s == 1 else _block_eighs([gram[o:o + s, o:o + s]])[0]
+        for o, s in zip(partition.offsets, partition.sizes))
+    c, mu = phi.curvature, phi.strong_convexity
+    curv = None
+    if mu > 0.0:
+        curv = tuple(mu * float(ev[0]) if mu * ev[0] > 1e-12 * max(mu * ev[-1], 1.0) else 0.0
+                     for ev, _ in eighs)
+
+    def value(x):
+        return phi.value(A @ x - b)
+
+    def grad(x):
+        return A.T @ phi.grad(A @ x - b)
+
+    def block_grad(k, x):
+        return A[:, partition.block_slice(k)].T @ phi.grad(A @ x - b)
+
+    return SmoothPart(value=value, grad=grad, lipschitz=c * spectral_norm_psd(gram),
+                      block_lipschitz=tuple(c * float(ev[-1]) for ev, _ in eighs),
+                      block_grad_fn=block_grad, block_curvature=curv,
+                      linear=LinearLoss(phi=phi, A=A, b=b, gram=gram, block_eigh=eighs))
 
 
 def _constraint_interval(cs: ConstraintSet) -> tuple[float, float]:
@@ -311,15 +339,9 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
     if part.dim != n:
         raise ValueError("block sizes must partition the columns of A")
     cons = _default_constraints(part, constraints)
-    gram = A.T @ A
-
-    big_m = 2.0 * spectral_norm_psd(gram)
-    top, bottom = _block_gram_eigs(gram, part)
-    mk = [2.0 * t for t in top]
-    curv = [2.0 * t for t in bottom]
-
     nonsmooth = tuple(NonsmoothBlock(kind="l1", weight=lam) for _ in range(part.n_blocks))
-    smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
+    smooth = linear_smooth(SQUARES, A, b, part)
+    gram = smooth.linear.gram
 
     solver = sweep = None
     scalar = all(s == 1 for s in part.sizes)
@@ -360,7 +382,7 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
 
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
-        name="lasso", block_curvature=tuple(curv), exact_solver=solver, exact_sweep=sweep,
+        name="lasso", exact_solver=solver, exact_sweep=sweep,
     )
 
 
@@ -380,23 +402,17 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     part = make_partition([Ak.shape[1] for Ak in mats])
     cons = _default_constraints(part, constraints)
     A = np.hstack(mats)
-    gram = A.T @ A
-
-    big_m = 2.0 * spectral_norm_psd(gram)
-    eigs = _block_eighs(Ak.T @ Ak for Ak in mats)
-    mk = [2.0 * float(evals[-1]) for evals, _ in eigs]
-    curv = [2.0 * float(evals[0]) for evals, _ in eigs]
-
     nonsmooth = tuple(
         NonsmoothBlock(kind="group-l2", weight=float(w)) for w in weights
     )
-    smooth = linear_smooth(SQUARES, A, b, part, big_m, mk)
+    smooth = linear_smooth(SQUARES, A, b, part)
+    gram = smooth.linear.gram
 
     # per block: its slice, G_kk and the rows G[k, :] (views of gram), the
     # subproblem's Hessian and the weight
     slices = map(part.block_slice, range(part.n_blocks))
     per_block = [(sl, gram[sl, sl], gram[sl], block_hessian(*eig), float(wk))
-                 for sl, eig, wk in zip(slices, eigs, weights)]
+                 for sl, eig, wk in zip(slices, smooth.linear.block_eigh, weights)]
 
     def solver(k, x, on_cap=None):
         if cons[k].kind != "all-space":
@@ -430,7 +446,7 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     unconstrained = all(cs.kind == "all-space" for cs in cons)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
-        name="group-lasso", block_curvature=tuple(curv), exact_solver=solver,
+        name="group-lasso", exact_solver=solver,
         exact_sweep=sweep if unconstrained else None,
     )
 
@@ -446,22 +462,17 @@ def build_logistic(A, y, weight: float, block_sizes=None, constraints=None) -> P
         raise ValueError("need data rows (I, n) and one label per row")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
+    if weight < 0:
+        raise ValueError("l1 weight must be nonnegative")
     rows, n = A.shape
     part = make_partition(block_sizes if block_sizes is not None else [1] * n)
     if part.dim != n:
         raise ValueError("block sizes must partition the features")
     cons = _default_constraints(part, constraints)
-    Ay = A * y[:, None]
-    gram = A.T @ A
-
-    # sigmoid curvature bound: the Hessian is dominated by (1/2) A^T A
-    big_m = 0.5 * spectral_norm_psd(gram)
-    mk = [0.5 * t for t in _block_gram_eigs(gram, part)[0]]
-
     nonsmooth = tuple(
         NonsmoothBlock(kind="l1", weight=float(weight)) for _ in range(part.n_blocks)
     )
-    smooth = linear_smooth(LOGISTIC, Ay, np.zeros(rows), part, big_m, mk)
+    smooth = linear_smooth(LOGISTIC, A * y[:, None], np.zeros(rows), part)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
         name="logistic",
@@ -476,21 +487,18 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("need data rows of shape (I, n)")
+    if l1_weight < 0:
+        raise ValueError("l1 weight must be nonnegative")
     n_rows, n = rows.shape
     part = make_partition(block_sizes if block_sizes is not None else [1] * n)
     if part.dim != n:
         raise ValueError("block sizes must partition the features")
     cons = _default_constraints(part, constraints)
-    gram = rows.T @ rows
-
-    big_m = 2.0 * spectral_norm_psd(gram)
-    mk = [2.0 * t for t in _block_gram_eigs(gram, part)[0]]
-
     kind = "l1" if l1_weight > 0.0 else "zero"
     nonsmooth = tuple(
         NonsmoothBlock(kind=kind, weight=float(l1_weight)) for _ in range(part.n_blocks)
     )
-    smooth = linear_smooth(SQUARED_HINGE, rows, np.ones(n_rows), part, big_m, mk)
+    smooth = linear_smooth(SQUARED_HINGE, rows, np.ones(n_rows), part)
 
     solver = None
     if all(s == 1 for s in part.sizes):
@@ -587,6 +595,8 @@ def build_irls(mats: Sequence[Array], offsets: Sequence[Array], eta: float,
                l1_weight: float = 0.0, constraint: Optional[ConstraintSet] = None) -> Problem:
     if eta <= 0:
         raise ValueError("smoothing parameter must be positive")
+    if l1_weight < 0:
+        raise ValueError("l1 weight must be nonnegative")
     mats = tuple(np.asarray(A, dtype=float) for A in mats)
     offsets = tuple(np.asarray(b, dtype=float) for b in offsets)
     dim = mats[0].shape[1]
@@ -651,7 +661,8 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
     curv = [2.0 * float(evals[0]) for evals, _ in eigs]
     big_m = 2.0 * spectral_norm_psd(Q)
 
-    smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m, block_lipschitz=tuple(mk))
+    smooth = SmoothPart(value=value, grad=grad, lipschitz=big_m, block_lipschitz=tuple(mk),
+                        block_curvature=tuple(curv))
     nonsmooth = tuple(NonsmoothBlock(kind="zero") for _ in range(part.n_blocks))
 
     def solver(k, x, on_cap=None):
@@ -678,7 +689,7 @@ def build_quadratic(Q, c, block_sizes=None, constraints=None) -> Problem:
     unconstrained = all(cs.kind == "all-space" for cs in cons)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
-        name="quadratic", block_curvature=tuple(curv), exact_solver=solver,
+        name="quadratic", exact_solver=solver,
         reference_solver=reference if unconstrained else None,
     )
 

@@ -191,6 +191,9 @@ class SmoothPart:
     lipschitz: float  # full-gradient Lipschitz constant
     block_lipschitz: tuple[float, ...]  # per-block gradient Lipschitz constants
     block_grad_fn: Optional[Callable[[int, Array], Array]] = None
+    # strong-convexity modulus of g restricted to each block (0 when absent);
+    # this is the curvature an exact per-block solve gets to exploit
+    block_curvature: Optional[tuple[float, ...]] = None
     linear: Optional["LinearLoss"] = None  # g = phi(Ax - b), when declared
 
     @property
@@ -200,39 +203,27 @@ class SmoothPart:
 
 @dataclass(frozen=True, eq=False)
 class SeparableLoss:
-    """phi(r) = sum_i ell(r_i): its value, gradient and per-entry terms ell."""
+    """phi(r) = sum_i ell(r_i): its value, gradient and per-entry terms ell,
+    with strong_convexity <= ell'' <= curvature."""
 
     name: str  # "squares", "logistic" or "squared-hinge"
     value: Callable[[Array], float]
     grad: Callable[[Array], Array]
     pointwise: Callable[[Array], Array]
+    curvature: float  # c: phi' is c-Lipschitz
+    strong_convexity: float = 0.0  # mu: phi is mu-strongly convex (0 when not)
 
 
 @dataclass(frozen=True, eq=False)
 class LinearLoss:
-    """g(x) = phi(A x - b) for a separable loss phi."""
+    """g(x) = phi(A x - b) for a separable loss phi, with G = A^T A and the
+    eigendecomposition (eigenvalues clipped at 0) of each diagonal block G_kk."""
 
     phi: SeparableLoss
     A: Array
     b: Array
-
-
-def linear_smooth(phi: SeparableLoss, A: Array, b: Array, partition: BlockPartition,
-                  lipschitz: float, block_lipschitz) -> SmoothPart:
-    """The smooth part g(x) = phi(A x - b), its oracles derived from the declaration."""
-
-    def value(x):
-        return phi.value(A @ x - b)
-
-    def grad(x):
-        return A.T @ phi.grad(A @ x - b)
-
-    def block_grad(k, x):
-        return A[:, partition.block_slice(k)].T @ phi.grad(A @ x - b)
-
-    return SmoothPart(value=value, grad=grad, lipschitz=lipschitz,
-                      block_lipschitz=tuple(block_lipschitz), block_grad_fn=block_grad,
-                      linear=LinearLoss(phi=phi, A=A, b=b))
+    gram: Array
+    block_eigh: tuple[tuple[Array, Array], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,9 +288,6 @@ class Problem:
     nonsmooth: tuple[NonsmoothBlock, ...]
     constraints: tuple[ConstraintSet, ...]
     name: str = "problem"
-    # strong-convexity modulus of g restricted to each block (0 when absent);
-    # this is the curvature an exact per-block solve gets to exploit
-    block_curvature: Optional[tuple[float, ...]] = None
     # exact_solver(k, x, on_cap=None): the exact per-block minimizer of
     # g(., x_{-k}) + h_k over X_k; on_cap, when given, is called once for a
     # solve whose inner loop stopped at its cap (the group solve's Newton iteration)
@@ -333,7 +321,7 @@ class Problem:
     def inner_unique(self, k: int) -> bool:
         """Whether an exact solve of block k has one minimizer, read off the
         declared curvature; without a declaration, True."""
-        curv = self.block_curvature
+        curv = self.smooth.block_curvature
         return curv is None or bool(curv[k] > 1e-10 * max(2.0, self.smooth.block_lipschitz[k]))
 
 

@@ -195,7 +195,7 @@ def make_surrogate(
 
     big_m = problem.smooth.lipschitz
     lip_out, gamma_out, anchor_out = [], [], []
-    curv = problem.block_curvature or (0.0,) * K
+    curv = problem.smooth.block_curvature or (0.0,) * K
     for k in range(K):
         if kinds[k] == "exact":
             lk = problem.smooth.block_lipschitz[k]
@@ -245,8 +245,7 @@ def _fd_surrogate_gradient(surrogate, k: int, v_k: Array, anchor: Array, step: f
     return g
 
 
-def validate_upper_bound(surrogate, n_samples: int = 50, seed: int = 0,
-                         scale: float = 1.0) -> UpperBoundReport:
+def validate_upper_bound(surrogate, n_samples: int = 50, seed: int = 0) -> UpperBoundReport:
     """Sample anchors and candidate blocks; report worst-case violations.
 
     Violations are reported, never raised: an invalid bound (say, an
@@ -261,13 +260,13 @@ def validate_upper_bound(surrogate, n_samples: int = 50, seed: int = 0,
     dom = 0.0
     grad_mis = 0.0
     for _ in range(n_samples):
-        x = project_feasible(p, scale * rng.standard_normal(p.dim))
+        x = project_feasible(p, rng.standard_normal(p.dim))
         gx = float(p.smooth.value(x))
         for k in range(p.n_blocks):
             sl = p.partition.block_slice(k)
             xk = x[sl]
             tight = max(tight, abs(surrogate.value(k, xk, x) - gx))
-            vk = p.constraints[k].project(xk + scale * rng.standard_normal(xk.shape[0]))
+            vk = p.constraints[k].project(xk + rng.standard_normal(xk.shape[0]))
             y = np.array(x)
             y[sl] = vk
             dom = max(dom, float(p.smooth.value(y)) - surrogate.value(k, vk, x))

@@ -502,6 +502,20 @@ def test_matrix_runs_carry_no_warnings(matrix_outcome):
         assert result.trace.meta.get("warnings", []) == [], run_id
 
 
+def test_a_negative_l1_weight_is_a_run_error(tmp_path):
+    # the builder refuses it: the run neither passes nor fails a check
+    text = run_text("svm", {"family": "l2svm", "rows": 30, "n": 4, "l1_weight": -1.0,
+                            "seed": 1}, surrogate="exact") \
+        + run_text("logit", {"family": "logistic", "rows": 30, "n": 4, "weight": -0.5})
+    results, code = cli.run_experiment(cli.parse_config(write(tmp_path, text)),
+                                       output_dir=str(tmp_path / "out"))
+    assert code == 2
+    assert [r.error for r in results] == ["ValueError: l1 weight must be nonnegative"] * 2
+    for run_id in ("svm", "logit"):
+        report = json.loads((tmp_path / "out" / f"{run_id}.report.json").read_text())
+        assert report["error"]["message"] == "l1 weight must be nonnegative"
+
+
 def test_quadratic_blocks_partition_a_generated_q(tmp_path):
     model = {"family": "quadratic", "sizes": [2, 2, 2], "blocks": [3, 3], "seed": 7}
     text = run_text("two", model, rule="essentially-cyclic", period_map=[[0], [1]],

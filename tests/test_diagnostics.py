@@ -181,6 +181,23 @@ def test_unmet_certificate_needs_raise():
         bk.check_cost_to_go(tr, make_cert(), "nope")
 
 
+@pytest.mark.parametrize("problem", [
+    models.build_lasso(*models.gen_lasso(20, 12, 2.0, seed=101)),
+    models.build_group_lasso(*models.gen_group_lasso(25, [4, 3, 1, 4], 0.4, seed=102,
+                                                     deficient=[0])),
+], ids=["lasso", "group-lasso-deficient"])
+def test_composite_gs_sigma_reads_the_declared_block_constants(problem):
+    K = problem.n_blocks
+    cert = make_cert(radius=1.7, m_max=problem.smooth.max_block_lipschitz)
+    sigma, _, _ = bk.sigma_for("composite-gs", cert, K, problem=problem)
+    # the formula written out: an eigensolve of every A_k^T A_k
+    A = problem.smooth.linear.A
+    cross = 2.0 * np.sqrt(K - 1.0)
+    worst = max(float(np.linalg.eigvalsh(Ak.T @ Ak)[-1]) * (cross * cross)
+                for Ak in (A[:, problem.partition.block_slice(k)] for k in range(K)))
+    assert sigma == pytest.approx(2.0 / (2.0 * K * cert.radius**2 * worst), rel=1e-12)
+
+
 # model -> the structured envelopes an exact gauss-seidel run of it gets; the
 # loss declaration g = phi(Ax - b) and the block count decide them
 STRUCTURED = ("composite-gs", "l2svm-gs")

@@ -23,7 +23,7 @@ def test_lasso_identity_constants():
     p = models.build_lasso(np.eye(2), np.array([1.0, 0.2]), 0.5)
     assert bk.eval_objective(p, np.zeros(2)) == pytest.approx(1.04)
     assert p.smooth.lipschitz == pytest.approx(2.0)
-    assert p.block_curvature == pytest.approx((2.0, 2.0))
+    assert p.smooth.block_curvature == pytest.approx((2.0, 2.0))
 
 
 def test_constraint_sets_must_match_the_block_count():
@@ -706,6 +706,61 @@ def test_reweighting_bound_never_violated_100_points():
 def test_irls_rejects_bad_smoothing():
     with pytest.raises(ValueError):
         models.build_irls([np.eye(2)], [np.zeros(2)], 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: models.build_lasso(np.eye(2), np.ones(2), -0.5),
+    lambda: models.build_logistic(np.eye(2), np.ones(2), -0.5),
+    lambda: models.build_l2svm(np.eye(2), l1_weight=-1.0),
+    lambda: models.build_irls([np.eye(2)], [np.zeros(2)], 0.1, l1_weight=-1.0),
+], ids=["lasso", "logistic", "l2svm", "irls"])
+def test_negative_l1_weights_are_rejected(build):
+    with pytest.raises(ValueError, match="l1 weight must be nonnegative"):
+        build()
+
+
+@st.composite
+def linear_models(draw):
+    """A lasso, group lasso, logistic or l2svm model of random shape and block
+    sizes, with its data matrix, block sizes and loss curvature."""
+    family = draw(st.sampled_from(["lasso", "group-lasso", "logistic", "l2svm"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    m = draw(st.integers(1, 12))
+    A = rng.standard_normal((m, sum(sizes)))
+    if family == "lasso":
+        p = models.build_lasso(A, rng.standard_normal(m), 0.5, block_sizes=sizes)
+    elif family == "group-lasso":
+        p = models.build_group_lasso(np.hsplit(A, np.cumsum(sizes)[:-1]),
+                                     rng.standard_normal(m), 0.3)
+    elif family == "logistic":
+        p = models.build_logistic(A, rng.choice([-1.0, 1.0], m), 0.3, block_sizes=sizes)
+    else:
+        p = models.build_l2svm(A, block_sizes=sizes)
+    return p, A, sizes, {"logistic": 0.25}.get(family, 2.0)
+
+
+@given(case=linear_models(), seed=st.integers(0, 2**16))
+def test_declared_constants_are_the_loss_curvature_times_the_gram_spectrum(case, seed):
+    p, A, sizes, c = case
+    # phi'' <= c, so grad g = A^T phi'(Ax - b) is c lambda_max(A^T A)-Lipschitz
+    # (the logistic labels y_i = +-1 leave A^T A as it is)
+    want = c * np.linalg.eigvalsh(A.T @ A)[-1]
+    assert p.smooth.lipschitz == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert bk.check_gradient_lipschitz(p, n_pairs=20, seed=seed).passed
+    rng = np.random.default_rng(seed)
+    for k, sl in enumerate(map(p.partition.block_slice, range(p.n_blocks))):
+        Ak = A[:, sl]
+        mk = c * np.linalg.eigvalsh(Ak.T @ Ak)[-1]
+        assert p.smooth.block_lipschitz[k] == pytest.approx(mk, rel=1e-12, abs=1e-12)
+        x = rng.standard_normal(p.dim) * 3.0
+        v = x.copy()
+        v[sl] += rng.standard_normal(sizes[k])
+        moved = np.linalg.norm(bk.block_gradient(p, k, x) - bk.block_gradient(p, k, v))
+        assert moved <= p.smooth.block_lipschitz[k] * np.linalg.norm(x - v) * (1 + 1e-12) + 1e-12
+        if p.smooth.block_curvature is not None:  # squares: a lower curvature bound too
+            lin = p.smooth.value(v) - p.smooth.value(x) - p.smooth.grad(x) @ (v - x)
+            assert lin >= 0.5 * p.smooth.block_curvature[k] * float((v - x) @ (v - x)) - 1e-9
 
 
 def test_composite_constants_consistency():
