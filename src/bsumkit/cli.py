@@ -279,16 +279,20 @@ def _run_algorithm(cfg: RunConfig, problem: Problem, surrogate,
 
 
 def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> RunResult:
-    problem = build_model(cfg.model, spec.seed)
+    """One run; reference_cache maps a model and seed to its built Problem
+    and ReferenceSolution, so that the runs of one model share both.  A
+    Problem holds no per-run state: a run's counts live on its surrogate."""
+    key = json.dumps(cfg.model, sort_keys=True) + f"|{spec.seed}"
+    cached = reference_cache.get(key)
+    problem = build_model(cfg.model, spec.seed) if cached is None else cached[0]
     surrogate = None
     if cfg.algorithm != "a2bsum":
         surrogate = make_surrogate(problem, cfg.surrogate, kinds=cfg.surrogate_kinds)
 
     # the reference comes first, so that a gap tolerance can stop the run
-    key = json.dumps(cfg.model, sort_keys=True) + f"|{spec.seed}"
-    if key not in reference_cache:
-        reference_cache[key] = reference_solve(problem)
-    ref = reference_cache[key]
+    if cached is None:
+        cached = reference_cache[key] = (problem, reference_solve(problem))
+    ref = cached[1]
     trace = _run_algorithm(cfg, problem, surrogate,
                            f_star=ref.f if cfg.tolerance > 0 else None)
     trace.attach_reference(ref.x, ref.f)
@@ -423,6 +427,8 @@ def run_report(result: RunResult) -> dict:
             "converged": result.reference.converged,
             "sweeps": result.reference.sweeps,
             "gap": result.reference.gap,
+            "extrapolations": result.reference.extrapolations,
+            "polishes": result.reference.polishes,
         },
         "final_delta": result.final_delta,
         "fitted_slope": result.fitted_slope,

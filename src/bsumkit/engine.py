@@ -24,6 +24,7 @@ from .problem import (
     make_partition,
     project_feasible,
     squares_dual,
+    squares_polish,
 )
 from .schedule import Schedule, VirtualUpdate, make_schedule, virtual_updates
 from .surrogate import make_surrogate, prox_block
@@ -357,15 +358,18 @@ class ReferenceSolution:
     x: Array
     f: float
     converged: bool
-    sweeps: int  # bsum_sweep calls; extrapolations are not sweeps
+    sweeps: int  # bsum_sweep calls; extrapolations and polishes are not sweeps
     last_change: float
     capped_solves: int = 0  # block solves whose inner loop stopped at its cap
     gap: Optional[float] = None  # f minus the best dual value; None without a dual
+    extrapolations: int = 0  # accepted Anderson points
+    polishes: int = 0  # accepted support polishes
 
 
 ANDERSON_K = 5  # sweeps between extrapolations; each uses the last K + 1 iterates
 ANDERSON_REG = 1e-14  # Tikhonov weight on U U^T, relative to its trace
-GAP_TOL = 1e-12  # duality gap at which a reference with a dual stops
+GAP_TOL = 1e-12  # the gap stop's absolute part
+GAP_ULPS = 64.0  # the gap stop's part relative to |f|, in units of eps * |f|
 STALL_TOL = 1e-12  # the stall threshold's absolute part
 STALL_ULPS = 4.0  # the stall threshold's part relative to |f|, in units of eps * |f|
 STALL_SWEEPS = 50  # consecutive stalled sweeps that stop a reference
@@ -408,12 +412,17 @@ def reference_solve(
     Uses a model-registered closed form when one exists.  Otherwise it sweeps
     the strongest available per-block solver, and every ANDERSON_K sweeps
     replaces the iterate by its Anderson extrapolation when that lowers f
-    (constrained blocks projected first).  It stops, converged, when the
-    objective change stays within max(STALL_TOL, STALL_ULPS eps |f|) for
-    STALL_SWEEPS consecutive sweeps or, where squares_dual gives a dual, when
-    the best f minus the best dual value, taken at the extrapolation points,
-    is at most GAP_TOL.  A reference whose objective is not finite is
-    unconverged; the sweeps stop at it.
+    (constrained blocks projected first), then by its squares_polish when
+    that gives a point.  Where squares_dual gives a dual, the solve is
+    converged when the best f minus the best dual value, taken at the
+    extrapolation points, is at most max(GAP_TOL, GAP_ULPS eps |f|): even an
+    exact minimizer, rounded to doubles, leaves a gap of a few ulps of f.
+    The solve also stops when the objective change stays within
+    max(STALL_TOL, STALL_ULPS eps |f|) for STALL_SWEEPS consecutive sweeps;
+    that stop is converged without a dual, and with one only when the gap
+    lies within the dual point's own rounding, GAP_ULPS eps M ||x||^2.  A
+    reference whose objective is not finite is unconverged; the sweeps stop
+    at it.
     """
     if problem.reference_solver is not None:
         x_star, f_star = problem.reference_solver()
@@ -423,21 +432,22 @@ def reference_solve(
         )
     surrogate = _strongest_surrogate(problem)
     dual = squares_dual(problem)
+    polish = squares_polish(problem)
+    eps = np.finfo(float).eps
     blocks = tuple(range(problem.n_blocks))
     x = feasible_start(problem)
     f = eval_objective(problem, x)
     best_x, best_f = x.copy(), f
     lower = float("-inf")  # the best dual value so far
     history = [x]
-    stall = 0
-    sweeps = 0
+    stall = sweeps = extrapolations = polishes = 0
     change = float("inf")
-    converged = False
-    while not converged and sweeps < max_sweeps and np.isfinite(f):
+    closed = stalled = False
+    while not (closed or stalled) and sweeps < max_sweeps and np.isfinite(f):
         x, _, _ = bsum_sweep(problem, surrogate, x, blocks)
         f_new = eval_objective(problem, x)
         change = f - f_new
-        tol = max(STALL_TOL, STALL_ULPS * np.finfo(float).eps * abs(f))
+        tol = max(STALL_TOL, STALL_ULPS * eps * abs(f))
         stall = stall + 1 if abs(change) <= tol else 0
         f = f_new
         sweeps += 1
@@ -451,16 +461,31 @@ def reference_solve(
                     if f - f_cand > tol:
                         stall = 0
                     x, f = cand, f_cand
+                    extrapolations += 1
+            cand = None if polish is None else polish(x)
+            if cand is not None:  # the polish never raises f
+                f_cand = eval_objective(problem, cand)
+                if f - f_cand > tol:
+                    stall = 0
+                x, f = cand, f_cand
+                polishes += 1
             history = [x]
             if dual is not None:
                 lower = max(lower, dual(x))
         if f < best_f:
             best_f, best_x = f, x.copy()
-        converged = stall >= STALL_SWEEPS or best_f - lower <= GAP_TOL
+        closed = best_f - lower <= max(GAP_TOL, GAP_ULPS * eps * abs(best_f))
+        stalled = stall >= STALL_SWEEPS
     gap = None
+    converged = stalled
     if dual is not None:
         gap = best_f - max(lower, dual(best_x))
+        # a dual point read off a double-precision x carries rounding of
+        # about eps M ||x||^2; a gap below that cannot refute a stalled solve
+        floor = GAP_ULPS * eps * problem.smooth.lipschitz * float(best_x @ best_x)
+        converged = closed or (stalled and gap <= floor)
     return ReferenceSolution(
-        x=best_x, f=best_f, converged=converged, sweeps=sweeps,
-        last_change=abs(change), capped_solves=surrogate.capped_solves, gap=gap,
+        x=best_x, f=best_f, converged=bool(converged),
+        sweeps=sweeps, last_change=abs(change), capped_solves=surrogate.capped_solves,
+        gap=gap, extrapolations=extrapolations, polishes=polishes,
     )

@@ -396,10 +396,19 @@ def nonsmooth_value(problem: Problem, x: Array) -> float:
     return float(np.add.accumulate(block_values(problem, x))[-1])
 
 
+def _penalized_squares(problem: Problem) -> bool:
+    """Whether f = ||Ax - b||^2 + h with every h_k a positively weighted l1
+    or group-l2 norm and no block constrained: the problems squares_dual
+    gives a dual and squares_polish a polish."""
+    lin = problem.smooth.linear
+    return (lin is not None and lin.phi.name == "squares" and not problem.layout.project_blocks
+            and all(h.kind in ("l1", "group-l2") and h.weight > 0.0
+                    for h in problem.nonsmooth))
+
+
 def squares_dual(problem: Problem) -> Optional[Callable[[Array], float]]:
-    """x -> D(u), a lower bound on min f read off x, when f = ||Ax - b||^2 + h
-    with every h_k a positively weighted l1 or group-l2 norm and no block
-    constrained; None for any other problem.
+    """x -> D(u), a lower bound on min f read off x, for the problems
+    _penalized_squares admits; None for any other problem.
 
     u = 2(Ax - b), which is the dual optimum at a minimizer, is scaled down
     until ||A_k^T u||_inf <= w_k on l1 blocks and ||A_k^T u||_2 <= w_k on
@@ -407,12 +416,9 @@ def squares_dual(problem: Problem) -> Optional[Callable[[Array], float]]:
     D(u) = -||u||^2/4 - u^T b (Fercoq, Gramfort & Salmon 2015).  A zero
     weight would shrink its block's dual set to A_k^T u = 0, so it gets None.
     """
-    lin = problem.smooth.linear
-    if (lin is None or lin.phi.name != "squares" or problem.layout.project_blocks
-            or not all(h.kind in ("l1", "group-l2") and h.weight > 0.0
-                       for h in problem.nonsmooth)):
+    if not _penalized_squares(problem):
         return None
-    A, b = lin.A, lin.b
+    A, b = problem.smooth.linear.A, problem.smooth.linear.b
     offsets = np.asarray(problem.partition.offsets)
     weights = np.array([h.weight for h in problem.nonsmooth])
     group = np.array([h.kind == "group-l2" for h in problem.nonsmooth])
@@ -426,6 +432,102 @@ def squares_dual(problem: Problem) -> Optional[Callable[[Array], float]]:
         return -0.25 * float(u @ u) - float(u @ b)
 
     return dual
+
+
+POLISH_STEPS = 3  # Newton steps on one support
+POLISH_ROUNDS = 3  # supports tried; each drops the l1 coordinates whose sign flipped
+POLISH_SETTLE = 1e-2  # largest last Newton step, relative to the point it gives
+
+
+def squares_polish(problem: Problem) -> Optional[Callable[[Array], Optional[Array]]]:
+    """x -> a point on x's support where f is no larger than at x, or None,
+    for the problems _penalized_squares admits, so that squares_dual can
+    certify every polished point; None for any other problem.
+
+    The support is x's nonzero l1 coordinates, their signs fixed, and its
+    nonzero group-l2 blocks.  There f is ||A_S y - b||^2 + sum w s_i y_i +
+    sum w_k ||y_k||, smooth, and up to POLISH_STEPS Newton steps from x_S
+    minimize it: the gradient is 2 A_S^T (A_S y - b) plus w s_i on l1
+    coordinates and w_k y_k/||y_k|| on groups; the Hessian is 2 G_SS plus
+    (w_k/||y_k||)(I - u_k u_k^T), u_k = y_k/||y_k||, on groups.  With l1
+    terms alone f is quadratic there, and the later steps refine the first
+    solve.  An l1 coordinate whose sign flips leaves the support and the
+    steps start again, POLISH_ROUNDS supports in all.  A degenerate support
+    is rejected, not forced: an empty support, a singular or non-finite
+    solve, steps that do not settle below POLISH_SETTLE (a nearly singular
+    system), a group whose norm reaches 0, a sign that still flips in the
+    last round and a rise of f give None (support identification: Nutini,
+    Schmidt & Hare 2019).
+    """
+    if not _penalized_squares(problem):
+        return None
+    lin = problem.smooth.linear
+    A, b, gram = lin.A, lin.b, lin.gram
+    l1_weight = problem.layout.l1_weight
+    l1 = l1_weight > 0.0  # every l1 weight is positive here
+    groups = [(problem.partition.block_slice(k), h.weight)
+              for k, h in enumerate(problem.nonsmooth) if h.kind == "group-l2"]
+
+    def newton(x: Array, S: Array, groups_at: list) -> Optional[Array]:
+        A_S = A[:, S]
+        hess = 2.0 * gram[np.ix_(S, S)]
+        l1_grad = l1_weight[S] * np.sign(x[S])
+        y = x[S]
+        for _ in range(POLISH_STEPS):
+            grad = 2.0 * (A_S.T @ (A_S @ y - b)) + l1_grad
+            h = hess.copy() if groups_at else hess
+            for sl, w in groups_at:
+                norm = math.sqrt(float(y[sl] @ y[sl]))
+                if norm == 0.0:
+                    return None
+                u = y[sl] / norm
+                grad[sl] += w * u
+                h[sl, sl] += (w / norm) * (np.eye(len(u)) - np.outer(u, u))
+            try:
+                step = np.linalg.solve(h, grad)
+            except np.linalg.LinAlgError:
+                return None
+            y = y - step
+            if not np.all(np.isfinite(y)):
+                return None
+        settled = np.linalg.norm(step) <= POLISH_SETTLE * np.linalg.norm(y)
+        if not settled or any(not y[sl].any() for sl, _ in groups_at):
+            return None
+        return y
+
+    def polish(x: Array) -> Optional[Array]:
+        x = np.asarray(x, dtype=float)
+        sign = np.sign(x)
+        keep = l1 & (x != 0.0)
+        active = [(sl, w) for sl, w in groups if x[sl].any()]
+        for sl, _ in active:
+            keep[sl] = True
+        # a nearly singular solve can overflow on its way to a non-finite
+        # result, which gives None; numpy need not warn about it
+        with np.errstate(all="ignore"):
+            for _ in range(POLISH_ROUNDS):
+                S = np.flatnonzero(keep)
+                if S.size == 0:
+                    return None
+                # an active group's coordinates are contiguous in S
+                starts = np.searchsorted(S, [sl.start for sl, _ in active])
+                groups_at = [(slice(p, p + sl.stop - sl.start), w)
+                             for (sl, w), p in zip(active, starts.tolist())]
+                y = newton(x, S, groups_at)
+                if y is None:
+                    return None
+                flipped = l1[S] & (np.sign(y) != sign[S])
+                if not flipped.any():
+                    break
+                keep[S[flipped]] = False
+            else:
+                return None
+            cand = np.zeros_like(x)
+            cand[S] = y
+            f_cand = eval_objective(problem, cand)
+            return cand if f_cand <= eval_objective(problem, x) else None
+
+    return polish
 
 
 def nonsmooth_lipschitz(problem: Problem) -> float:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import bsumkit as bk
-from bsumkit import cli, models
+from bsumkit import cli, engine, models
 from bsumkit.cli import ConfigError
+
+BUILD_MODEL = cli.build_model  # the unpatched builder, for wrappers of it
 
 MINIMAL = """
 seed = 3
@@ -216,6 +218,70 @@ def test_the_report_carries_the_reference_gap(tmp_path):
     for run_id, gap in gaps.items():
         report = json.loads((out / f"{run_id}.report.json").read_text())
         assert report["reference"]["gap"] == gap
+
+
+def test_the_report_records_the_reference_counters(tmp_path):
+    # the lasso reference extrapolates and polishes; the l2svm one has no
+    # polish; neither counts as a sweep
+    text = (run_text("lasso", {"family": "lasso", "m": 8, "n": 4, "lam": 0.5, "seed": 42})
+            + run_text("svm", {"family": "l2svm", "rows": 12, "n": 3, "seed": 4}))
+    out = tmp_path / "out"
+    results, _ = cli.run_experiment(cli.parse_config(write(tmp_path, text)), output_dir=str(out))
+    for result in results:
+        ref = result.reference
+        report = json.loads((out / f"{result.run_id}.report.json").read_text())
+        assert report["reference"]["extrapolations"] == ref.extrapolations
+        assert report["reference"]["polishes"] == ref.polishes
+    lasso, svm = (r.reference for r in results)
+    assert lasso.polishes >= 1 and svm.polishes == 0
+    assert lasso.polishes + lasso.extrapolations <= 2 * (lasso.sweeps // engine.ANDERSON_K)
+
+
+def skip_last_block(model, default_seed):
+    """The model with an exact sweep that never updates its last block."""
+    problem = BUILD_MODEL(model, default_seed)
+    sweep = problem.exact_sweep
+    problem.exact_sweep = lambda blocks, *args, **kwargs: sweep(blocks[:-1], *args, **kwargs)
+    return problem
+
+
+def test_a_reference_whose_sweep_skips_a_block_is_not_converged(tmp_path, monkeypatch):
+    # the sweeps stall with the last coordinate at its start, 0, where the
+    # minimizer's is not; the stall rule alone would call that converged, and
+    # the duality gap refutes it
+    lasso = {"family": "lasso", "m": 8, "n": 4, "lam": 0.5, "seed": 41}
+    spec = cli.parse_config(write(tmp_path, run_text("lasso", lasso, surrogate="prox-linear")))
+    results, _ = cli.run_experiment(spec, output_dir=str(tmp_path / "whole"))
+    assert results[0].reference.converged and results[0].reference.x[-1] != 0.0
+    monkeypatch.setattr(cli, "build_model", skip_last_block)
+    results, _ = cli.run_experiment(spec, output_dir=str(tmp_path / "skipping"))
+    ref = results[0].reference
+    assert ref.x[-1] == 0.0 and ref.gap > 1e-3 and not ref.converged
+    report = json.loads((tmp_path / "skipping" / "lasso.report.json").read_text())
+    assert report["reference"]["converged"] is False
+    assert report["warnings"] == [f"reference did not converge: {ref.sweeps} sweeps, "
+                                  f"last objective change {ref.last_change:.6g}"]
+
+
+def test_each_model_is_built_once_per_experiment(tmp_path, monkeypatch):
+    # the two runs of TWO_RUN share one model; built once, it gives the same
+    # traces as a model built for each run
+    built = []
+
+    def counted(model, default_seed):
+        built.append(model["family"])
+        return BUILD_MODEL(model, default_seed)
+
+    monkeypatch.setattr(cli, "build_model", counted)
+    spec = cli.parse_config(write(tmp_path, TWO_RUN))
+    shared, code = cli.run_experiment(spec, output_dir=str(tmp_path / "shared"))
+    assert code == 0 and built == ["lasso"]
+    assert shared[0].problem is shared[1].problem
+    for cfg, result in zip(spec.runs, shared):
+        alone = cli.execute_run(cfg, spec, {})
+        assert alone.problem is not result.problem
+        assert cli.trace_csv_text(alone.trace) == cli.trace_csv_text(result.trace)
+    assert len(built) == 3
 
 
 def test_compare_traces(tmp_path):
@@ -805,6 +871,10 @@ def test_capped_newton_iteration_of_the_group_solve_is_reported(tmp_path, monkey
         capped = result.reference.capped_solves
         assert capped > 0
         report = json.loads((tmp_path / "capped" / f"{result.run_id}.report.json").read_text())
-        run_warning, ref_warning = report["warnings"]
+        # capped group solves leave the reference at its start, and its gap
+        # refutes convergence
+        assert not result.reference.converged
+        not_converged, run_warning, ref_warning = report["warnings"]
+        assert not_converged.startswith("reference did not converge: ")
         assert run_warning.startswith("inner loop hit its cap: ")
         assert ref_warning == f"reference inner loop hit its cap: {capped} times"
