@@ -335,9 +335,13 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
         else:
             sigma, c, offset = sigma_for(variant, cert, problem.n_blocks, problem=problem)
             rep = check_rate_envelope(trace, sigma, c, offset, label=variant)
+            # while f(x^r) <= f(x^1), the envelope cannot fail before this r
+            first_gap = float(trace.deltas()[1])
+            horizon = offset + c / (sigma * first_gap) if first_gap > 0.0 else None
             result.envelopes.append(
                 {"id": variant, "sigma": sigma, "c": c, "offset": offset,
-                 "max_violation": rep.max_violation, "passed": rep.passed}
+                 "horizon": horizon, "max_violation": rep.max_violation,
+                 "passed": rep.passed}
             )
     if "nesterov" in spec.suites:
         result.checks.append(check_nesterov_inequality(problem))

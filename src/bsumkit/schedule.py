@@ -78,31 +78,43 @@ def virtual_updates(problem: Problem, surrogate, x) -> VirtualUpdate:
         x_hat[sl] = surrogate.argmin(k, x, grad_k=grad[sl])
     return VirtualUpdate(
         anchor=x, x_hat=x_hat, step_norms=block_norms(problem, x_hat - x),
-        objectives=lambda: candidate_objectives(problem, x, x_hat),
+        objectives=lambda: candidate_objectives(problem, x, x_hat, grad),
     )
 
 
-def candidate_objectives(problem: Problem, x: Array, x_hat: Array) -> Array:
-    """f(x_hat_k, x_{-k}) for every block k.
+def candidate_objectives(problem: Problem, x: Array, x_hat: Array, grad: Array) -> Array:
+    """f(x_hat_k, x_{-k}) for every block k, given grad = the full gradient at x.
 
     With g = phi(Ax - b) declared, all K candidates are scored in one array
-    operation from the residual r = Ax - b:
-    f(x) + [phi(r + A_k d_k) - phi(r)] + [h_k(x_hat_k) - h_k(x_k)].
+    operation as f(x) + [phi(r + A_k d_k) - phi(r)] + [h_k(x_hat_k) - h_k(x_k)],
+    d = x_hat - x, r = Ax - b.  When ell'' is the constant c (squares), the
+    middle term is grad_k^T d_k + (c/2) d_k^T G_kk d_k, O(n + sum n_k^2)
+    from the Gram matrix (Friedman, Hastie & Tibshirani 2010); any other
+    loss evaluates it on the m x K residuals.
     """
     lin = problem.smooth.linear
+    part = problem.partition
     if lin is None:
-        part = problem.partition
         return np.array([
             objective_with_block(problem, x, k, part.block(x_hat, k))
             for k in range(problem.n_blocks)
         ])
-    r = lin.A @ x - lin.b
-    moved = lin.A * (x_hat - x)  # column j scaled by its coordinate's step
-    if problem.layout.wide:
-        moved = np.add.reduceat(moved, np.asarray(problem.partition.offsets), axis=1)
-    moved += r[:, None]  # column k: the residual after block k's step
-    ell = lin.phi.pointwise
-    d_phi = np.sum(ell(moved) - ell(r)[:, None], axis=0)
+    d = x_hat - x
+    phi = lin.phi
+    offsets = np.asarray(part.offsets)
+    if phi.strong_convexity == phi.curvature:
+        gd = np.diagonal(lin.gram) * d  # G_kk d_k on every block of size 1
+        for k in problem.layout.wide:
+            sl = part.block_slice(k)
+            gd[sl] = lin.gram[sl, sl] @ d[sl]
+        d_phi = np.add.reduceat(d * (grad + 0.5 * phi.curvature * gd), offsets)
+    else:
+        r = lin.A @ x - lin.b
+        moved = lin.A * d  # column j scaled by its coordinate's step
+        if problem.layout.wide:
+            moved = np.add.reduceat(moved, offsets, axis=1)
+        moved += r[:, None]  # column k: the residual after block k's step
+        d_phi = np.sum(phi.pointwise(moved) - phi.pointwise(r)[:, None], axis=0)
     d_h = block_values(problem, x_hat) - block_values(problem, x)
     return eval_objective(problem, x) + d_phi + d_h
 

@@ -7,6 +7,7 @@ nothing is deferred to later calibration.
 """
 
 import glob
+import json
 import os
 
 import numpy as np
@@ -96,6 +97,20 @@ def test_criterion_3_rate_envelopes(matrix_outcome):
             assert env["passed"], (run_id, env["id"], env["max_violation"])
     _criterion(3, worst <= INEQ_TOL,
                f"rate envelopes across the matrix, max violation {worst:.2e}")
+
+
+def test_matrix_envelopes_cannot_fail_before_their_horizon(matrix_outcome):
+    # every matrix envelope's horizon lies past its run: over 300 iterations
+    # only a rise of f above f(x^1) could make it fail
+    for run_id, res in matrix_outcome["results"].items():
+        gap1 = float(res.trace.deltas()[1])
+        with open(os.path.join(matrix_outcome["outdir"], f"{run_id}.report.json")) as fh:
+            report = json.load(fh)
+        assert [e["horizon"] for e in report["envelopes"]] == [
+            e["horizon"] for e in res.envelopes]
+        for env in res.envelopes:
+            assert env["horizon"] == env["offset"] + env["c"] / (env["sigma"] * gap1)
+            assert env["horizon"] > 300, (run_id, env["id"])
 
 
 def test_criterion_4_reweighting_equals_single_block_runs():

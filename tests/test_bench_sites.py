@@ -37,6 +37,12 @@ run.group.model.sizes = [2, 3]
 run.group.model.weight = 0.3
 run.group.surrogate = "exact"
 run.group.iterations = 5
+run.group_mbi.model.family = "group-lasso"
+run.group_mbi.model.m = 8
+run.group_mbi.model.sizes = [2, 3]
+run.group_mbi.model.weight = 0.3
+run.group_mbi.rule = "mbi"
+run.group_mbi.iterations = 5
 """
 
 
@@ -51,7 +57,7 @@ def test_tracer_patches_live_sites_and_restores_them(tmp_path):
                                            output_dir=str(tmp_path / "out"))
     finally:
         tracer.uninstall()
-    assert code == 0 and [r.error for r in results] == [None, None, None]
+    assert code == 0 and [r.error for r in results] == [None] * 4
     for name in ("cli.parse_config", "cli.build_model", "engine.run_bsum",
                  "engine.reference_solve", "engine.bsum_sweep",
                  "diagnostics.estimate_constants", "diagnostics.checks", "cli.artifacts",

@@ -1,5 +1,7 @@
 """Selection rules, coverage invariants, and the virtual update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,26 @@ def test_mbi_matches_bruteforce_small_problems():
             ),
         )
         assert chosen == brute
+
+
+def test_mbi_scores_of_squares_allocate_less_than_a_quarter_of_a():
+    # for squares the scores come from the gradient and the Gram matrix, not
+    # from the m x K residuals A diag(d) + r
+    A, b, lam = models.gen_lasso(2000, 400, 0.5, seed=7)
+    p = models.build_lasso(A, b, lam)
+    x = np.random.default_rng(7).standard_normal(400)
+    vu = bk.virtual_updates(p, bk.make_surrogate(p), x)
+    tracemalloc.start()
+    try:
+        scores = vu.objectives
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nbytes / 4
+    k = int(np.argmin(scores))
+    y = np.array(x)
+    y[k] = vu.x_hat[k]
+    assert scores[k] == pytest.approx(bk.eval_objective(p, y), rel=1e-12)
 
 
 def test_gauss_southwell_threshold_invariant_on_runs():
