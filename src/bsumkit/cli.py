@@ -3,7 +3,7 @@
 Config format: one `key = value` per line, dotted keys for sections, values
 in JSON (strings quoted, lists bracketed).  Unknown keys are rejected.
 Artifacts per run: a trace CSV with the stable header
-`r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks,descent_slack`, a JSON
+`r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks`, a JSON
 report with the certificate and check results, plus one summary CSV per
 experiment.  Identical config, seed and BLAS thread count produce
 byte-identical artifacts; the thread count can change the last digits of
@@ -45,7 +45,7 @@ from .schedule import make_schedule, period_map_slots
 from .surrogate import check_block_kinds, make_surrogate
 
 OUTPUT_DIR_ENV = "BSUMKIT_OUTPUT_DIR"
-TRACE_HEADER = "r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks,descent_slack"
+TRACE_HEADER = "r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks"
 SUITES = ("descent", "cost-to-go", "envelope", "nesterov", "fd")
 SURROGATE_KINDS = ("exact", "prox-linear", "mixed", "model-custom")
 ALGORITHMS = ("bsum", "sum", "a2bsum")
@@ -385,7 +385,6 @@ def trace_csv_text(trace: Trace) -> str:
         lines.append(",".join([
             str(rec.r), _fmt(rec.f), _fmt(delta), _fmt(rec.step_sq),
             _fmt(rec.virt_step_sq), _fmt(rec.grad_diff_sq), blocks,
-            _fmt(rec.descent_slack),
         ]))
     return "\n".join(lines) + "\n"
 

@@ -23,7 +23,7 @@ from .problem import (
     Array,
     Problem,
     block_gradient,
-    eval_objective,  # unused here; perfbench/layers.py patches diagnostics.eval_objective
+    eval_objective,  # unused; kept while perfbench/layers.py:181 patches it (ROADMAP item 5)
     nonsmooth_lipschitz,
     project_feasible,
 )

@@ -46,17 +46,6 @@ class IterationRecord:
     virt_step_sq: Optional[float] = None
     grad_diff_sq: Optional[float] = None
     blocks: Optional[tuple[int, ...]] = None
-    descent_slack: Optional[float] = None
-
-
-@dataclass(eq=False)
-class AccState:
-    """Extrapolation state of the accelerated two-block scheme at iteration r."""
-
-    r: int
-    theta: float
-    v1: Array
-    w1: Array
 
 
 @dataclass(eq=False)
@@ -65,8 +54,7 @@ class Trace:
     iterates: list[Array]
     virtual_points: list[Optional[Array]]
     meta: dict
-    acc_states: list[AccState] = field(default_factory=list)
-    # always empty; read only by perfbench/layers.py:107
+    # always empty; kept while perfbench/layers.py:107 reads it (ROADMAP item 5)
     aux_points: list[Optional[Array]] = field(default_factory=list)
     f_star: Optional[float] = None
     x_star: Optional[Array] = None
@@ -86,15 +74,6 @@ class Trace:
     def attach_reference(self, x_star: Array, f_star: float) -> None:
         self.x_star = np.asarray(x_star, dtype=float)
         self.f_star = float(f_star)
-
-
-def _descent_rhs(schedule: Schedule, gamma: float, step_sq: float,
-                 virt_step_sq: Optional[float]) -> float:
-    if schedule.rule == "gauss-southwell":
-        return (schedule.q / schedule.n_blocks) * gamma * (virt_step_sq or 0.0)
-    if schedule.rule == "mbi":
-        return (1.0 / schedule.n_blocks) * gamma * (virt_step_sq or 0.0)
-    return gamma * step_sq
 
 
 def bsum_sweep(
@@ -153,7 +132,6 @@ def run_bsum(
 
     want_virtual = schedule.needs_virtual()
     want_grads = surrogate.kind == "exact"
-    gamma = surrogate.gamma
 
     x = feasible_start(problem) if x0 is None else np.array(x0, dtype=float)
     f = eval_objective(problem, x)
@@ -187,10 +165,9 @@ def run_bsum(
             problem, surrogate, x, blocks, record_grads=want_grads,
         )
         f_new = eval_objective(problem, x_new)
-        slack = (f - f_new) - _descent_rhs(schedule, gamma, step_sq, virt_sq)
         trace.records.append(IterationRecord(
             r=r, f=f_new, step_sq=step_sq, virt_step_sq=virt_sq,
-            grad_diff_sq=grad_sq, blocks=tuple(blocks), descent_slack=slack,
+            grad_diff_sq=grad_sq, blocks=tuple(blocks),
         ))
         trace.iterates.append(x_new.copy())
         trace.virtual_points.append(None if vu is None else vu.x_hat.copy())
@@ -276,7 +253,6 @@ def run_a2bsum(
         grad1 = reduced.smooth.grad(v1)
         x1 = prox_block(h_out, cs_out, m1, v1 - grad1 / m1)
         w1 = x1_prev + (x1 - x1_prev) / theta
-        trace.acc_states.append(AccState(r=r, theta=theta, v1=v1.copy(), w1=w1.copy()))
         x1_prev = x1
 
         rec_point = assemble(x1)

@@ -47,9 +47,8 @@ class VirtualUpdate:
     objectives (Gauss-Southwell) never pays for them.
     """
 
-    def __init__(self, anchor: Array, x_hat: Array, step_norms: Array,
+    def __init__(self, x_hat: Array, step_norms: Array,
                  objectives: Union[Array, Callable[[], Array]]):
-        self.anchor = anchor
         self.x_hat = x_hat
         self.step_norms = step_norms
         self._objectives = objectives
@@ -77,7 +76,7 @@ def virtual_updates(problem: Problem, surrogate, x) -> VirtualUpdate:
         sl = problem.partition.block_slice(k)
         x_hat[sl] = surrogate.argmin(k, x, grad_k=grad[sl])
     return VirtualUpdate(
-        anchor=x, x_hat=x_hat, step_norms=block_norms(problem, x_hat - x),
+        x_hat=x_hat, step_norms=block_norms(problem, x_hat - x),
         objectives=lambda: candidate_objectives(problem, x, x_hat, grad),
     )
 

@@ -110,7 +110,7 @@ def test_run_experiment_two_runs(tmp_path):
     assert summary[0] == "run_id,rule,surrogate,final_delta,fitted_slope,all_checks_pass"
     assert len(summary) == 3
     header = (out / "bcpg.trace.csv").read_text().splitlines()[0]
-    assert header == cli.TRACE_HEADER
+    assert header == "r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks"
     report = json.loads((out / "bcm.report.json").read_text())
     assert report["all_passed"] is True
     assert "certificate" in report

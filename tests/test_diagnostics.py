@@ -285,7 +285,7 @@ def test_descent_check_hand_example():
     rep = bk.check_sufficient_descent(tr, cert, "gs-ec")
     assert rep.passed
     # the first-sweep inequality is tight here: drop 0.5 vs gamma * 0.25 * 2
-    assert tr.records[1].descent_slack == pytest.approx(0.25)
+    assert rep.slacks[0] == pytest.approx(0.25)
 
 
 def test_descent_converged_tail_is_tight():

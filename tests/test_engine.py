@@ -139,15 +139,41 @@ def test_sum_reweighting_reproduces_classical_iteration():
         assert np.max(np.abs(x - tr.iterates[j])) <= 1e-10
 
 
+def a2bsum_recursion(reduced, iterations, momentum=True):
+    """Outer iterates of accelerated prox-gradient on the (unregularized)
+    reduced function; momentum=False holds theta at 1, plain prox-gradient."""
+    m = reduced.smooth.lipschitz
+    x_prev = bk.feasible_start(reduced)
+    w = x_prev.copy()
+    out = []
+    for r in range(1, iterations + 1):
+        theta = 2.0 / (r + 1) if momentum else 1.0
+        v = (1.0 - theta) * x_prev + theta * w
+        x = v - reduced.smooth.grad(v) / m
+        w = x_prev + (x - x_prev) / theta
+        x_prev = x
+        out.append(x)
+    return out
+
+
 def test_a2bsum_theta_and_momentum():
     Q, c, sizes = models.gen_two_block_quadratic(4, 5, seed=2)
     p = models.build_quadratic(Q, c, block_sizes=list(sizes))
-    tr = bk.run_a2bsum(p, outer=1, inner=0, iterations=3)
-    thetas = [st.theta for st in tr.acc_states]
-    assert thetas == pytest.approx([1.0, 2.0 / 3.0, 0.5])
-    # at theta = 1 the momentum point coincides with the fresh iterate
+    tr = bk.run_a2bsum(p, outer=1, inner=0, iterations=6)
+    reduced = bk.reduce_two_block(p)
     sl = p.partition.block_slice(1)
-    np.testing.assert_allclose(tr.acc_states[0].w1, tr.iterates[1][sl])
+    got = [x[sl] for x in tr.iterates[1:]]
+    assert len(got) == 6
+    for x, want in zip(got, a2bsum_recursion(reduced, 6)):
+        assert np.array_equal(x, want)
+    # theta_1 = 1 makes w_1 = x_1, so v_2 = x_1: the first two steps are
+    # prox-gradient steps; from r = 3 on the momentum moves the iterate
+    plain = a2bsum_recursion(reduced, 6, momentum=False)
+    for r, (x, y) in enumerate(zip(got, plain), start=1):
+        if r <= 2:
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+        else:
+            assert np.max(np.abs(x - y)) > 1e-3
 
 
 def test_a2bsum_requires_two_blocks():

@@ -171,7 +171,7 @@ def test_virtual_update_equals_argmin_loop(case):
 
 def test_objectives_are_computed_on_first_read_only(monkeypatch):
     calls = []
-    vu = bk.VirtualUpdate(anchor=np.zeros(4), x_hat=np.ones(4), step_norms=np.ones(4),
+    vu = bk.VirtualUpdate(x_hat=np.ones(4), step_norms=np.ones(4),
                           objectives=lambda: calls.append(1) or np.arange(4.0))
     assert calls == []
     assert same_bits(vu.objectives, np.arange(4.0))

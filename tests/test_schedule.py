@@ -13,7 +13,7 @@ from bsumkit.schedule import MissingVirtualUpdate, VirtualUpdate
 def _fake_virtual(norms, objectives=None):
     k = len(norms)
     return VirtualUpdate(
-        anchor=np.zeros(k), x_hat=np.zeros(k),
+        x_hat=np.zeros(k),
         step_norms=np.asarray(norms, dtype=float),
         objectives=np.asarray(objectives if objectives is not None else norms, float),
     )
