@@ -21,9 +21,9 @@ from .problem import (
     block_gradient,
     eval_objective,
     feasible_start,
+    linear_dual,
     make_partition,
     project_feasible,
-    squares_dual,
     squares_polish,
 )
 from .schedule import Schedule, VirtualUpdate, make_schedule, virtual_updates
@@ -158,7 +158,7 @@ def run_bsum(
         vu: Optional[VirtualUpdate] = None
         virt_sq = None
         if want_virtual:
-            vu = virtual_updates(problem, surrogate, x)
+            vu = virtual_updates(problem, surrogate, x, f)
             virt_sq = float(np.sum(vu.step_norms**2))
         blocks = schedule.select(r - 1, vu)
         x_new, step_sq, grad_sq = bsum_sweep(
@@ -337,7 +337,7 @@ class ReferenceSolution:
     sweeps: int  # bsum_sweep calls; extrapolations and polishes are not sweeps
     last_change: float
     capped_solves: int = 0  # block solves whose inner loop stopped at its cap
-    gap: Optional[float] = None  # f minus the best dual value; None without a dual
+    gap: Optional[float] = None  # f minus the best dual value; None without a finite one
     extrapolations: int = 0  # accepted Anderson points
     polishes: int = 0  # accepted support polishes
 
@@ -389,16 +389,17 @@ def reference_solve(
     the strongest available per-block solver, and every ANDERSON_K sweeps
     replaces the iterate by its Anderson extrapolation when that lowers f
     (constrained blocks projected first), then by its squares_polish when
-    that gives a point.  Where squares_dual gives a dual, the solve is
+    that gives a point.  Where linear_dual gives a dual, the solve is
     converged when the best f minus the best dual value, taken at the
     extrapolation points, is at most max(GAP_TOL, GAP_ULPS eps |f|): even an
     exact minimizer, rounded to doubles, leaves a gap of a few ulps of f.
     The solve also stops when the objective change stays within
-    max(STALL_TOL, STALL_ULPS eps |f|) for STALL_SWEEPS consecutive sweeps;
-    that stop is converged without a dual, and with one only when the gap
-    lies within the dual point's own rounding, GAP_ULPS eps M ||x||^2.  A
-    reference whose objective is not finite is unconverged; the sweeps stop
-    at it.
+    max(STALL_TOL, STALL_ULPS eps |f|) for STALL_SWEEPS consecutive sweeps.
+    That stop is converged when no dual value is finite (no dual, or no dual
+    point in the conjugate's domain; the gap is then None), and otherwise
+    only when the gap lies within the dual point's own rounding,
+    GAP_ULPS eps M ||x||^2.  A reference whose objective is not finite is
+    unconverged; the sweeps stop at it.
     """
     if problem.reference_solver is not None:
         x_star, f_star = problem.reference_solver()
@@ -407,7 +408,7 @@ def reference_solve(
             converged=bool(np.isfinite(f_star)), sweeps=0, last_change=0.0,
         )
     surrogate = _strongest_surrogate(problem)
-    dual = squares_dual(problem)
+    dual = linear_dual(problem)
     polish = squares_polish(problem)
     eps = np.finfo(float).eps
     blocks = tuple(range(problem.n_blocks))
@@ -455,7 +456,9 @@ def reference_solve(
     gap = None
     converged = stalled
     if dual is not None:
-        gap = best_f - max(lower, dual(best_x))
+        lower = max(lower, dual(best_x))
+    if lower > float("-inf"):
+        gap = best_f - lower
         # a dual point read off a double-precision x carries rounding of
         # about eps M ||x||^2; a gap below that cannot refute a stalled solve
         floor = GAP_ULPS * eps * problem.smooth.lipschitz * float(best_x @ best_x)

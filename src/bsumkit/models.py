@@ -62,20 +62,29 @@ def sigmoid(t: Array) -> Array:
     return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
 
 
-# phi(r) = ||r||^2
+def _quarter_square_sum(v: Array) -> float:
+    return 0.25 * float(v @ v)
+
+
+# phi(r) = ||r||^2; ell*(v) = v^2/4 on all of R
 SQUARES = SeparableLoss(name="squares", value=lambda r: float(r @ r),
                         grad=lambda r: 2.0 * r, pointwise=np.square,
-                        curvature=2.0, strong_convexity=2.0)
+                        curvature=2.0, strong_convexity=2.0,
+                        conjugate=_quarter_square_sum)
 # phi(z) = sum_i log(1 + exp(-z_i)), z_i the signed margins; its ell'' is
-# sigma(z)(1 - sigma(z)) <= 1/4 (Bohning & Lindsay 1988)
+# sigma(z)(1 - sigma(z)) <= 1/4 (Bohning & Lindsay 1988); its conjugate, an
+# entropy on [-1, 0], is not declared
 LOGISTIC = SeparableLoss(name="logistic",
                          value=lambda z: float(np.sum(np.logaddexp(0.0, -z))),
                          grad=lambda z: -sigmoid(-z),
                          pointwise=lambda z: np.logaddexp(0.0, -z), curvature=0.25)
-# phi(r) = sum_i max(0, -r_i)^2, r_i = <a_i, x> - 1
+# phi(r) = sum_i max(0, -r_i)^2, r_i = <a_i, x> - 1; ell*(v) = v^2/4 for
+# v <= 0 and +inf for v > 0
 SQUARED_HINGE = SeparableLoss(name="squared-hinge", value=_squared_hinge_value,
                               grad=lambda r: -2.0 * _hinge(r),
-                              pointwise=lambda r: np.square(_hinge(r)), curvature=2.0)
+                              pointwise=lambda r: np.square(_hinge(r)), curvature=2.0,
+                              conjugate=_quarter_square_sum,
+                              conjugate_domain=(-math.inf, 0.0))
 
 
 def linear_smooth(phi: SeparableLoss, A: Array, b: Array,
@@ -204,11 +213,12 @@ def piecewise_quadratic_min(
         return float(lo)
 
     nz = d != 0.0
-    knots = c[nz] / d[nz]
+    knots = c / d if nz.all() else c[nz] / d[nz]
     if lam > 0.0:
         knots = np.append(knots, 0.0)
     a, b = lo, hi  # a minimizer lies in [a, b], and knots holds the breakpoints inside
-    knots = knots[(a < knots) & (knots < b)]
+    if math.isfinite(a) or math.isfinite(b):
+        knots = knots[(a < knots) & (knots < b)]
     t = min(max(float(start), lo), hi)
     older = old = math.inf  # breakpoints inside the bracket two steps and one step ago
     while True:
@@ -280,19 +290,22 @@ def _secular_root(z: Array, d: Array, weight: float, hi: float, start: float = 0
 
 class BlockHessian(NamedTuple):
     """The Hessian V diag(d) V^T of a block subproblem's quadratic part, the
-    directions whose d rises above rounding, and the smallest such d."""
+    directions whose d rises above rounding, the smallest such d, and
+    whether every direction is kept."""
 
     vecs: Array
     d: Array
     kept: Array
     d_min: float
+    all_kept: bool
 
 
 def block_hessian(evals: Array, vecs: Array) -> BlockHessian:
     """2 A^T A, given A^T A = vecs diag(evals) vecs^T."""
     d = 2.0 * evals
     kept = d > 1e-12 * max(float(np.max(d)), 1.0)
-    return BlockHessian(vecs, d, kept, float(np.min(d, initial=np.inf, where=kept)))
+    return BlockHessian(vecs, d, kept, float(np.min(d, initial=np.inf, where=kept)),
+                        bool(kept.all()))
 
 
 def group_l2_block_min(h: BlockHessian, rhs: Array, weight: float, start: float = 0.0,
@@ -310,11 +323,12 @@ def group_l2_block_min(h: BlockHessian, rhs: Array, weight: float, start: float 
     """
     z = h.vecs.T @ rhs
     if weight == 0.0:
-        coef = np.where(h.kept, z / np.where(h.kept, h.d, 1.0), 0.0)
+        coef = z / h.d if h.all_kept else np.where(h.kept, z / np.where(h.kept, h.d, 1.0), 0.0)
         return h.vecs @ coef
     # rhs lies in the range of H: z outside the kept directions is
     # rounding, and without it ||q(s)|| <= ||z|| / (d_min s + weight) bounds the root
-    z = np.where(h.kept, z, 0.0)
+    if not h.all_kept:
+        z = np.where(h.kept, z, 0.0)
     zz = float(z @ z)
     if zz <= weight * weight:
         return np.zeros_like(z)
@@ -431,7 +445,7 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
         grad_stat = 0.0 if record_grads else None
         for k in blocks:
             sl, g_kk, g_rows, h, wk = per_block[k]
-            old = w[sl].copy()
+            old = w[sl]  # a view: read before w[sl] is written
             new = group_l2_block_min(h, 2.0 * (g_kk @ old - c[sl]), wk,
                                      math.sqrt(float(old @ old)), on_cap)
             d = new - old

@@ -168,7 +168,7 @@ class NonsmoothBlock:
         if self.kind == "l1":
             return self.weight * float(np.sum(np.abs(v)))
         if self.kind == "group-l2":
-            return self.weight * float(np.linalg.norm(v))
+            return self.weight * math.sqrt(float(v.dot(v)))  # np.linalg.norm's arithmetic
         raise ValueError(f"unknown nonsmooth kind {self.kind!r}")
 
     def lipschitz_bound(self, dim: int) -> float:
@@ -212,6 +212,10 @@ class SeparableLoss:
     pointwise: Callable[[Array], Array]
     curvature: float  # c: phi' is c-Lipschitz
     strong_convexity: float = 0.0  # mu: phi is mu-strongly convex (0 when not)
+    # phi*(v) = sum_i ell*(v_i) for v whose entries lie in conjugate_domain,
+    # the closed interval outside which ell* is +inf; None when not declared
+    conjugate: Optional[Callable[[Array], float]] = None
+    conjugate_domain: tuple[float, float] = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +392,8 @@ def block_norms(problem: Problem, d: Array) -> Array:
     single = d[lay.scalar_coords]
     norms[lay.scalar] = np.sqrt(single * single)
     for k in lay.wide:
-        norms[k] = np.linalg.norm(problem.partition.block(d, k))
+        dk = problem.partition.block(d, k)
+        norms[k] = math.sqrt(float(dk.dot(dk)))
     return norms
 
 
@@ -396,40 +401,66 @@ def nonsmooth_value(problem: Problem, x: Array) -> float:
     return float(np.add.accumulate(block_values(problem, x))[-1])
 
 
-def _penalized_squares(problem: Problem) -> bool:
-    """Whether f = ||Ax - b||^2 + h with every h_k a positively weighted l1
-    or group-l2 norm and no block constrained: the problems squares_dual
-    gives a dual and squares_polish a polish."""
-    lin = problem.smooth.linear
-    return (lin is not None and lin.phi.name == "squares" and not problem.layout.project_blocks
-            and all(h.kind in ("l1", "group-l2") and h.weight > 0.0
-                    for h in problem.nonsmooth))
+def _penalized(problem: Problem) -> bool:
+    """Whether every h_k is a positively weighted l1 or group-l2 norm and no
+    block is constrained."""
+    return not problem.layout.project_blocks and all(
+        h.kind in ("l1", "group-l2") and h.weight > 0.0 for h in problem.nonsmooth)
 
 
-def squares_dual(problem: Problem) -> Optional[Callable[[Array], float]]:
-    """x -> D(u), a lower bound on min f read off x, for the problems
-    _penalized_squares admits; None for any other problem.
+def linear_dual(problem: Problem) -> Optional[Callable[[Array], float]]:
+    """x -> D(v), a lower bound on min f read off x, for f = phi(Ax - b) + h
+    whose loss declares its conjugate, no block constrained and either every
+    h_k zero or every h_k a positively weighted l1 or group-l2 norm; None for
+    any other problem.
 
-    u = 2(Ax - b), which is the dual optimum at a minimizer, is scaled down
-    until ||A_k^T u||_inf <= w_k on l1 blocks and ||A_k^T u||_2 <= w_k on
-    group-l2 blocks, the domain of h*(-A^T u); there the Fenchel dual is
-    D(u) = -||u||^2/4 - u^T b (Fercoq, Gramfort & Salmon 2015).  A zero
-    weight would shrink its block's dual set to A_k^T u = 0, so it gets None.
+    The Fenchel dual is D(v) = -phi*(v) - v^T b - h*(-A^T v), where
+    phi*(v) = sum_i ell*(v_i) is +inf outside the conjugate's domain (Fercoq,
+    Gramfort & Salmon 2015).  v starts from u = phi'(Ax - b), the dual
+    optimum at a minimizer, and is moved into the domain of h*(-A^T .):
+    - penalized: u is scaled down until ||A_k^T u||_inf <= w_k on l1 blocks
+      and ||A_k^T u||_2 <= w_k on group-l2 blocks;
+    - every h_k zero: h* is 0 at 0 and +inf elsewhere, so A^T v = 0.  On the
+      support S = {u_i != 0}, v_S = u_S - A_S z is u_S minus its least-squares
+      fit z (rank-deficient A_S allowed), and v is 0 off S; an empty support
+      gives v = 0.
+    There h*(-A^T v) = 0.  A v outside the conjugate's domain gives -inf: the
+    point certifies nothing.
     """
-    if not _penalized_squares(problem):
+    lin = problem.smooth.linear
+    if lin is None or lin.phi.conjugate is None or problem.layout.project_blocks:
         return None
-    A, b = problem.smooth.linear.A, problem.smooth.linear.b
+    phi, A, b = lin.phi, lin.A, lin.b
+    lo, hi = phi.conjugate_domain
+
+    def value(v: Array) -> float:
+        if not np.all((lo <= v) & (v <= hi)):
+            return -math.inf
+        return -phi.conjugate(v) - float(v @ b)
+
+    if all(h.is_zero for h in problem.nonsmooth):
+        def dual(x: Array) -> float:
+            u = phi.grad(A @ x - b)
+            S = np.flatnonzero(u)
+            v = np.zeros_like(u)
+            if S.size:
+                A_S, u_S = A[S], u[S]
+                v[S] = u_S - A_S @ np.linalg.lstsq(A_S, u_S, rcond=None)[0]
+            return value(v)
+
+        return dual
+    if not _penalized(problem):
+        return None
     offsets = np.asarray(problem.partition.offsets)
     weights = np.array([h.weight for h in problem.nonsmooth])
     group = np.array([h.kind == "group-l2" for h in problem.nonsmooth])
 
     def dual(x: Array) -> float:
-        u = 2.0 * (A @ x - b)
+        u = phi.grad(A @ x - b)
         c = A.T @ u
         norms = np.where(group, np.sqrt(np.add.reduceat(c * c, offsets)),
                          np.maximum.reduceat(np.abs(c), offsets))
-        u = u / max(1.0, float(np.max(norms / weights)))
-        return -0.25 * float(u @ u) - float(u @ b)
+        return value(u / max(1.0, float(np.max(norms / weights))))
 
     return dual
 
@@ -441,8 +472,8 @@ POLISH_SETTLE = 1e-2  # largest last Newton step, relative to the point it gives
 
 def squares_polish(problem: Problem) -> Optional[Callable[[Array], Optional[Array]]]:
     """x -> a point on x's support where f is no larger than at x, or None,
-    for the problems _penalized_squares admits, so that squares_dual can
-    certify every polished point; None for any other problem.
+    for f = ||Ax - b||^2 + h with h as _penalized admits, so that linear_dual
+    can certify every polished point; None for any other problem.
 
     The support is x's nonzero l1 coordinates, their signs fixed, and its
     nonzero group-l2 blocks.  There f is ||A_S y - b||^2 + sum w s_i y_i +
@@ -459,9 +490,9 @@ def squares_polish(problem: Problem) -> Optional[Callable[[Array], Optional[Arra
     last round and a rise of f give None (support identification: Nutini,
     Schmidt & Hare 2019).
     """
-    if not _penalized_squares(problem):
-        return None
     lin = problem.smooth.linear
+    if lin is None or lin.phi.name != "squares" or not _penalized(problem):
+        return None
     A, b, gram = lin.A, lin.b, lin.gram
     l1_weight = problem.layout.l1_weight
     l1 = l1_weight > 0.0  # every l1 weight is positive here

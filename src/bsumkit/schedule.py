@@ -60,7 +60,9 @@ class VirtualUpdate:
         return self._objectives
 
 
-def virtual_updates(problem: Problem, surrogate, x) -> VirtualUpdate:
+def virtual_updates(problem: Problem, surrogate, x, f: Optional[float] = None) -> VirtualUpdate:
+    """The all-blocks virtual update at x; f, when given, is f(x), which
+    candidate_objectives then need not evaluate again."""
     x = np.asarray(x, dtype=float)
     grad = full_gradient(problem, x)
     x_hat = np.array(x)
@@ -77,12 +79,14 @@ def virtual_updates(problem: Problem, surrogate, x) -> VirtualUpdate:
         x_hat[sl] = surrogate.argmin(k, x, grad_k=grad[sl])
     return VirtualUpdate(
         x_hat=x_hat, step_norms=block_norms(problem, x_hat - x),
-        objectives=lambda: candidate_objectives(problem, x, x_hat, grad),
+        objectives=lambda: candidate_objectives(problem, x, x_hat, grad, f),
     )
 
 
-def candidate_objectives(problem: Problem, x: Array, x_hat: Array, grad: Array) -> Array:
-    """f(x_hat_k, x_{-k}) for every block k, given grad = the full gradient at x.
+def candidate_objectives(problem: Problem, x: Array, x_hat: Array, grad: Array,
+                         f: Optional[float] = None) -> Array:
+    """f(x_hat_k, x_{-k}) for every block k, given grad = the full gradient at
+    x and, when not None, f = f(x).
 
     With g = phi(Ax - b) declared, all K candidates are scored in one array
     operation as f(x) + [phi(r + A_k d_k) - phi(r)] + [h_k(x_hat_k) - h_k(x_k)],
@@ -115,7 +119,7 @@ def candidate_objectives(problem: Problem, x: Array, x_hat: Array, grad: Array) 
         moved += r[:, None]  # column k: the residual after block k's step
         d_phi = np.sum(phi.pointwise(moved) - phi.pointwise(r)[:, None], axis=0)
     d_h = block_values(problem, x_hat) - block_values(problem, x)
-    return eval_objective(problem, x) + d_phi + d_h
+    return (eval_objective(problem, x) if f is None else f) + d_phi + d_h
 
 
 @dataclass(eq=False)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bsumkit as bk
 from bsumkit import cli, engine, models
-from bsumkit.problem import UnsupportedCombination, squares_dual, squares_polish
+from bsumkit.problem import UnsupportedCombination, linear_dual, squares_polish
 from bsumkit.surrogate import BLOCK_KINDS
 
 from conftest import MATRIX_MODELS, irls_step
@@ -287,7 +287,7 @@ def test_reference_stops_at_a_non_finite_objective(monkeypatch):
     (lambda: models.build_lasso(*models.gen_lasso(30, 12, 1.0, seed=6)), True),
     (lambda: models.build_group_lasso(*models.gen_group_lasso(12, [3, 3, 2], 0.4, seed=5)),
      True),
-    (lambda: models.build_l2svm(models.gen_l2svm(20, 4, seed=4)), False),
+    (lambda: models.build_l2svm(models.gen_l2svm(20, 4, seed=4)), True),
     (lambda: models.build_logistic(*models.gen_logistic(30, 6, 0.5, seed=3)), False),
 ])
 def test_reference_sweeps_count_bsum_sweep_calls(monkeypatch, problem, has_dual):
@@ -449,11 +449,74 @@ def squares_problems(draw):
 def test_the_reference_gap_bounds_its_distance_to_a_long_solve(p):
     ref = bk.reference_solve(p)
     assert ref.converged
-    # a zero weight shrinks its block's dual set to A_k^T u = 0: no dual point
-    assert (ref.gap is None) == any(h.weight == 0.0 for h in p.nonsmooth)
+    # a dual point is projected onto A^T v = 0 when every weight is zero and
+    # scaled into the weights' balls when every weight is positive; a mix of
+    # the two gets none
+    zero = [h.weight == 0.0 for h in p.nonsmooth]
+    assert (ref.gap is None) == (any(zero) and not all(zero))
     if ref.gap is not None:
         assert ref.gap >= -1e-12
         assert ref.f - plain_sweeps_value(p, 20000) <= ref.gap + 1e-12
+
+
+@st.composite
+def svm_dual_cases(draw):
+    """A small l2svm, its l1 weight zero or positive, and a random point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    rows = models.gen_l2svm(draw(st.integers(3 * n, 12)), n, seed=int(rng.integers(2**31)))
+    p = models.build_l2svm(rows, l1_weight=draw(st.sampled_from([0.0, 0.1, 1.0])))
+    return p, rng.standard_normal(n) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=svm_dual_cases())
+def test_the_svm_dual_value_is_a_lower_bound(case):
+    # weak duality: every dual value lies below every primal value
+    p, x = case
+    dual = linear_dual(p)
+    f_ref = bk.eval_objective(p, bk.reference_solve(p).x)
+    assert dual(x) <= f_ref + 1e-9 * max(1.0, abs(f_ref))
+
+
+def test_an_empty_svm_support_gives_a_zero_bound():
+    # every margin above 1: u = phi'(Ax - b) = 0, and so is v
+    p = models.build_l2svm(np.array([[1.0], [2.0]]))
+    assert linear_dual(p)(np.array([5.0])) == 0.0
+
+
+def test_a_rank_deficient_svm_support_gives_a_bound():
+    rows = models.gen_l2svm(30, 3, seed=5)
+    rows[:, 2] = rows[:, 0]  # a duplicated column: A_S^T A_S is singular
+    p = models.build_l2svm(rows)
+    ref = bk.reference_solve(p)
+    lower = linear_dual(p)(ref.x)
+    # at a minimizer the dual value meets f up to rounding
+    assert np.isfinite(lower) and abs(ref.f - lower) <= engine.GAP_TOL
+    assert ref.converged and abs(ref.gap) <= engine.GAP_TOL
+
+
+def test_a_projection_that_leaves_the_conjugate_domain_gives_no_bound():
+    # at x = 0 every residual is -1, u = (-2, -2), and its projection onto
+    # A^T v = 0 for A = (1, 2)^T is (-0.8, 0.4): ell*(0.4) = +inf
+    p = models.build_l2svm(np.array([[1.0], [2.0]]))
+    assert linear_dual(p)(np.zeros(1)) == -np.inf
+
+
+EXACT_TALL_SVM = {"family": "l2svm", "rows": 400, "n": 10}
+
+
+@pytest.mark.parametrize("model, most", [
+    (dict(EXACT_TALL_SVM, seed=1), 10),
+    (dict(EXACT_TALL_SVM, seed=2), 10),
+    (MATRIX_MODELS["svm"], 15),
+], ids=["exact-tall-svm-1", "exact-tall-svm-2", "matrix-svm"])
+def test_svm_references_close_their_gaps_in_few_sweeps(model, most):
+    # sweep counts repeat exactly; on the stall rule alone these took 56, 55 and 59
+    ref = bk.reference_solve(cli.build_model(model, 1))
+    eps = np.finfo(float).eps
+    assert ref.converged is True and ref.sweeps <= most
+    assert abs(ref.gap) <= max(engine.GAP_TOL, engine.GAP_ULPS * eps * abs(ref.f))
 
 
 @st.composite
@@ -526,7 +589,7 @@ def test_the_polish_rejects_a_degenerate_support():
     assert squares_polish(models.build_lasso(A, b, lam))(np.zeros(4)) is None
     assert squares_polish(models.build_lasso(A, b, 0.0)) is None
     boxed = models.build_lasso(A, b, lam, constraints=[bk.box([-1.0], [1.0])] * 4)
-    assert squares_polish(boxed) is None and squares_dual(boxed) is None
+    assert squares_polish(boxed) is None and linear_dual(boxed) is None
 
 
 def test_run_config_validation():

@@ -158,3 +158,11 @@ def test_a_rerun_of_every_family_and_rule_is_byte_identical(coverage_run, tmp_pa
     assert sorted(p.name for p in first.iterdir()) == sorted(p.name for p in again.iterdir())
     for name in artifacts:
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_the_l1_svm_references_close_their_gaps(coverage_run):
+    # the scaled dual point of an l1-penalized squared hinge certifies the reference
+    results, _ = coverage_run
+    for res in results:
+        if res.run_id.startswith("svm_l1"):
+            assert res.reference.converged and abs(res.reference.gap) <= 1e-12
