@@ -672,3 +672,59 @@ def test_exact_sweep_matches_rebuilt_solves(case):
         assert abs(grad_stat - want) <= 1e-9 * want
     else:
         assert grad_stat is None
+
+
+@st.composite
+def rank_deficient_group_sweeps(draw):
+    """A group lasso of blocks of 1 to 16 columns, m >= size rows, some blocks
+    with duplicated columns; per block a weight of 0, a tiny one, or one at
+    least ||z|| at the start, so that the block's first solve returns 0; a
+    random start and a block order with repeats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 16), min_size=1, max_size=4))
+    # two rows beyond the widest block keep the distinct columns well conditioned
+    m = max(sizes) + draw(st.integers(2, 8))
+    mats = []
+    for s in sizes:
+        distinct = draw(st.integers(1, s))
+        cols = rng.standard_normal((m, distinct))
+        mats.append(cols[:, np.concatenate((np.arange(distinct),
+                                            rng.integers(0, distinct, s - distinct)))])
+    b = 2.0 * rng.standard_normal(m)
+    x0 = 2.0 * rng.standard_normal(sum(sizes))
+    resid = b - np.hstack(mats) @ x0
+    weights = []
+    for Ak, xk in zip(mats, np.split(x0, np.cumsum(sizes)[:-1])):
+        kind = draw(st.sampled_from(("zero", "tiny", "above")))
+        znorm = float(np.linalg.norm(2.0 * Ak.T @ (resid + Ak @ xk)))
+        weights.append({"zero": 0.0, "tiny": 1e-12,
+                        "above": draw(st.floats(1.0, 3.0)) * znorm}[kind])
+    p = models.build_group_lasso(mats, b, weights)
+    K = p.n_blocks
+    blocks = tuple(draw(st.lists(st.integers(0, K - 1), min_size=1, max_size=3 * K)))
+    return p, x0, blocks, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rank_deficient_group_sweeps())
+def test_eigenbasis_sweep_on_rank_deficient_blocks_matches_per_block_solves(case):
+    p, x0, blocks, record_grads = case
+    surrogate = bk.make_surrogate(p, "exact")
+    x1, _, grad_stat = bk.bsum_sweep(p, surrogate, x0, blocks, record_grads=record_grads)
+    w = x0.copy()
+    g_prev = p.smooth.grad(w)
+    want = 0.0
+    for k in blocks:
+        w[p.partition.block_slice(k)] = p.exact_solver(k, w)
+        g_now = p.smooth.grad(w)
+        want += float((g_now - g_prev) @ (g_now - g_prev))
+        g_prev = g_now
+    assert close(x1, w)
+    # a block the sweep did not visit keeps its bits
+    for k in set(range(p.n_blocks)).difference(blocks):
+        sl = p.partition.block_slice(k)
+        assert np.array_equal(x1[sl], x0[sl])
+    if record_grads:
+        assert abs(grad_stat - want) <= 1e-9 * want
+    else:
+        assert grad_stat is None

@@ -176,12 +176,12 @@ def bisect_group_l2_block_min(evals, vecs, target, weight):
 
     With s = ||u||, the minimizer is V (z s / (d s + weight)) where
     sum_i (z_i / (d_i s + weight))^2 = 1.  Components of z along directions
-    with d_i at most 1e-12 max(max d, 1) are rounding of a target in the range
-    of A^T A and are dropped, as the weight == 0 solve drops them.
+    with d_i at most 1e-12 max d are rounding of a target in the range of
+    A^T A and are dropped, as the weight == 0 solve drops them.
     """
     z = vecs.T @ (2.0 * target)
     d = 2.0 * evals
-    z = np.where(d > 1e-12 * max(float(np.max(d)), 1.0), z, 0.0)
+    z = np.where(d > 1e-12 * float(np.max(d)), z, 0.0)
     if float(np.linalg.norm(z)) <= weight:
         return np.zeros_like(z)
 
@@ -214,7 +214,7 @@ def group_subproblems(draw):
     target = A.T @ rng.standard_normal(A.shape[0]) * 10.0 ** draw(st.integers(-3, 3))
     d = 2.0 * evals
     z = vecs.T @ (2.0 * target)
-    znorm = float(np.linalg.norm(z[d > 1e-12 * max(float(np.max(d)), 1.0)]))
+    znorm = float(np.linalg.norm(z[d > 1e-12 * float(np.max(d))]))
     ratio = draw(st.one_of(st.floats(0.02, 0.9), st.floats(1.1, 3.0)))
     return evals, vecs, target, ratio * znorm
 
@@ -234,8 +234,48 @@ def test_group_l2_block_min_matches_a_bisection_to_adjacent_floats(problem, wher
     hi = max(float(np.linalg.norm(np.where(h.kept, vecs.T @ rhs, 0.0))) - weight, 0.0) / h.d_min
     start = {"zero": 0.0, "below": frac * root, "root": root,
              "above": root + frac * (hi - root), "past hi": (1.0 + frac) * hi + 1.0}[where]
-    got = models.group_l2_block_min(h, rhs, weight, start)
+    got = vecs @ models.group_l2_block_min(h, vecs.T @ rhs, weight, start)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@settings(max_examples=100)
+@given(problem=group_subproblems())
+def test_a_start_one_float_right_of_the_root_stops_on_its_first_evaluation(problem):
+    # the Newton step there is already below its stop: one evaluation returns,
+    # while a start at 0 needs more and reaches a cap of 1.  Rounding in
+    # ||q||^2 can push that step past the stop; on these examples it stays
+    # below half of it.
+    evals, vecs, target, weight = problem
+    want = bisect_group_l2_block_min(*problem)
+    root = float(np.linalg.norm(want))
+    if root == 0.0:  # the weight is at least ||z||: no secular solve
+        return
+    h = models.block_hessian(evals, vecs)
+    z = vecs.T @ (2.0 * target)
+    capped = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "SECULAR_MAX_ITER", 1)
+        got = vecs @ models.group_l2_block_min(h, z, weight, float(np.nextafter(root, np.inf)),
+                                               lambda: capped.append(1))
+        assert capped == []
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        models.group_l2_block_min(h, z, weight, 0.0, lambda: capped.append(1))
+    assert capped == [1]
+
+
+def test_a_block_at_a_small_column_scale_keeps_every_direction():
+    # the floor on d is relative: columns scaled by 1e-7, and the weights
+    # with them, keep the optimum, and the exact run and the reference reach it
+    mats, b, _ = models.gen_group_lasso(30, [4, 4], 0.0, seed=3)
+    want = bk.reference_solve(models.build_group_lasso(mats, b, [1e-3] * 2))
+    p = models.build_group_lasso([1e-7 * Ak for Ak in mats], b, [1e-3 * 1e-7] * 2)
+    assert all(models.block_hessian(*eig).all_kept for eig in p.smooth.linear.block_eigh)
+    ref = bk.reference_solve(p)
+    assert want.converged and ref.converged
+    assert abs(ref.f - want.f) <= 1e-12 * want.f
+    tr = bk.run_bsum(p, bk.make_surrogate(p, "exact"), bk.make_schedule("gauss-seidel", 2),
+                     iterations=200)
+    assert abs(tr.records[-1].f - want.f) <= 1e-12 * want.f
 
 
 def test_group_lasso_reference_with_a_tiny_weight_finishes(monkeypatch):
@@ -248,14 +288,15 @@ def test_group_lasso_reference_with_a_tiny_weight_finishes(monkeypatch):
     solve = models.group_l2_block_min
     worst = []
 
-    def checked(h, rhs, wk, start=0.0, on_cap=None):
-        # group-l2 optimality of the block solve, with 2 A_k^T A_k = V diag(d) V^T
-        # and rhs = 2 A_k^T rho: 2 (A_k^T A_k u - A_k^T rho) + weight u/||u|| = 0
-        u = solve(h, rhs, wk, start, on_cap)
-        grad = h.vecs @ (h.d * (h.vecs.T @ u)) - rhs
-        assert np.linalg.norm(u) > 0.0
-        worst.append(np.linalg.norm(grad + wk * u / np.linalg.norm(u)) / np.linalg.norm(rhs))
-        return u
+    def checked(h, z, wk, start=0.0, on_cap=None):
+        # group-l2 optimality of the block solve in eigen-coordinates, with
+        # 2 A_k^T A_k = V diag(d) V^T, z = V^T rhs, rhs = 2 A_k^T rho and
+        # y = V^T u: 2 (A_k^T A_k u - A_k^T rho) + weight u/||u|| = 0 reads
+        # d y - z + weight y/||y|| = 0
+        y = solve(h, z, wk, start, on_cap)
+        assert np.linalg.norm(y) > 0.0
+        worst.append(np.linalg.norm(h.d * y - z + wk * y / np.linalg.norm(y)) / np.linalg.norm(z))
+        return y
 
     monkeypatch.setattr(models, "group_l2_block_min", checked)
     ref = bk.reference_solve(p)
