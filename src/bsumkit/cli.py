@@ -662,6 +662,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (ConfigError, OSError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
+        except Exception as exc:  # the re-run raised: reported as `run` records it
+            print(f"certify error: {type(exc).__name__}: {exc} ({_raised_where(exc)})",
+                  file=sys.stderr)
+            return 2
         text = report_json(report)
         if args.output:
             _atomic_write(args.output, text + "\n")

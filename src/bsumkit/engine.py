@@ -89,8 +89,7 @@ def bsum_sweep(
     A sweep whose listed blocks are all exact goes to the model's
     exact_sweep when it declares one.
     """
-    if (problem.exact_sweep is not None
-            and all(surrogate.kinds[k] == "exact" for k in blocks)):
+    if problem.exact_sweep is not None and surrogate.exact_blocks.issuperset(blocks):
         w, grad_stat = problem.exact_sweep(blocks, x, record_grads,
                                            on_cap=surrogate.count_cap)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -178,8 +179,8 @@ def _piece_quadratic(c: Array, d: Array, lam: float, a: float, b: float) -> tupl
     act = (c - d * mid) > 0.0
     da = d[act]
     sgn = 0.0 if lam == 0.0 else float((mid > 0.0) - (mid < 0.0))
-    quad = 2.0 * float(np.sum(da ** 2))
-    cross = 2.0 * float(np.sum(c[act] * da))
+    quad = 2.0 * float(np.add.reduce(da * da))
+    cross = 2.0 * float(np.add.reduce(c[act] * da))
     return quad, cross - lam * sgn
 
 
@@ -226,8 +227,11 @@ def piecewise_quadratic_min(
             t = float(np.partition(knots, knots.size // 2)[knots.size // 2]) if knots.size else a
         older, old = old, knots.size
         below = knots <= t
-        left = float(np.max(knots, initial=a, where=below))
-        right = float(np.min(knots, initial=b, where=~below))
+        # knots lies inside (a, b) once an end is finite, so the ends matter
+        # only when no knot is on their side
+        left, right = knots[below], knots[~below]
+        left = float(left.max()) if left.size else a
+        right = float(right.min()) if right.size else b
         quad, cross = _piece_quadratic(c, d, lam, left, right)
         x = _interval_quadratic_min(quad, cross, left, right)
         if x == right != b:  # the slope at right is negative (or the piece flat)
@@ -459,6 +463,7 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
         y = vbd.T.dot(x)
         t = 2.0 * vbd.T.dot(A.T.dot(b - A.dot(x)))
         grad_stat = 0.0 if record_grads else None
+        unvisited = [True] * part.n_blocks
         for k in blocks:
             sl, h, h_rows, wk = per_block[k]
             yk = y[sl]  # a view: read before y[sl] is written
@@ -466,11 +471,12 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
             u = (new - yk).dot(h_rows)  # H is symmetric: its rows are its columns
             y[sl] = new
             t += u
+            unvisited[k] = False
             if record_grads:  # grad g moves by -V u, of norm ||u||
                 grad_stat += float(u.dot(u))
         w = vbd.dot(y)
-        for k in set(range(part.n_blocks)).difference(blocks):
-            w[slices[k]] = x[slices[k]]
+        for sl in compress(slices, unvisited):
+            w[sl] = x[sl]
         return w, grad_stat
 
     unconstrained = all(cs.kind == "all-space" for cs in cons)
@@ -532,13 +538,16 @@ def build_l2svm(rows, block_sizes=None, l1_weight: float = 0.0, constraints=None
 
     solver = None
     if all(s == 1 for s in part.sizes):
+        cols = np.ascontiguousarray(rows.T)  # row k: block k's column, contiguous
+        bounds = [_constraint_interval(cs) for cs in cons]
+        lam = float(l1_weight)
+
         def solver(k, x, on_cap=None):
-            j = part.offsets[k]
-            dcol = rows[:, j]
-            cvec = (1.0 - rows @ x) + dcol * x[j]
-            lo, hi = _constraint_interval(cons[k])
-            t = piecewise_quadratic_min(cvec, dcol, lam=float(l1_weight),
-                                        lo=lo, hi=hi, start=float(x[j]))
+            dcol = cols[k]
+            xk = x[k]
+            cvec = (1.0 - rows @ x) + dcol * xk
+            lo, hi = bounds[k]
+            t = piecewise_quadratic_min(cvec, dcol, lam=lam, lo=lo, hi=hi, start=float(xk))
             return np.array([t])
 
     return Problem(

@@ -240,6 +240,7 @@ class BlockLayout:
     block) and unknown kinds.  Every constrained block is projected per block.
     """
 
+    slices: tuple[slice, ...]  # every block's coordinates
     block_of: Array  # block index of every coordinate
     l1_weight: Array  # l1 weight of every coordinate, 0 outside weighted l1 blocks
     l1_groups: tuple[tuple[Array, Array, Array], ...]  # (blocks, weights, coords) per size
@@ -275,6 +276,7 @@ def make_layout(partition: BlockPartition, nonsmooth, constraints) -> BlockLayou
     )
     sizes = np.asarray(partition.sizes)
     return BlockLayout(
+        slices=tuple(map(partition.block_slice, range(K))),
         block_of=np.repeat(np.arange(K), sizes), l1_weight=l1_weight, l1_groups=l1_groups,
         value_blocks=tuple(value_blocks),
         project_blocks=tuple(project_blocks), coordwise=coordwise,
@@ -340,16 +342,28 @@ def block_values(problem: Problem, x: Array) -> Array:
     for blocks, weights, coords in lay.l1_groups:
         vals[blocks] = weights * np.sum(np.abs(x[coords]), axis=1)
     for k in lay.value_blocks:
-        vals[k] = problem.nonsmooth[k].value(problem.partition.block(x, k))
+        vals[k] = problem.nonsmooth[k].value(x[lay.slices[k]])
     return vals
 
 
 def eval_objective(problem: Problem, x) -> float:
-    """f(x) = g(x) + sum_k h_k(x_k); +inf outside the domain of f."""
+    """f(x) = g(x) + sum_k h_k(x_k); +inf outside the domain of f.
+
+    The h_k are added to g left to right over the blocks, as a loop adding
+    them one by one would.
+    """
     v = as_vector(x, problem.dim)
-    g = float(problem.smooth.value(v))
-    # left to right over the blocks, as a loop adding h_k one by one would
-    return float(np.add.accumulate(np.concatenate(([g], block_values(problem, v))))[-1])
+    total = float(problem.smooth.value(v))
+    lay = problem.layout
+    if lay.l1_groups:
+        return float(np.add.accumulate(np.concatenate(([total], block_values(problem, v))))[-1])
+    if len(lay.value_blocks) < problem.n_blocks:
+        # a zero block's +0.0 changes only a running total of -0.0, to +0.0,
+        # so adding it first gives the bits it gives at its own place
+        total += 0.0
+    for k in lay.value_blocks:
+        total += problem.nonsmooth[k].value(v[lay.slices[k]])
+    return float(total)
 
 
 def block_gradient(problem: Problem, k: int, x) -> Array:
@@ -392,7 +406,7 @@ def block_norms(problem: Problem, d: Array) -> Array:
     single = d[lay.scalar_coords]
     norms[lay.scalar] = np.sqrt(single * single)
     for k in lay.wide:
-        dk = problem.partition.block(d, k)
+        dk = d[lay.slices[k]]
         norms[k] = math.sqrt(float(dk.dot(dk)))
     return norms
 

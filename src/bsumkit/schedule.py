@@ -66,16 +66,13 @@ def virtual_updates(problem: Problem, surrogate, x, f: Optional[float] = None) -
     x = np.asarray(x, dtype=float)
     grad = full_gradient(problem, x)
     x_hat = np.array(x)
-    lay = problem.layout
     # prox-linear steps of coordinatewise blocks run as one array operation;
     # every other block (exact, model-custom, group-l2, constrained) is solved alone
-    arrayed = lay.coordwise & (np.asarray(surrogate.kinds) == "prox-linear")
-    coords = np.flatnonzero(arrayed[lay.block_of])
+    coords, lip = surrogate.arrayed_coords, surrogate.arrayed_lip
     if coords.size:
-        lip = np.asarray(surrogate.lip, dtype=float)[lay.block_of[coords]]
         x_hat[coords] = prox_coordinates(problem, coords, lip, x[coords] - grad[coords] / lip)
-    for k in np.flatnonzero(~arrayed).tolist():
-        sl = problem.partition.block_slice(k)
+    for k in surrogate.solo_blocks:
+        sl = problem.layout.slices[k]
         x_hat[sl] = surrogate.argmin(k, x, grad_k=grad[sl])
     return VirtualUpdate(
         x_hat=x_hat, step_norms=block_norms(problem, x_hat - x),

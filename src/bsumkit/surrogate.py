@@ -9,7 +9,7 @@ and expose the same interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -86,6 +86,13 @@ class Surrogate:
     a model-specific bound's prox loop, or an exact solve's (the group
     solve's Newton iteration), which reports through count_cap.
     make_surrogate builds these and checks that an exact block has a solver.
+
+    The per-iterate oracles read the rest off these, built at construction:
+    exact_blocks, and the all-blocks virtual update's table, which takes the
+    prox-linear steps of coordinatewise blocks as one array operation
+    (arrayed_coords, with their step constants arrayed_lip) and solves each
+    of solo_blocks alone.  dataclasses.replace builds them again; assigning
+    kinds or lip on an instance would leave them stale.
     """
 
     problem: Problem
@@ -94,6 +101,18 @@ class Surrogate:
     gamma_blocks: tuple[Optional[float], ...]
     anchor_lip: tuple[Optional[float], ...]
     capped_solves: int = 0
+    exact_blocks: frozenset[int] = field(init=False, repr=False)
+    arrayed_coords: Array = field(init=False, repr=False)
+    arrayed_lip: Array = field(init=False, repr=False)
+    solo_blocks: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lay = self.problem.layout
+        self.exact_blocks = frozenset(k for k, kind in enumerate(self.kinds) if kind == "exact")
+        arrayed = lay.coordwise & (np.asarray(self.kinds) == "prox-linear")
+        self.arrayed_coords = np.flatnonzero(arrayed[lay.block_of])
+        self.arrayed_lip = np.asarray(self.lip, dtype=float)[lay.block_of[self.arrayed_coords]]
+        self.solo_blocks = tuple(np.flatnonzero(~arrayed).tolist())
 
     @property
     def kind(self) -> str:
@@ -193,26 +212,32 @@ def make_surrogate(
             f"model {problem.name!r} registers no exact block solver"
         )
 
+    declared = problem.smooth.block_lipschitz
+    steps = [declared[k] if lip is None or kind == "exact" else float(lip[k])
+             for k, kind in enumerate(kinds)]
+    bad = [k for k, kind in enumerate(kinds) if kind == "prox-linear" and steps[k] <= 0]
+    if bad and lip is None:
+        raise ValueError(f"g does not depend on blocks {bad}: their declared Lipschitz "
+                         f"constant L_k is 0 (an all-zero data column gives this), and a "
+                         f"prox-linear step needs L_k > 0")
+    if bad:
+        raise ValueError(f"prox-linear step constants must be positive; blocks {bad} "
+                         f"have {[steps[k] for k in bad]}")
+
     big_m = problem.smooth.lipschitz
-    lip_out, gamma_out, anchor_out = [], [], []
+    gamma_out, anchor_out = [], []
     curv = problem.smooth.block_curvature or (0.0,) * K
     for k in range(K):
         if kinds[k] == "exact":
-            lk = problem.smooth.block_lipschitz[k]
-            lip_out.append(lk)
             gamma_out.append(curv[k])
             anchor_out.append(big_m)
         else:
-            lk = problem.smooth.block_lipschitz[k] if lip is None else float(lip[k])
-            if lk <= 0:
-                raise ValueError("prox-linear step constants must be positive")
-            lip_out.append(lk)
-            gamma_out.append(lk)
-            anchor_out.append(big_m + lk)
+            gamma_out.append(steps[k])
+            anchor_out.append(big_m + steps[k])
     return Surrogate(
         problem=problem,
         kinds=kinds,
-        lip=tuple(lip_out),
+        lip=tuple(steps),
         gamma_blocks=tuple(gamma_out),
         anchor_lip=tuple(anchor_out),
     )

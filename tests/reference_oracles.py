@@ -1,0 +1,122 @@
+"""Reference implementations of three per-iterate oracles that do all their
+setup on every call.
+
+The objective builds the block values, a concatenation and an accumulation;
+the squared-hinge search takes masked max/min reductions and np.sum; the
+virtual update builds its prox-linear coordinate table from the surrogate's
+kinds and step constants.  The library reads that setup off the problem's
+layout and the surrogate, built once, and uses numpy idioms of the same
+arithmetic; test_oracle_identity.py asks both for the same bits.
+"""
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from bsumkit.models import _interval_quadratic_min
+from bsumkit.problem import Array, Problem, as_vector, block_norms, full_gradient
+from bsumkit.schedule import VirtualUpdate, candidate_objectives
+from bsumkit.surrogate import prox_coordinates
+
+
+def block_values(problem: Problem, x: Array) -> Array:
+    """h_k(x_k) for every block k."""
+    lay = problem.layout
+    vals = np.zeros(problem.n_blocks)
+    for blocks, weights, coords in lay.l1_groups:
+        vals[blocks] = weights * np.sum(np.abs(x[coords]), axis=1)
+    for k in lay.value_blocks:
+        vals[k] = problem.nonsmooth[k].value(problem.partition.block(x, k))
+    return vals
+
+
+def eval_objective(problem: Problem, x) -> float:
+    """f(x) = g(x) + sum_k h_k(x_k); +inf outside the domain of f."""
+    v = as_vector(x, problem.dim)
+    g = float(problem.smooth.value(v))
+    # left to right over the blocks, as a loop adding h_k one by one would
+    return float(np.add.accumulate(np.concatenate(([g], block_values(problem, v))))[-1])
+
+
+def _piece_quadratic(c: Array, d: Array, lam: float, a: float, b: float) -> tuple[float, float]:
+    """(quad, cross) of the objective (quad/2) t^2 - cross t + const on the piece
+    [a, b], from the rows active at its midpoint."""
+    if math.isfinite(a) and math.isfinite(b):
+        mid = 0.5 * (a + b)
+    elif math.isfinite(a):
+        mid = a + 1.0
+    elif math.isfinite(b):
+        mid = b - 1.0
+    else:
+        mid = 0.0
+    act = (c - d * mid) > 0.0
+    da = d[act]
+    sgn = 0.0 if lam == 0.0 else float((mid > 0.0) - (mid < 0.0))
+    quad = 2.0 * float(np.sum(da ** 2))
+    cross = 2.0 * float(np.sum(c[act] * da))
+    return quad, cross - lam * sgn
+
+
+def piecewise_quadratic_min(
+    c: Array,
+    d: Array,
+    lam: float = 0.0,
+    lo: float = -np.inf,
+    hi: float = np.inf,
+    start: float = 0.0,
+) -> float:
+    """Minimize sum_i max(0, c_i - d_i t)^2 + lam|t| over [lo, hi]."""
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if lo == hi:
+        return float(lo)
+
+    nz = d != 0.0
+    knots = c / d if nz.all() else c[nz] / d[nz]
+    if lam > 0.0:
+        knots = np.append(knots, 0.0)
+    a, b = lo, hi  # a minimizer lies in [a, b], and knots holds the breakpoints inside
+    if math.isfinite(a) or math.isfinite(b):
+        knots = knots[(a < knots) & (knots < b)]
+    t = min(max(float(start), lo), hi)
+    older = old = math.inf  # breakpoints inside the bracket two steps and one step ago
+    while True:
+        if not a <= t <= b or 2 * knots.size > older:
+            t = float(np.partition(knots, knots.size // 2)[knots.size // 2]) if knots.size else a
+        older, old = old, knots.size
+        below = knots <= t
+        left = float(np.max(knots, initial=a, where=below))
+        right = float(np.min(knots, initial=b, where=~below))
+        quad, cross = _piece_quadratic(c, d, lam, left, right)
+        x = _interval_quadratic_min(quad, cross, left, right)
+        if x == right != b:  # the slope at right is negative (or the piece flat)
+            a, knots = right, knots[knots > right]
+        elif x == left != a:
+            b, knots = left, knots[knots < left]
+        else:
+            return float(x)
+        t = cross / quad if quad > 0.0 else math.nan
+
+
+def virtual_updates(problem: Problem, surrogate, x, f: Optional[float] = None) -> VirtualUpdate:
+    """The all-blocks virtual update at x; f, when given, is f(x), which
+    candidate_objectives then need not evaluate again."""
+    x = np.asarray(x, dtype=float)
+    grad = full_gradient(problem, x)
+    x_hat = np.array(x)
+    lay = problem.layout
+    # prox-linear steps of coordinatewise blocks run as one array operation;
+    # every other block (exact, model-custom, group-l2, constrained) is solved alone
+    arrayed = lay.coordwise & (np.asarray(surrogate.kinds) == "prox-linear")
+    coords = np.flatnonzero(arrayed[lay.block_of])
+    if coords.size:
+        lip = np.asarray(surrogate.lip, dtype=float)[lay.block_of[coords]]
+        x_hat[coords] = prox_coordinates(problem, coords, lip, x[coords] - grad[coords] / lip)
+    for k in np.flatnonzero(~arrayed).tolist():
+        sl = problem.partition.block_slice(k)
+        x_hat[sl] = surrogate.argmin(k, x, grad_k=grad[sl])
+    return VirtualUpdate(
+        x_hat=x_hat, step_norms=block_norms(problem, x_hat - x),
+        objectives=lambda: candidate_objectives(problem, x, x_hat, grad, f),
+    )

@@ -772,6 +772,52 @@ def test_a_nan_read_from_a_file_fails_the_run(tmp_path, array):
     assert error["message"] == f"{path}: line 2, token 1: 'nan' is not a finite number"
 
 
+def zero_column_runs(tmp_path) -> str:
+    """A lasso and a prox-linear and an exact l2svm on file data, each with
+    one all-zero column (column 2 of A, column 1 of the rows): their config."""
+    for family, params, name, column in (("lasso", {"m": 12, "n": 6}, "A", 2),
+                                         ("l2svm", {"rows": 30, "n": 4}, "rows", 1)):
+        prefix = str(tmp_path / family)
+        cli.generate_instance(family, dict(params, seed=3), prefix)
+        M = models.read_matrix(f"{prefix}_{name}.txt")
+        M[:, column] = 0.0
+        Path(f"{prefix}_{name}.txt").write_text(models.matrix_text(M))
+    lasso = {"family": "lasso", "file_A": f"{tmp_path}/lasso_A.txt",
+             "file_b": f"{tmp_path}/lasso_b.txt", "lam": 0.5}
+    svm = {"family": "l2svm", "file_rows": f"{tmp_path}/l2svm_rows.txt"}
+    return write(tmp_path, "seed = 1\n" + run_text("lasso", lasso, iterations=5)
+                 + run_text("svm_pl", svm, iterations=5)
+                 + run_text("svm_ex", svm, surrogate="exact", iterations=5))
+
+
+def test_an_all_zero_column_is_an_error_that_names_its_block(tmp_path):
+    # g does not depend on such a block, so its prox-linear step constant
+    # L_k is 0; the exact squared-hinge solve needs none
+    out = tmp_path / "out"
+    results, code = cli.run_experiment(cli.parse_config(zero_column_runs(tmp_path)),
+                                       output_dir=str(out))
+    assert code == 2 and results[2].error is None and results[2].all_passed
+    for run_id, block in (("lasso", 2), ("svm_pl", 1)):
+        error = json.loads((out / f"{run_id}.report.json").read_text())["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"g does not depend on blocks [{block}]: "
+                                           "their declared Lipschitz constant L_k is 0")
+        assert error["where"].startswith("surrogate.py:")
+
+
+def test_certify_reports_a_rerun_that_raises_on_one_line(tmp_path, capsys):
+    config = zero_column_runs(tmp_path)
+    code = cli.main(["certify", str(tmp_path / "lasso.trace.csv"), config, "--run-id", "lasso"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certify error: ValueError: g does not depend on blocks [2]")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    name, line = captured.err.rstrip().rsplit(" (", 1)[1].rstrip(")").split(":")
+    source = (Path(models.__file__).parent / name).read_text(encoding="utf-8").splitlines()
+    assert "raise ValueError" in source[int(line) - 1]
+
+
 def build_nan_lasso(model, default_seed):
     """The config's lasso with a NaN in b, which no matrix file can carry."""
     family = models.FAMILIES["lasso"]

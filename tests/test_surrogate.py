@@ -135,6 +135,16 @@ def test_mixed_surrogate_rejects_bad_block_kinds(kinds):
     assert bk.make_surrogate(p, "mixed", kinds=("exact", "prox-linear", "exact")).kind == "mixed"
 
 
+def test_nonpositive_step_constants_are_named_by_block():
+    p = models.build_lasso(np.eye(3), np.ones(3), 0.5)
+    with pytest.raises(ValueError, match=r"blocks \[1, 2\] have \[0.0, -2.0\]"):
+        bk.make_surrogate(p, "prox-linear", lip=(1.0, 0.0, -2.0))
+    # an exact block takes its declared constant, whatever lip says
+    s = bk.make_surrogate(p, "mixed", kinds=("prox-linear", "exact", "exact"),
+                          lip=(3.0, 0.0, -2.0))
+    assert s.lip == (3.0, 2.0, 2.0)
+
+
 def test_prox_linear_first_order_certificate():
     # x+ is a fixed point of the prox-gradient map of its own subproblem
     A, b, lam = models.gen_lasso(10, 14, 1.0, seed=8)
