@@ -36,7 +36,6 @@ from .diagnostics import (
     RateCertificate,
     CheckReport,
     check_cost_to_go,
-    check_gradient_lipschitz,
     check_nesterov_inequality,
     check_rate_envelope,
     check_sufficient_descent,
@@ -58,8 +57,7 @@ __all__ = [
     "Trace", "bsum_sweep", "reduce_two_block", "reference_solve",
     "run_a2bsum", "run_bsum", "run_sum",
     "RateCertificate", "CheckReport", "check_cost_to_go",
-    "check_gradient_lipschitz", "check_nesterov_inequality",
-    "check_rate_envelope", "check_sufficient_descent", "estimate_constants",
-    "fd_gradient_check", "fit_decay_exponent", "sigma_for",
+    "check_nesterov_inequality", "check_rate_envelope", "check_sufficient_descent",
+    "estimate_constants", "fd_gradient_check", "fit_decay_exponent", "sigma_for",
     "models",
 ]

@@ -63,7 +63,8 @@ def _read_by(algorithms=None, rules=None, surrogates=None) -> dict:
 @dataclass
 class RunConfig:
     """One run.  A field declared with _read_by is rejected at parse time in
-    a run that would not read it; q and period_map belong to make_schedule."""
+    a run that would not read it; q and period_map belong to make_schedule,
+    and parse_config rejects an explicit q, even 1.0, off gauss-southwell."""
 
     run_id: str
     model: dict
@@ -217,8 +218,11 @@ def parse_config(path: str) -> ExperimentSpec:
         if cfg.algorithm != "bsum" and cfg.rule != "gauss-seidel":
             raise ConfigError(f"run {run_id!r}: algorithm {cfg.algorithm!r} runs gauss-seidel "
                               f"only, not {cfg.rule!r}")
-        if cfg.algorithm == "a2bsum" and cfg.tolerance > 0:
+        if cfg.algorithm == "a2bsum" and "tolerance" in bucket:
             raise ConfigError(f"run {run_id!r}: algorithm 'a2bsum' has no gap tolerance")
+        if "q" in bucket and cfg.rule != "gauss-southwell":
+            raise ConfigError(f"run {run_id!r}: q is a gauss-southwell parameter; "
+                              f"rule {cfg.rule!r} takes none")
         setting = {"algorithm": cfg.algorithm, "rule": cfg.rule, "surrogate": cfg.surrogate}
         for f in fields(RunConfig):
             for what, readers in f.metadata.items():

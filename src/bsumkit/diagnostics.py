@@ -426,21 +426,6 @@ def check_nesterov_inequality(
     return _report("smooth-curvature", "pairs", slacks, tolerance)
 
 
-def check_gradient_lipschitz(
-    problem: Problem, n_pairs: int = 100, seed: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> CheckReport:
-    """Sampled validation of the declared full-gradient Lipschitz constant."""
-    rng = np.random.default_rng([0x11b, seed])
-    slacks = []
-    for _ in range(n_pairs):
-        x = project_feasible(problem, rng.standard_normal(problem.dim))
-        v = project_feasible(problem, rng.standard_normal(problem.dim))
-        lhs = float(np.linalg.norm(problem.smooth.grad(x) - problem.smooth.grad(v)))
-        slacks.append(problem.smooth.lipschitz * float(np.linalg.norm(x - v)) - lhs)
-    return _report("gradient-lipschitz", "pairs", slacks, tolerance)
-
-
 def fd_gradient_check(
     problem: Problem, points: Sequence[Array], step: float = 1e-6,
 ) -> float:

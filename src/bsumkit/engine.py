@@ -302,18 +302,11 @@ def _reduction(problem: Problem, outer: int, inner: int,
     def grad(x1):
         return block_gradient(problem, outer, assemble(x1))
 
-    reference = None
-    if problem.reference_solver is not None:
-        def reference():
-            x_star, f_star = problem.reference_solver()
-            return x_star[sl_out], f_star
-
     part = make_partition([problem.partition.sizes[outer]])
     smooth = SmoothPart(value=value, grad=grad, lipschitz=m_out, block_lipschitz=(m_out,))
     reduced = Problem(
         partition=part, smooth=smooth, nonsmooth=(problem.nonsmooth[outer],),
-        constraints=(problem.constraints[outer],),
-        name=f"{problem.name}-reduced", reference_solver=reference,
+        constraints=(problem.constraints[outer],), name=f"{problem.name}-reduced",
     )
     return reduced, assemble
 

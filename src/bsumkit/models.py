@@ -450,7 +450,7 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
         # the sweep's step, from a fresh c_k = A_k^T (A x - b)
         sl, h, _, wk = per_block[k]
         xk = x[sl]
-        rhs = 2.0 * (gram[sl, sl] @ xk - mats[k].T @ (A @ x - b))
+        rhs = 2.0 * (gram[sl, sl] @ xk - A[:, sl].T @ (A @ x - b))
         return h.vecs @ group_l2_block_min(h, h.vecs.T @ rhs, wk, math.sqrt(float(xk @ xk)),
                                            on_cap)
 
@@ -584,8 +584,7 @@ class ReweightingBound(Surrogate):
     def __init__(self, problem: Problem, mats: tuple[Array, ...],
                  offsets: tuple[Array, ...], eta: float):
         super().__init__(problem=problem, kinds=("model-custom",),
-                         lip=(problem.smooth.lipschitz,), gamma_blocks=(None,),
-                         anchor_lip=(None,))
+                         lip=(problem.smooth.lipschitz,))
         self.mats, self.offsets, self.eta = mats, offsets, eta
         self._grams = tuple(A.T @ A for A in mats)
         self._cross = tuple(A.T @ b for A, b in zip(mats, offsets))

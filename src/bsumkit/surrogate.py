@@ -78,28 +78,27 @@ def prox_coordinates(problem: Problem, coords: Array, beta: Array, v: Array) -> 
 class Surrogate:
     """Per-block upper bounds u_k with declared curvature constants.
 
-    kinds[k] is "exact" or "prox-linear".  Declared constants per block:
-    gamma (strong convexity of u_k in its own variable), lip (gradient
-    Lipschitz constant in its own variable), anchor_lip (gradient Lipschitz
-    constant with respect to the anchor point).  capped_solves counts the
-    block solves whose inner loop stopped at its cap instead of converging:
-    a model-specific bound's prox loop, or an exact solve's (the group
-    solve's Newton iteration), which reports through count_cap.
-    make_surrogate builds these and checks that an exact block has a solver.
+    kinds[k] is "exact", "prox-linear" or a model's own kind; lip[k] is the
+    gradient Lipschitz constant of u_k in its own variable (the step
+    constant of a prox-linear block).  The certificate constants follow
+    from these and the problem's declared ones: gamma and g_max below.
+    capped_solves counts the block solves whose inner loop stopped at its
+    cap instead of converging: a model-specific bound's prox loop, or an
+    exact solve's (the group solve's Newton iteration), which reports
+    through count_cap.  make_surrogate builds these and checks that an
+    exact block has a solver.
 
-    The per-iterate oracles read the rest off these, built at construction:
-    exact_blocks, and the all-blocks virtual update's table, which takes the
-    prox-linear steps of coordinatewise blocks as one array operation
-    (arrayed_coords, with their step constants arrayed_lip) and solves each
-    of solo_blocks alone.  dataclasses.replace builds them again; assigning
-    kinds or lip on an instance would leave them stale.
+    The per-iterate oracles read a table built at construction:
+    exact_blocks, and the all-blocks virtual update's prox-linear steps of
+    coordinatewise blocks taken as one array operation (arrayed_coords,
+    with their step constants arrayed_lip), with each of solo_blocks solved
+    alone.  dataclasses.replace builds it again; assigning kinds or lip on
+    an instance would leave it stale.
     """
 
     problem: Problem
     kinds: tuple[str, ...]
     lip: tuple[Optional[float], ...]
-    gamma_blocks: tuple[Optional[float], ...]
-    anchor_lip: tuple[Optional[float], ...]
     capped_solves: int = 0
     exact_blocks: frozenset[int] = field(init=False, repr=False)
     arrayed_coords: Array = field(init=False, repr=False)
@@ -121,9 +120,12 @@ class Surrogate:
 
     @property
     def gamma(self) -> float:
-        """Half the smallest per-block strong-convexity modulus (0 if any absent)."""
-        vals = [0.0 if g is None else g for g in self.gamma_blocks]
-        return 0.5 * min(vals)
+        """Half the smallest strong-convexity modulus of the u_k: an exact
+        block's is the declared block curvature, a prox-linear block's its
+        step constant, and any other kind declares none (so gamma is 0)."""
+        curv = self.problem.smooth.block_curvature or (0.0,) * len(self.kinds)
+        return 0.5 * min(curv[k] if kind == "exact" else lk if kind == "prox-linear" else 0.0
+                         for k, (kind, lk) in enumerate(zip(self.kinds, self.lip)))
 
     @property
     def l_max(self) -> Optional[float]:
@@ -133,9 +135,14 @@ class Surrogate:
 
     @property
     def g_max(self) -> Optional[float]:
-        if any(v is None for v in self.anchor_lip):
+        """The largest gradient Lipschitz constant of the u_k in the anchor:
+        M for an exact block, M + L_k for a prox-linear one, None when any
+        block is of another kind."""
+        if not set(self.kinds) <= set(BLOCK_KINDS):
             return None
-        return max(self.anchor_lip)
+        big_m = self.problem.smooth.lipschitz
+        return max(big_m if kind == "exact" else big_m + lk
+                   for kind, lk in zip(self.kinds, self.lip))
 
     # -- oracles ------------------------------------------------------------
 
@@ -182,6 +189,11 @@ def check_block_kinds(kinds, n_blocks: Optional[int]) -> tuple[str, ...]:
     return tuple(kinds)
 
 
+def _independent(blocks: list[int]) -> str:
+    return (f"g does not depend on blocks {blocks}: their declared Lipschitz constant L_k "
+            f"is 0 (an all-zero data column gives this)")
+
+
 def make_surrogate(
     problem: Problem,
     kind: str = "prox-linear",
@@ -207,40 +219,21 @@ def make_surrogate(
     else:
         raise ValueError(f"unknown surrogate kind {kind!r}")
 
-    if "exact" in kinds and problem.exact_solver is None:
-        raise UnsupportedCombination(
-            f"model {problem.name!r} registers no exact block solver"
-        )
-
     declared = problem.smooth.block_lipschitz
+    if "exact" in kinds and problem.exact_solver is None:
+        flat = [k for k, lk in enumerate(declared) if lk <= 0]
+        raise UnsupportedCombination(f"model {problem.name!r} registers no exact block solver"
+                                     + (f"; {_independent(flat)}" if flat else ""))
+
     steps = [declared[k] if lip is None or kind == "exact" else float(lip[k])
              for k, kind in enumerate(kinds)]
     bad = [k for k, kind in enumerate(kinds) if kind == "prox-linear" and steps[k] <= 0]
     if bad and lip is None:
-        raise ValueError(f"g does not depend on blocks {bad}: their declared Lipschitz "
-                         f"constant L_k is 0 (an all-zero data column gives this), and a "
-                         f"prox-linear step needs L_k > 0")
+        raise ValueError(f"{_independent(bad)}, and a prox-linear step needs L_k > 0")
     if bad:
         raise ValueError(f"prox-linear step constants must be positive; blocks {bad} "
                          f"have {[steps[k] for k in bad]}")
-
-    big_m = problem.smooth.lipschitz
-    gamma_out, anchor_out = [], []
-    curv = problem.smooth.block_curvature or (0.0,) * K
-    for k in range(K):
-        if kinds[k] == "exact":
-            gamma_out.append(curv[k])
-            anchor_out.append(big_m)
-        else:
-            gamma_out.append(steps[k])
-            anchor_out.append(big_m + steps[k])
-    return Surrogate(
-        problem=problem,
-        kinds=kinds,
-        lip=tuple(steps),
-        gamma_blocks=tuple(gamma_out),
-        anchor_lip=tuple(anchor_out),
-    )
+    return Surrogate(problem=problem, kinds=kinds, lip=tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,9 @@ def test_tolerance_stops_the_run_at_the_gap(tmp_path):
      "'surrogate_kinds' applies to algorithm 'bsum' or 'sum' only"),
     (TWO_BLOCK, {"surrogate": "exact", "surrogate_kinds": ["exact", "prox-linear"]},
      "'surrogate_kinds' applies to surrogate 'mixed' only"),
+    # rejected whatever the value, the default included: no a2bsum run reads it
+    (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "tolerance": 0},
+     "no gap tolerance"),
 ])
 def test_parse_rejects_fields_an_algorithm_ignores(tmp_path, model, fields, message):
     with pytest.raises(ConfigError, match=message):
@@ -492,6 +495,9 @@ def test_parse_rejects_fields_an_algorithm_ignores(tmp_path, model, fields, mess
     ({"rule": "mbi", "period_map": [[0, 1, 2]]}, "period map is an essentially-cyclic"),
     ({"q": 0.9}, "q is a gauss-southwell parameter"),
     ({"rule": "random-permutation", "q": 0.5}, "q is a gauss-southwell parameter"),
+    # rejected whatever the value, the default included: only gauss-southwell reads it
+    ({"q": 1.0}, "q is a gauss-southwell parameter"),
+    ({"rule": "mbi", "q": 1.0}, "q is a gauss-southwell parameter"),
 ])
 def test_parse_rejects_rule_parameters_the_rule_ignores(tmp_path, fields, message):
     model = {"family": "lasso", "m": 8, "n": 3, "lam": 0.5}
@@ -803,6 +809,24 @@ def test_an_all_zero_column_is_an_error_that_names_its_block(tmp_path):
         assert error["message"].startswith(f"g does not depend on blocks [{block}]: "
                                            "their declared Lipschitz constant L_k is 0")
         assert error["where"].startswith("surrogate.py:")
+
+
+def test_an_exact_lasso_on_an_all_zero_column_names_its_block(tmp_path):
+    # the lasso's exact coordinate step divides by ||A_j||^2, so the model
+    # registers no exact solver; the error says which column is to blame
+    zero_column_runs(tmp_path)
+    lasso = {"family": "lasso", "file_A": f"{tmp_path}/lasso_A.txt",
+             "file_b": f"{tmp_path}/lasso_b.txt", "lam": 0.5}
+    config = write(tmp_path, "seed = 1\n" + run_text("ex", lasso, surrogate="exact",
+                                                     iterations=5))
+    out = tmp_path / "out"
+    results, code = cli.run_experiment(cli.parse_config(config), output_dir=str(out))
+    assert code == 2 and results[0].error is not None
+    error = json.loads((out / "ex.report.json").read_text())["error"]
+    assert error["type"] == "UnsupportedCombination"
+    assert error["message"] == (
+        "model 'lasso' registers no exact block solver; g does not depend on blocks [2]: "
+        "their declared Lipschitz constant L_k is 0 (an all-zero data column gives this)")
 
 
 def test_certify_reports_a_rerun_that_raises_on_one_line(tmp_path, capsys):

@@ -129,9 +129,21 @@ def test_gradient_consistency_all_models():
 
 
 def test_declared_lipschitz_constant_all_models():
+    # for convex g, the Nesterov inequality at M implies ||grad g(x) - grad g(v)||
+    # <= M ||x - v|| (Nesterov 2004, Thm 2.1.5), and it is the stronger sampled test
     for problem in _all_models():
-        rep = bk.check_gradient_lipschitz(problem, n_pairs=100, seed=3, tolerance=1e-9)
+        rep = bk.check_nesterov_inequality(problem, n_pairs=100, seed=3, tolerance=1e-9)
         assert rep.passed, f"{problem.name}: violation {rep.max_violation}"
+
+
+def test_a_halved_lipschitz_constant_fails_the_nesterov_check():
+    halved = [p for p in _all_models()
+              if p.name in ("lasso", "group-lasso", "l2svm", "quadratic")]
+    assert len(halved) == 4
+    for problem in halved:
+        rep = bk.check_nesterov_inequality(problem, big_m=0.5 * problem.smooth.lipschitz,
+                                           n_pairs=100, seed=3)
+        assert not rep.passed, problem.name
 
 
 def test_nonsmooth_lipschitz_bound_sampled():

@@ -1,5 +1,7 @@
 """Prox operators, surrogate values/minimizers, and bound-validity sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,40 @@ def test_nonpositive_step_constants_are_named_by_block():
     s = bk.make_surrogate(p, "mixed", kinds=("prox-linear", "exact", "exact"),
                           lip=(3.0, 0.0, -2.0))
     assert s.lip == (3.0, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("kind,kinds", [
+    ("prox-linear", None),
+    ("exact", None),
+    ("mixed", ("exact", "prox-linear") * 3),
+])
+def test_certificate_constants_follow_kinds_and_lip(kind, kinds):
+    # gamma and G_max derive from the kinds and the step constants, so a copy
+    # with new steps certifies as a fresh surrogate built with them would
+    p = models.build_lasso(*models.gen_lasso(10, 6, 0.5, seed=1))
+    s = bk.make_surrogate(p, kind, kinds=kinds)
+    # make_surrogate keeps an exact block's declared constant, so double only
+    # the prox-linear steps
+    lip = tuple(2.0 * lk if k == "prox-linear" else lk for k, lk in zip(s.kinds, s.lip))
+    copy = dataclasses.replace(s, lip=lip)
+    fresh = bk.make_surrogate(p, kind, kinds=kinds, lip=lip)
+    assert (copy.gamma, copy.l_max, copy.g_max) == (fresh.gamma, fresh.l_max, fresh.g_max)
+    big_m, curv = p.smooth.lipschitz, p.smooth.block_curvature
+    assert fresh.gamma == 0.5 * min(curv[k] if k_ == "exact" else lip[k]
+                                    for k, k_ in enumerate(s.kinds))
+    assert fresh.g_max == max(big_m + lip[k] if k_ == "prox-linear" else big_m
+                              for k, k_ in enumerate(s.kinds))
+    if "prox-linear" in s.kinds:  # the copy does not certify with the old constants
+        assert copy.g_max > s.g_max
+    if kind == "prox-linear":
+        assert copy.gamma == 2.0 * s.gamma
+
+
+def test_reweighting_bound_declares_no_curvature_and_no_anchor_constant():
+    p = models.build_irls(*models.gen_fermat_weber(6, 4, seed=5), 0.2)
+    s = bk.make_surrogate(p, "model-custom")
+    assert s.gamma == 0.0 and s.g_max is None
+    assert s.l_max == p.smooth.lipschitz
 
 
 def test_prox_linear_first_order_certificate():
