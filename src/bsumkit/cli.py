@@ -300,19 +300,14 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
     trace = _run_algorithm(cfg, problem, surrogate,
                            f_star=ref.f if cfg.tolerance > 0 else None)
     trace.attach_reference(ref.x, ref.f)
+    warnings = trace.meta["warnings"]
     if not ref.converged:
-        trace.meta.setdefault("warnings", []).append(
-            f"reference did not converge: {ref.sweeps} sweeps, "
-            f"last objective change {ref.last_change:.6g}"
-        )
+        warnings.append(f"reference did not converge: {ref.sweeps} sweeps, "
+                        f"last objective change {ref.last_change:.6g}")
     if surrogate is not None and surrogate.capped_solves:
-        trace.meta.setdefault("warnings", []).append(
-            f"inner loop hit its cap: {surrogate.capped_solves} times"
-        )
+        warnings.append(f"inner loop hit its cap: {surrogate.capped_solves} times")
     if ref.capped_solves:
-        trace.meta.setdefault("warnings", []).append(
-            f"reference inner loop hit its cap: {ref.capped_solves} times"
-        )
+        warnings.append(f"reference inner loop hit its cap: {ref.capped_solves} times")
 
     result = RunResult(
         run_id=cfg.run_id, config=cfg, problem=problem, trace=trace,
@@ -442,7 +437,7 @@ def run_report(result: RunResult) -> dict:
         "checks": [c.to_dict() for c in result.checks],
         "envelopes": result.envelopes,
         "all_passed": result.all_passed,
-        "warnings": result.trace.meta.get("warnings", []),
+        "warnings": result.trace.meta["warnings"],
     }
     if result.certificate is not None:
         report["certificate"] = result.certificate.to_dict()

@@ -28,7 +28,10 @@ from .problem import (
     project_feasible,
 )
 
-DEFAULT_TOLERANCE = 1e-9
+CHECK_TOLERANCE = 1e-9  # every descent, cost-to-go and envelope check
+NESTEROV_PAIRS = 100  # sampled pairs of the smooth-curvature check
+NESTEROV_TOLERANCE = 1e-10
+FD_STEP = 1e-6  # central-difference step of the gradient check
 
 
 @dataclass(eq=False)
@@ -79,7 +82,8 @@ class CheckReport:
         }
 
 
-def _report(check_id: str, variant: str, slacks, tolerance: float) -> CheckReport:
+def _report(check_id: str, variant: str, slacks,
+            tolerance: float = CHECK_TOLERANCE) -> CheckReport:
     """A slack that is not finite (a NaN or infinite objective) is an unbounded violation."""
     slacks = np.asarray(slacks, dtype=float)
     counted = np.where(np.isfinite(slacks), slacks, -np.inf)
@@ -312,16 +316,19 @@ def sigma_for(
 # inequality checks over traces
 
 
-def _require(values, what: str):
+_COLUMNS = {"step_sq": "step norms", "virt_step_sq": "virtual step norms",
+            "grad_diff_sq": "gradient differences"}
+
+
+def _column(trace: Trace, name: str) -> Array:
+    """Statistic name of every record after the start, as floats."""
+    values = [getattr(r, name) for r in trace.records[1:]]
     if any(v is None for v in values):
-        raise ValueError(f"trace lacks {what} needed by this variant")
+        raise ValueError(f"trace lacks {_COLUMNS[name]} needed by this variant")
     return np.asarray(values, dtype=float)
 
 
-def check_sufficient_descent(
-    trace: Trace, cert: RateCertificate, variant: str,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> CheckReport:
+def check_sufficient_descent(trace: Trace, cert: RateCertificate, variant: str) -> CheckReport:
     """Per-iteration lower bound on the gap decrease.
 
     Variants: "gs-ec" (squared step against the surrogate curvature),
@@ -329,93 +336,73 @@ def check_sufficient_descent(
     "bcm" (summed squared gradient differences against 1/2M).
     """
     _check_theorem("descent", variant, cert)
-    recs = trace.records
-    if len(recs) < 2:
+    if len(trace.records) < 2:
         raise ValueError("trace needs at least one iteration")
-    drops = [recs[j - 1].f - recs[j].f for j in range(1, len(recs))]
+    f = trace.fvals()
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN drop, reported as unbounded
+        drops = f[:-1] - f[1:]
     if variant == "gs-ec":
-        steps = _require([r.step_sq for r in recs[1:]], "step norms")
-        rhs = cert.gamma * steps
+        rhs = cert.gamma * _column(trace, "step_sq")
     elif variant == "gso-mbi":
-        virt = _require([r.virt_step_sq for r in recs[1:]], "virtual step norms")
         c1 = cert.q if trace.meta.get("rule") == "gauss-southwell" else 1.0
-        K = trace.meta["n_blocks"]
-        rhs = (c1 / K) * cert.gamma * virt
+        rhs = (c1 / trace.meta["n_blocks"]) * cert.gamma * _column(trace, "virt_step_sq")
     else:  # bcm
-        grads = _require([r.grad_diff_sq for r in recs[1:]], "gradient differences")
-        rhs = grads / (2.0 * cert.big_m)
-    slacks = np.asarray(drops) - rhs
-    return _report("sufficient-descent", variant, slacks, tolerance)
+        rhs = _column(trace, "grad_diff_sq") / (2.0 * cert.big_m)
+    return _report("sufficient-descent", variant, drops - rhs)
 
 
-def check_cost_to_go(
-    trace: Trace, cert: RateCertificate, variant: str,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> CheckReport:
+def check_cost_to_go(trace: Trace, cert: RateCertificate, variant: str) -> CheckReport:
     """Upper bound on the squared remaining gap after each iteration.
 
     Variants: "gs", "ec" (window of squared steps), "gso-mbi" (squared
     virtual step at the current point), "bcm-gs" (gradient differences).
     """
     _check_theorem("cost-to-go", variant, cert)
-    if trace.f_star is None:
-        raise ValueError("attach the reference solution first")
-    recs = trace.records
-    deltas = trace.deltas()
+    deltas = trace.deltas()  # ValueError without a reference
     K = trace.meta["n_blocks"]
     R2 = cert.radius**2
-    slacks = []
     if variant == "gs":
-        steps = _require([r.step_sq for r in recs[1:]], "step norms")
-        for j in range(1, len(recs)):
-            bound = R2 * K * cert.g_max**2 * steps[j - 1]
-            slacks.append(bound - deltas[j] ** 2)
+        bounds = R2 * K * cert.g_max**2 * _column(trace, "step_sq")
+        gaps = deltas[1:]
     elif variant == "ec":
         T = cert.period
-        steps = _require([r.step_sq for r in recs[1:]], "step norms")
-        for j in range(T, len(recs)):
-            window = float(np.sum(steps[j - T:j]))
-            bound = T * R2 * K * cert.g_max**2 * window
-            slacks.append(bound - deltas[j] ** 2)
+        steps = _column(trace, "step_sq")
+        windows = np.array([np.sum(steps[j - T:j]) for j in range(T, len(deltas))])
+        bounds = T * R2 * K * cert.g_max**2 * windows
+        gaps = deltas[T:]
     elif variant == "gso-mbi":
-        virt = _require([r.virt_step_sq for r in recs[1:]], "virtual step norms")
         coeff = 2.0 * ((cert.grad_bound + cert.l_h) ** 2 + cert.l_max**2 * K * R2)
         # bounds the squared gap at the anchor by the virtual step computed
         # from it (the next record holds that virtual step)
-        for j in range(1, len(recs) - 1):
-            slacks.append(coeff * virt[j] - deltas[j] ** 2)
+        bounds = coeff * _column(trace, "virt_step_sq")[1:]
+        gaps = deltas[1:-1]
     else:  # bcm-gs
-        grads = _require([r.grad_diff_sq for r in recs[1:]], "gradient differences")
-        for j in range(1, len(recs)):
-            slacks.append(2.0 * K**2 * R2 * grads[j - 1] - deltas[j] ** 2)
-    return _report("cost-to-go", variant, slacks, tolerance)
+        bounds = 2.0 * K**2 * R2 * _column(trace, "grad_diff_sq")
+        gaps = deltas[1:]
+    # each gap squared as a numpy scalar (libm pow): an array's x * x rounds
+    # differently in about one draw in a thousand
+    return _report("cost-to-go", variant, bounds - np.array([g ** 2 for g in gaps]))
 
 
 def check_rate_envelope(
-    trace: Trace, sigma: float, c: float, offset: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE, label: str = "envelope",
+    trace: Trace, sigma: float, c: float, offset: int = 0, label: str = "envelope",
 ) -> CheckReport:
     """gap(r) <= (c/sigma) / (r - offset) for every recorded r > offset."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    deltas = trace.deltas()
-    slacks = [
-        (c / sigma) / (j - offset) - deltas[j]
-        for j in range(offset + 1, len(deltas))
-    ]
-    return _report("rate-envelope", label, slacks, tolerance)
+    if sigma <= 0 or offset < 0:
+        raise ValueError("sigma must be positive and offset nonnegative")
+    gaps = trace.deltas()[offset + 1:]
+    return _report("rate-envelope", label, (c / sigma) / np.arange(1, len(gaps) + 1) - gaps)
 
 
 def check_nesterov_inequality(
-    problem: Problem, big_m: Optional[float] = None, n_pairs: int = 100,
-    seed: int = 0, tolerance: float = 1e-10,
+    problem: Problem, big_m: Optional[float] = None, seed: int = 0,
 ) -> CheckReport:
     """Smooth convexity with curvature M implies a gradient-difference bound;
-    sample feasible pairs and report the worst slack."""
+    sample NESTEROV_PAIRS feasible pairs and report the worst slack."""
     big_m = problem.smooth.lipschitz if big_m is None else float(big_m)
     rng = np.random.default_rng([0xAE5, seed])
     slacks = []
-    for _ in range(n_pairs):
+    for _ in range(NESTEROV_PAIRS):
         x = project_feasible(problem, rng.standard_normal(problem.dim))
         v = project_feasible(problem, rng.standard_normal(problem.dim))
         gx = problem.smooth.grad(x)
@@ -423,16 +410,12 @@ def check_nesterov_inequality(
         lhs = float(problem.smooth.value(x)) - float(problem.smooth.value(v))
         rhs = float(gv @ (x - v)) + float((gv - gx) @ (gv - gx)) / (2.0 * big_m)
         slacks.append(lhs - rhs)
-    return _report("smooth-curvature", "pairs", slacks, tolerance)
+    return _report("smooth-curvature", "pairs", slacks, NESTEROV_TOLERANCE)
 
 
-def fd_gradient_check(
-    problem: Problem, points: Sequence[Array], step: float = 1e-6,
-) -> float:
+def fd_gradient_check(problem: Problem, points: Sequence[Array]) -> float:
     """Worst relative disagreement between block gradients and central
-    finite differences of g over the given points."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    finite differences of g, with step FD_STEP, over the given points."""
     worst = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)
@@ -442,29 +425,23 @@ def fd_gradient_check(
         fd = np.empty_like(analytic)
         for i in range(problem.dim):
             e = np.zeros(problem.dim)
-            e[i] = step
+            e[i] = FD_STEP
             fd[i] = (
                 float(problem.smooth.value(x + e)) - float(problem.smooth.value(x - e))
-            ) / (2.0 * step)
+            ) / (2.0 * FD_STEP)
         rel = np.abs(fd - analytic) / (1.0 + np.abs(analytic))
         worst = max(worst, float(np.max(rel)))
     return worst
 
 
-def fit_decay_exponent(
-    trace: Trace, burn_in: int, r_max: Optional[int] = None,
-) -> float:
+def fit_decay_exponent(trace: Trace, burn_in: int) -> float:
     """Least-squares slope of log gap against log iteration index."""
     deltas = trace.deltas()
-    last = len(deltas) - 1 if r_max is None else min(r_max, len(deltas) - 1)
-    rs, ds = [], []
-    for j in range(max(burn_in + 1, 1), last + 1):
-        if deltas[j] > 1e-14:  # a gap at rounding level has no slope to fit
-            rs.append(j)
-            ds.append(deltas[j])
+    start = max(burn_in + 1, 1)
+    # a gap at rounding level has no slope to fit
+    rs = start + np.flatnonzero(deltas[start:] > 1e-14)
     if len(rs) < 20:
         raise ValueError(
             f"insufficient data: {len(rs)} usable records after burn-in {burn_in}"
         )
-    slope = np.polyfit(np.log(np.asarray(rs, float)), np.log(np.asarray(ds)), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(rs.astype(float)), np.log(deltas[rs]), 1)[0])

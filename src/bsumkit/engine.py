@@ -107,6 +107,18 @@ def bsum_sweep(
     return w, float(d @ d), grad_stat
 
 
+def _start_trace(problem: Problem, x: Array, run_meta: dict, meta: Optional[dict]) -> Trace:
+    """A run's trace holding record 0 at x.  Its meta holds run_meta, the
+    problem's block count and name, an empty warnings list, then meta."""
+    return Trace(
+        records=[IterationRecord(r=0, f=eval_objective(problem, x))],
+        iterates=[x.copy()],
+        virtual_points=[None],
+        meta={**run_meta, "n_blocks": problem.n_blocks, "problem": problem.name,
+              "warnings": [], **(meta or {})},
+    )
+
+
 def run_bsum(
     problem: Problem,
     surrogate,
@@ -133,25 +145,10 @@ def run_bsum(
     want_grads = surrogate.kind == "exact"
 
     x = feasible_start(problem) if x0 is None else np.array(x0, dtype=float)
-    f = eval_objective(problem, x)
-    run_meta = {
-        "algorithm": "bsum",
-        "rule": schedule.rule,
-        "surrogate": surrogate.kind,
-        "n_blocks": problem.n_blocks,
-        "q": schedule.q,
-        "period": schedule.period,
-        "problem": problem.name,
-        "warnings": [],
-    }
-    if meta:
-        run_meta.update(meta)
-    trace = Trace(
-        records=[IterationRecord(r=0, f=f)],
-        iterates=[x.copy()],
-        virtual_points=[None],
-        meta=run_meta,
-    )
+    trace = _start_trace(problem, x, {"algorithm": "bsum", "rule": schedule.rule,
+                                      "surrogate": surrogate.kind, "q": schedule.q,
+                                      "period": schedule.period}, meta)
+    f = trace.records[0].f
 
     for r in range(1, iterations + 1):
         vu: Optional[VirtualUpdate] = None
@@ -188,13 +185,9 @@ def run_sum(
     """Single-block specialization: each iteration minimizes the bound once."""
     if problem.n_blocks != 1:
         raise ValueError("single-block runs need a one-block partition")
-    schedule = make_schedule("gauss-seidel", 1)
-    extra = {"algorithm": "sum"}
-    if meta:
-        extra.update(meta)
     return run_bsum(
-        problem, surrogate, schedule, x0=x0, iterations=iterations, tol=tol,
-        f_star=f_star, meta=extra,
+        problem, surrogate, make_schedule("gauss-seidel", 1), x0=x0, iterations=iterations,
+        tol=tol, f_star=f_star, meta={"algorithm": "sum", **(meta or {})},
     )
 
 
@@ -204,7 +197,6 @@ def run_a2bsum(
     inner: int = 0,
     x0: Optional[Array] = None,
     iterations: int = 100,
-    m_outer: Optional[float] = None,
     meta: Optional[dict] = None,
 ) -> Trace:
     """Accelerated two-block scheme with extrapolation factor 2/(r+1).
@@ -212,36 +204,25 @@ def run_a2bsum(
     This is accelerated proximal gradient on the reduced function
     F(x_outer) = min over the inner block (see reduce_two_block): the inner
     block is minimized exactly at the extrapolated outer point, the outer
-    block takes a proximal step with constant m_outer, and the momentum
-    point is advanced.  Recorded iterates pair the outer variable with a
-    fresh exact inner solve so the trace reports the objective the scheme
-    actually certifies.  Inner solves whose loop stopped at its cap are
-    counted into a warning, as a block run's are.
+    block takes a proximal step with the reduced problem's declared constant
+    M (meta["m_outer"]), and the momentum point is advanced.  Recorded
+    iterates pair the outer variable with a fresh exact inner solve so the
+    trace reports the objective the scheme actually certifies.  Inner solves
+    whose loop stopped at its cap are counted into a warning, as a block
+    run's are.
     """
     capped = []
     reduced, assemble = _reduction(problem, outer, inner, on_cap=lambda: capped.append(1))
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    m1 = float(m_outer) if m_outer is not None else reduced.smooth.lipschitz
+    m1 = reduced.smooth.lipschitz
     sl_out = problem.partition.block_slice(outer)
-    warnings = []
-    if not problem.inner_unique(inner):
-        warnings.append("inner block minimizer may be non-unique")
-
     x = assemble(feasible_start(reduced) if x0 is None else np.asarray(x0, dtype=float)[sl_out])
-    run_meta = {
-        "algorithm": "a2bsum", "rule": "gauss-seidel", "surrogate": "prox-linear",
-        "n_blocks": 2, "q": 1.0, "period": 1, "problem": problem.name,
-        "outer": outer, "inner": inner, "m_outer": m1, "warnings": warnings,
-    }
-    if meta:
-        run_meta.update(meta)
-    trace = Trace(
-        records=[IterationRecord(r=0, f=eval_objective(problem, x))],
-        iterates=[x],
-        virtual_points=[None],
-        meta=run_meta,
-    )
+    trace = _start_trace(problem, x, {"algorithm": "a2bsum", "rule": "gauss-seidel",
+                                      "surrogate": "prox-linear", "q": 1.0, "period": 1,
+                                      "outer": outer, "inner": inner, "m_outer": m1}, meta)
+    if not problem.inner_unique(inner):
+        trace.meta["warnings"].append("inner block minimizer may be non-unique")
 
     x1_prev = x[sl_out].copy()
     w1 = x1_prev.copy()
@@ -263,7 +244,7 @@ def run_a2bsum(
         trace.iterates.append(rec_point)
         trace.virtual_points.append(None)
     if capped:
-        warnings.append(f"inner loop hit its cap: {len(capped)} times")
+        trace.meta["warnings"].append(f"inner loop hit its cap: {len(capped)} times")
     return trace
 
 

@@ -98,7 +98,7 @@ class Surrogate:
 
     problem: Problem
     kinds: tuple[str, ...]
-    lip: tuple[Optional[float], ...]
+    lip: tuple[float, ...]
     capped_solves: int = 0
     exact_blocks: frozenset[int] = field(init=False, repr=False)
     arrayed_coords: Array = field(init=False, repr=False)
@@ -128,9 +128,7 @@ class Surrogate:
                          for k, (kind, lk) in enumerate(zip(self.kinds, self.lip)))
 
     @property
-    def l_max(self) -> Optional[float]:
-        if any(v is None for v in self.lip):
-            return None
+    def l_max(self) -> float:
         return max(self.lip)
 
     @property

@@ -1,12 +1,14 @@
 """Reference implementations of three per-iterate oracles that do all their
-setup on every call.
+setup on every call, and of the trace checks record by record.
 
 The objective builds the block values, a concatenation and an accumulation;
 the squared-hinge search takes masked max/min reductions and np.sum; the
 virtual update builds its prox-linear coordinate table from the surrogate's
 kinds and step constants.  The library reads that setup off the problem's
 layout and the surrogate, built once, and uses numpy idioms of the same
-arithmetic; test_oracle_identity.py asks both for the same bits.
+arithmetic.  The descent, cost-to-go and envelope checks and the decay fit
+here walk the trace one record at a time; the library reads it as columns.
+test_oracle_identity.py asks both for the same bits.
 """
 
 import math
@@ -14,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from bsumkit.diagnostics import CheckReport, RateCertificate, _check_theorem, _report
+from bsumkit.engine import Trace
 from bsumkit.models import _interval_quadratic_min
 from bsumkit.problem import Array, Problem, as_vector, block_norms, full_gradient
 from bsumkit.schedule import VirtualUpdate, candidate_objectives
@@ -120,3 +124,98 @@ def virtual_updates(problem: Problem, surrogate, x, f: Optional[float] = None) -
         x_hat=x_hat, step_norms=block_norms(problem, x_hat - x),
         objectives=lambda: candidate_objectives(problem, x, x_hat, grad, f),
     )
+
+
+# ---------------------------------------------------------------------------
+# trace checks, record by record
+
+
+def _require(values, what: str):
+    if any(v is None for v in values):
+        raise ValueError(f"trace lacks {what} needed by this variant")
+    return np.asarray(values, dtype=float)
+
+
+def check_sufficient_descent(trace: Trace, cert: RateCertificate, variant: str) -> CheckReport:
+    """Per-iteration lower bound on the gap decrease."""
+    _check_theorem("descent", variant, cert)
+    recs = trace.records
+    if len(recs) < 2:
+        raise ValueError("trace needs at least one iteration")
+    drops = [recs[j - 1].f - recs[j].f for j in range(1, len(recs))]
+    if variant == "gs-ec":
+        steps = _require([r.step_sq for r in recs[1:]], "step norms")
+        rhs = cert.gamma * steps
+    elif variant == "gso-mbi":
+        virt = _require([r.virt_step_sq for r in recs[1:]], "virtual step norms")
+        c1 = cert.q if trace.meta.get("rule") == "gauss-southwell" else 1.0
+        K = trace.meta["n_blocks"]
+        rhs = (c1 / K) * cert.gamma * virt
+    else:  # bcm
+        grads = _require([r.grad_diff_sq for r in recs[1:]], "gradient differences")
+        rhs = grads / (2.0 * cert.big_m)
+    slacks = np.asarray(drops) - rhs
+    return _report("sufficient-descent", variant, slacks)
+
+
+def check_cost_to_go(trace: Trace, cert: RateCertificate, variant: str) -> CheckReport:
+    """Upper bound on the squared remaining gap after each iteration."""
+    _check_theorem("cost-to-go", variant, cert)
+    if trace.f_star is None:
+        raise ValueError("attach the reference solution first")
+    recs = trace.records
+    deltas = trace.deltas()
+    K = trace.meta["n_blocks"]
+    R2 = cert.radius**2
+    slacks = []
+    if variant == "gs":
+        steps = _require([r.step_sq for r in recs[1:]], "step norms")
+        for j in range(1, len(recs)):
+            bound = R2 * K * cert.g_max**2 * steps[j - 1]
+            slacks.append(bound - deltas[j] ** 2)
+    elif variant == "ec":
+        T = cert.period
+        steps = _require([r.step_sq for r in recs[1:]], "step norms")
+        for j in range(T, len(recs)):
+            window = float(np.sum(steps[j - T:j]))
+            bound = T * R2 * K * cert.g_max**2 * window
+            slacks.append(bound - deltas[j] ** 2)
+    elif variant == "gso-mbi":
+        virt = _require([r.virt_step_sq for r in recs[1:]], "virtual step norms")
+        coeff = 2.0 * ((cert.grad_bound + cert.l_h) ** 2 + cert.l_max**2 * K * R2)
+        for j in range(1, len(recs) - 1):
+            slacks.append(coeff * virt[j] - deltas[j] ** 2)
+    else:  # bcm-gs
+        grads = _require([r.grad_diff_sq for r in recs[1:]], "gradient differences")
+        for j in range(1, len(recs)):
+            slacks.append(2.0 * K**2 * R2 * grads[j - 1] - deltas[j] ** 2)
+    return _report("cost-to-go", variant, slacks)
+
+
+def check_rate_envelope(trace: Trace, sigma: float, c: float, offset: int = 0,
+                        label: str = "envelope") -> CheckReport:
+    """gap(r) <= (c/sigma) / (r - offset) for every recorded r > offset."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    deltas = trace.deltas()
+    slacks = [
+        (c / sigma) / (j - offset) - deltas[j]
+        for j in range(offset + 1, len(deltas))
+    ]
+    return _report("rate-envelope", label, slacks)
+
+
+def fit_decay_exponent(trace: Trace, burn_in: int) -> float:
+    """Least-squares slope of log gap against log iteration index."""
+    deltas = trace.deltas()
+    rs, ds = [], []
+    for j in range(max(burn_in + 1, 1), len(deltas)):
+        if deltas[j] > 1e-14:
+            rs.append(j)
+            ds.append(deltas[j])
+    if len(rs) < 20:
+        raise ValueError(
+            f"insufficient data: {len(rs)} usable records after burn-in {burn_in}"
+        )
+    slope = np.polyfit(np.log(np.asarray(rs, float)), np.log(np.asarray(ds)), 1)[0]
+    return float(slope)

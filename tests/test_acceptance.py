@@ -159,7 +159,7 @@ def test_criterion_5_acceleration():
         tr_acc = bk.run_a2bsum(p, outer=1, inner=0, iterations=500)
         tr_acc.attach_reference(ref.x, ref.f)
 
-        slope = bk.fit_decay_exponent(tr_acc, burn_in=19, r_max=500)
+        slope = bk.fit_decay_exponent(tr_acc, burn_in=19)
         worst_slope = max(worst_slope, slope)
         assert slope <= -1.5
 
@@ -277,8 +277,8 @@ def test_criterion_7_oracle_suites():
     worst_curv = 0.0
     for problem in _oracle_models():
         pts = [rng.standard_normal(problem.dim) for _ in range(20)]
-        worst_fd = max(worst_fd, bk.fd_gradient_check(problem, pts, step=1e-6))
-        rep = bk.check_nesterov_inequality(problem, n_pairs=100, seed=7)
+        worst_fd = max(worst_fd, bk.fd_gradient_check(problem, pts))
+        rep = bk.check_nesterov_inequality(problem, seed=7)
         worst_curv = max(worst_curv, rep.max_violation)
         assert rep.passed, problem.name
     assert worst_fd <= 1e-5

@@ -378,6 +378,23 @@ def test_certify_matches_and_detects_tampering(tmp_path):
     assert code2 == 2
 
 
+def test_certify_matches_a_renamed_trace_only_to_a_config_of_one_run(tmp_path, capsys):
+    one = write(tmp_path, "seed = 5\n" + run_text("solo", LASSO_20x50, iterations=20),
+                name="one.cfg")
+    cli.run_experiment(cli.parse_config(one), output_dir=str(tmp_path / "out"))
+    renamed = tmp_path / "other.trace.csv"
+    os.replace(tmp_path / "out" / "solo.trace.csv", renamed)
+    report, code = cli.certify(str(renamed), one)
+    assert (code, report["match"], report["run_id"]) == (0, True, "solo")
+
+    two = write(tmp_path, TWO_RUN, name="two.cfg")
+    with pytest.raises(ConfigError, match="cannot match trace to a unique run") as err:
+        cli.certify(str(renamed), two)
+    assert "'bcpg'" in str(err.value) and "'bcm'" in str(err.value)
+    assert cli.main(["certify", str(renamed), two]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_main_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert cli.main(["run", missing]) == 1
@@ -442,6 +459,20 @@ def run_text(run_id: str, model: dict, **fields) -> str:
 LASSO_20x50 = {"family": "lasso", "m": 20, "n": 50, "lam": 2.0, "seed": 101}
 QUAD_ONE_BLOCK = {"family": "quadratic", "sizes": [3], "seed": 5}
 TWO_BLOCK = {"family": "two-block-quadratic", "n_inner": 3, "n_outer": 4, "seed": 6}
+
+
+def test_suites_drop_the_planned_checks_they_do_not_name(tmp_path):
+    # a lasso prox-linear Gauss-Seidel run plans gs-ec descent, gs cost-to-go
+    # and the bsum-gs envelope
+    for suites, checks, envelopes in ((["descent"], [("sufficient-descent", "gs-ec")], []),
+                                      (["envelope"], [], ["bsum-gs"])):
+        text = f"seed = 1\nsuites = {json.dumps(suites)}\n" \
+            + run_text("r", LASSO_20x50, iterations=30)
+        spec = cli.parse_config(write(tmp_path, text, name=f"{suites[0]}.cfg"))
+        (res,), code = cli.run_experiment(spec, output_dir=str(tmp_path / suites[0]))
+        assert code == 0 and res.error is None
+        assert [(c.check_id, c.variant) for c in res.checks] == checks
+        assert [e["id"] for e in res.envelopes] == envelopes
 
 
 def test_tolerance_stops_the_run_at_the_gap(tmp_path):

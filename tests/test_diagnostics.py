@@ -62,6 +62,27 @@ def test_constants_box_interval_exact():
     assert np.max(np.abs(2.0 * (feas - 1.0))) == pytest.approx(6.0, abs=1e-5)
 
 
+def test_constants_of_ball_blocks_are_computed_exactly():
+    # scalar blocks, each in a ball of its own: the farthest feasible point
+    # lies r_k + |c_k - x*_k| from x* in block k
+    Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    centers, radii = [0.3, -0.5, 2.0], [1.0, 0.5, 0.25]
+    p = models.build_quadratic(
+        Q, np.array([1.0, -2.0, 0.5]), block_sizes=[1, 1, 1],
+        constraints=[bk.ball(np.array([ck]), rk) for ck, rk in zip(centers, radii)],
+    )
+    s = bk.make_surrogate(p, "exact")
+    tr = bk.run_bsum(p, s, bk.make_schedule("gauss-seidel", 3), iterations=5)
+    ref = bk.reference_solve(p)
+    tr.attach_reference(ref.x, ref.f)
+    cert = bk.estimate_constants(p, s, tr)
+    assert cert.provenance["R"] == cert.provenance["Q"] == "computed-exact"
+    R = np.sqrt(sum((rk + abs(ck - xk)) ** 2 for ck, rk, xk in zip(centers, radii, ref.x)))
+    assert cert.radius == pytest.approx(R, rel=1e-12)
+    Q_bound = np.linalg.norm(p.smooth.grad(ref.x)) + p.smooth.lipschitz * R
+    assert cert.grad_bound == pytest.approx(Q_bound, rel=1e-12)
+
+
 def test_constants_unconstrained_trajectory_max():
     Q = np.array([[1.0, -1.0], [-1.0, 2.0]])
     p = models.build_quadratic(Q, np.zeros(2), block_sizes=[1, 1])
@@ -331,6 +352,12 @@ def test_envelope_arithmetic_example():
     assert rep.slacks == pytest.approx([1.0, 0.0, 4.0 / 3.0 - 1.2])
 
 
+def test_envelope_rejects_a_negative_offset():
+    # the gaps from r = offset + 1 on would start at the trace's end
+    with pytest.raises(ValueError, match="offset nonnegative"):
+        bk.check_rate_envelope(synthetic_trace([10.0, 3.0, 2.0]), sigma=1.0, c=1.0, offset=-1)
+
+
 def test_envelope_tight_pass():
     deltas = [5.0] + [1.0 / r for r in range(1, 40)]
     tr = synthetic_trace(deltas)
@@ -362,7 +389,7 @@ def test_non_finite_objectives_fail_the_checks(bad):
 
 def test_curvature_inequality_quadratic_equality_case():
     p = models.build_quadratic(np.array([[1.0]]), np.zeros(1))  # g = x^2, M = 2
-    rep = bk.check_nesterov_inequality(p, n_pairs=100, seed=1)
+    rep = bk.check_nesterov_inequality(p, seed=1)
     assert rep.passed
     assert rep.max_violation <= 1e-12  # equality case up to rounding
 
@@ -370,13 +397,13 @@ def test_curvature_inequality_quadratic_equality_case():
 def test_curvature_inequality_logistic_sampled():
     A, y, nu = models.gen_logistic(50, 8, 0.1, seed=5)
     p = models.build_logistic(A, y, nu)
-    rep = bk.check_nesterov_inequality(p, n_pairs=100, seed=2)
+    rep = bk.check_nesterov_inequality(p, seed=2)
     assert rep.passed
 
 
 def test_curvature_inequality_understated_constant_fails():
     p = models.build_quadratic(np.array([[1.0]]), np.zeros(1))
-    rep = bk.check_nesterov_inequality(p, big_m=1.0, n_pairs=100, seed=3)
+    rep = bk.check_nesterov_inequality(p, big_m=1.0, seed=3)
     assert not rep.passed
     assert rep.max_violation > 1e-3
 
@@ -391,12 +418,12 @@ def test_fd_gradient_check_models():
     A, y, nu = models.gen_logistic(30, 6, 0.2, seed=6)
     plog = models.build_logistic(A, y, nu)
     pts = [rng.standard_normal(6) for _ in range(5)]
-    assert bk.fd_gradient_check(plog, pts, step=1e-6) <= 1e-5
+    assert bk.fd_gradient_check(plog, pts) <= 1e-5
 
     mats, offs = models.gen_fermat_weber(5, 3, seed=7)
     pirls = models.build_irls(mats, offs, 0.3)
     pts = [rng.standard_normal(3) for _ in range(5)]
-    assert bk.fd_gradient_check(pirls, pts, step=1e-6) <= 1e-5
+    assert bk.fd_gradient_check(pirls, pts) <= 1e-5
 
 
 def test_fit_decay_exponent_power_laws():

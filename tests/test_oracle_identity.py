@@ -1,15 +1,18 @@
-"""The per-iterate oracles give the same bits as reference_oracles.py.
+"""The per-iterate oracles and the trace checks give the same bits as
+reference_oracles.py.
 
 The library's objective, squared-hinge search and virtual update read
 their setup off the problem's layout and the surrogate instead of building
-it per call; each property here runs both on one input and compares bytes,
-so a signed zero or a NaN that comes out differently fails too.
+it per call, and its trace checks read the trace as columns instead of
+record by record; each property here runs both on one input and compares
+bytes, so a signed zero or a NaN that comes out differently fails too.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_layout import problems, same_bits
@@ -17,6 +20,8 @@ from test_layout import problems, same_bits
 import bsumkit as bk
 import reference_oracles as ref
 from bsumkit import models
+from bsumkit.diagnostics import RateCertificate
+from bsumkit.engine import IterationRecord, Trace
 from bsumkit.problem import NonsmoothBlock, Problem, SmoothPart, make_partition, project_feasible
 
 
@@ -176,3 +181,102 @@ def test_group_sweep_keeps_the_bits_of_blocks_it_does_not_visit(case):
     for k in set(range(p.n_blocks)) - set(blocks):
         sl = p.partition.block_slice(k)
         assert same_bits(w[sl], x[sl])
+
+
+# ---------------------------------------------------------------------------
+# trace checks: columns against records
+
+COLUMNS = ("step_sq", "virt_step_sq", "grad_diff_sq")
+OBJECTIVES = st.sampled_from((math.nan, math.inf, -math.inf, 0.0)) | st.floats(-3.0, 3.0)
+STATS = st.sampled_from((0.0, 1e-12, 2.5)) | st.floats(0.0, 4.0)
+
+
+@st.composite
+def check_traces(draw):
+    """Objectives (NaN and +-inf in some traces), a reference value, the
+    statistic columns with a record missing from some, an essentially-cyclic
+    period that may exceed the run, an envelope and a decay fit's burn-in."""
+    n = draw(st.integers(1, 50))
+    objectives = OBJECTIVES if draw(st.booleans()) else st.floats(-3.0, 3.0)
+    fs = draw(st.lists(objectives, min_size=n, max_size=n))
+    cols = {}
+    for name in COLUMNS:
+        col = draw(st.lists(STATS, min_size=n - 1, max_size=n - 1))
+        if col and draw(st.integers(0, 3)) == 0:
+            col[draw(st.integers(0, len(col) - 1))] = None
+        cols[name] = col
+    setting = dict(f_star=draw(st.floats(-4.0, 3.0)), period=draw(st.integers(1, 60)),
+                   rule=draw(st.sampled_from(("gauss-seidel", "gauss-southwell"))),
+                   n_blocks=draw(st.integers(1, 4)), gamma=draw(st.sampled_from((0.3, 1.7))),
+                   radius=draw(st.sampled_from((0.5, 3.0))),
+                   envelope=(draw(st.sampled_from((0.01, 0.7, 5.0))),
+                             draw(st.sampled_from((0.0, 2.0, 40.0))), draw(st.integers(0, 5))),
+                   burn_in=draw(st.integers(-2, 10)))
+    return fs, cols, setting
+
+
+def check_trace(fs, cols, setting):
+    records = [IterationRecord(r=0, f=fs[0])] + [
+        IterationRecord(r=j, f=fs[j], **{name: cols[name][j - 1] for name in COLUMNS})
+        for j in range(1, len(fs))]
+    tr = Trace(records=records, iterates=[np.zeros(1)] * len(fs),
+               virtual_points=[None] * len(fs),
+               meta={"rule": setting["rule"], "n_blocks": setting["n_blocks"]})
+    tr.attach_reference(np.zeros(1), setting["f_star"])
+    cert = RateCertificate(
+        gamma=setting["gamma"], l_max=2.0, g_max=1.5, big_m=2.0, m_max=1.0,
+        radius=setting["radius"], grad_bound=4.0, l_h=0.5, q=0.8, period=setting["period"],
+        f_star=setting["f_star"], f_first=fs[min(1, len(fs) - 1)], provenance={})
+    return tr, cert
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeWarning) as exc:  # a numpy warning is raised as an error
+        return exc
+
+
+def same_outcome(got, want):
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    if isinstance(want, float):
+        return same_bits(got, want)
+    return (np.array_equal(got.slacks, want.slacks, equal_nan=True)
+            and same_bits(got.slacks, want.slacks) and got.to_dict() == want.to_dict())
+
+
+@settings(max_examples=300)
+@given(check_traces())
+# NaN and +-inf objectives, runs of inf - inf drops, a virtual step column
+# with a record missing, and a period of 9 over a 5-iteration run
+@example(([1.0, math.nan, math.inf, math.inf, -math.inf, -math.inf],
+          {"step_sq": [0.5, 0.0, 1.0, 2.0, 0.1], "virt_step_sq": [0.5, None, 1.0, 2.0, 0.1],
+           "grad_diff_sq": [1.0, 1.0, 0.0, 0.0, 3.0]},
+          dict(f_star=-0.5, period=9, rule="gauss-southwell", n_blocks=3, gamma=0.3,
+               radius=3.0, envelope=(0.7, 2.0, 1), burn_in=0)))
+# gaps whose square libm's pow rounds one ulp away from x * x
+@example(([2.0, 1.9072620013546644, 1.6132881288657748, 0.4786618688802179],
+          {name: [0.25, 0.5, 1.0] for name in COLUMNS},
+          dict(f_star=0.0, period=2, rule="gauss-seidel", n_blocks=2, gamma=1.7,
+               radius=0.5, envelope=(5.0, 40.0, 0), burn_in=0)))
+def test_trace_checks_read_as_columns_give_the_bits_of_the_record_loops(case):
+    tr, cert = check_trace(*case)
+    calls = [(fn, (tr, cert, variant)) for fn, variants in (
+        ("check_sufficient_descent", ("gs-ec", "gso-mbi", "bcm")),
+        ("check_cost_to_go", ("gs", "ec", "gso-mbi", "bcm-gs"))) for variant in variants]
+    sigma, c, offset = case[2]["envelope"]
+    calls += [("check_rate_envelope", (tr, sigma, c, offset)),
+              ("fit_decay_exponent", (tr, case[2]["burn_in"]))]
+    for name, args in calls:
+        got, want = outcome(getattr(bk, name), *args), outcome(getattr(ref, name), *args)
+        assert same_outcome(got, want), (name, args[2:])
+
+
+def test_cost_to_go_needs_the_reference():
+    tr, cert = check_trace([1.0, 0.5], {name: [0.1] for name in COLUMNS},
+                           dict(f_star=0.0, period=1, rule="gauss-seidel", n_blocks=1,
+                                gamma=0.3, radius=1.0, envelope=None, burn_in=0))
+    tr.f_star = None
+    with pytest.raises(ValueError, match="attach a reference solution"):
+        bk.check_cost_to_go(tr, cert, "gs")
