@@ -28,7 +28,9 @@ import numpy as np
 
 from . import models
 from .diagnostics import (
+    FD_TOLERANCE,
     CheckReport,
+    _report,
     check_cost_to_go,
     check_rate_envelope,
     check_sufficient_descent,
@@ -234,6 +236,10 @@ def parse_config(path: str) -> ExperimentSpec:
             family.check_keys(model)
             models.check_numbers(model)
             n_blocks = family.block_count(model)
+            need = {"sum": 1, "a2bsum": 2}.get(cfg.algorithm)  # the block count it runs on
+            if need is not None and n_blocks not in (None, need):
+                raise ValueError(f"algorithm {cfg.algorithm!r} needs a block count of {need}; "
+                                 f"family {name!r} gives {n_blocks}")
             if cfg.surrogate == "mixed":
                 cfg.surrogate_kinds = check_block_kinds(cfg.surrogate_kinds, n_blocks)
             if n_blocks is None:  # only the files fix it
@@ -348,8 +354,7 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
         rng = np.random.default_rng([0xFD, spec.seed])
         pts = [project_feasible(problem, rng.standard_normal(problem.dim))
                for _ in range(5)]
-        err = fd_gradient_check(problem, pts)
-        result.checks.append(_fd_report(err))
+        result.checks.append(_fd_report(fd_gradient_check(problem, pts)))
     result.all_passed = all(c.passed for c in result.checks) and all(
         e["passed"] for e in result.envelopes
     )
@@ -357,12 +362,7 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
 
 
 def _fd_report(err: float) -> CheckReport:
-    tol = 1e-5
-    return CheckReport(
-        check_id="fd-gradient", variant="points", slacks=np.array([tol - err]),
-        max_violation=max(0.0, err - tol), tolerance=tol,
-        passed=err <= tol, n_checked=1,
-    )
+    return _report("fd-gradient", "points", [-err], FD_TOLERANCE)  # a NaN fails unbounded
 
 
 # ---------------------------------------------------------------------------

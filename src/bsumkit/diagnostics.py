@@ -32,6 +32,7 @@ CHECK_TOLERANCE = 1e-9  # every descent, cost-to-go and envelope check
 NESTEROV_PAIRS = 100  # sampled pairs of the smooth-curvature check
 NESTEROV_TOLERANCE = 1e-10
 FD_STEP = 1e-6  # central-difference step of the gradient check
+FD_TOLERANCE = 1e-5  # its largest relative disagreement
 
 
 @dataclass(eq=False)
@@ -415,22 +416,20 @@ def check_nesterov_inequality(
 
 def fd_gradient_check(problem: Problem, points: Sequence[Array]) -> float:
     """Worst relative disagreement between block gradients and central
-    finite differences of g, with step FD_STEP, over the given points."""
+    finite differences of g, with step FD_STEP, over the given points; NaN
+    when one of them is NaN."""
     worst = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)
-        analytic = np.concatenate([
-            block_gradient(problem, k, x) for k in range(problem.n_blocks)
-        ])
+        analytic = np.concatenate([block_gradient(problem, k, x) for k in range(problem.n_blocks)])
         fd = np.empty_like(analytic)
         for i in range(problem.dim):
             e = np.zeros(problem.dim)
             e[i] = FD_STEP
-            fd[i] = (
-                float(problem.smooth.value(x + e)) - float(problem.smooth.value(x - e))
-            ) / (2.0 * FD_STEP)
+            fd[i] = (float(problem.smooth.value(x + e))
+                     - float(problem.smooth.value(x - e))) / (2.0 * FD_STEP)
         rel = np.abs(fd - analytic) / (1.0 + np.abs(analytic))
-        worst = max(worst, float(np.max(rel)))
+        worst = float(np.max(rel, initial=worst))  # a NaN stays
     return worst
 
 

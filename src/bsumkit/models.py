@@ -252,10 +252,10 @@ def piecewise_quadratic_min(
 SECULAR_MAX_ITER = 200
 
 
-def _secular_root(z: Array, d: Array, weight: float, hi: float, start: float = 0.0,
+def _secular_root(a: Array, c: Array, hi: float, start: float = 0.0,
                   on_cap: Optional[Callable[[], None]] = None) -> tuple[float, Optional[Array]]:
-    """Root s in [0, hi] of psi(s) = 1/||q(s)|| - 1, where q_i = z_i / (d_i s + weight),
-    and q(s) when it was evaluated there (else None).
+    """Root s in [0, hi] of psi(s) = 1/||q(s)|| - 1, where q_i = a_i / (s + c_i)
+    with every shift c_i > 0, and q(s) when it was evaluated there (else None).
 
     psi is concave and increasing with psi(0) < 0 <= psi(hi).  The iteration
     starts at min(start, hi).  A Newton step below 1e-15 (1 + s) stops it at
@@ -272,16 +272,16 @@ def _secular_root(z: Array, d: Array, weight: float, hi: float, start: float = 0
     lo, s = 0.0, min(start, hi)
     newton = True
     for i in range(SECULAR_MAX_ITER):
-        den = d * s + weight
-        q = z / den
+        den = s + c
+        q = a / den
         qq = float(q.dot(q))
         if qq <= 1.0 and i > 0:  # at or right of the root
             if newton:
                 return s, q
             hi, s = s, 0.5 * (lo + s)
             continue
-        # -psi(s) / psi'(s), with psi'(s) = sum_i q_i^2 d_i / (d_i s + weight) / ||q||^3
-        slope = float((q * (d / den)).dot(q))
+        # -psi(s) / psi'(s), with psi'(s) = sum_i q_i^2 / (s + c_i) / ||q||^3
+        slope = float((q / den).dot(q))
         step = (math.sqrt(qq) - 1.0) * qq / slope if slope > 0.0 else math.inf
         if abs(step) <= 1e-15 * (1.0 + s):
             return s + step, None
@@ -298,12 +298,13 @@ def _secular_root(z: Array, d: Array, weight: float, hi: float, start: float = 0
 
 class BlockHessian(NamedTuple):
     """The Hessian V diag(d) V^T of a block subproblem's quadratic part, the
-    directions whose d rises above rounding, the smallest such d, and
-    whether every direction is kept."""
+    directions whose d rises above rounding, d with the other directions set
+    to 1 (a divisor), the smallest kept d, and whether every direction is kept."""
 
     vecs: Array
     d: Array
     kept: Array
+    d_div: Array
     d_min: float
     all_kept: bool
 
@@ -313,8 +314,8 @@ def block_hessian(evals: Array, vecs: Array) -> BlockHessian:
     when its d exceeds 1e-12 max d: the floor scales with A."""
     d = 2.0 * evals
     kept = d > 1e-12 * float(np.max(d))
-    return BlockHessian(vecs, d, kept, float(np.min(d, initial=np.inf, where=kept)),
-                        bool(kept.all()))
+    return BlockHessian(vecs, d, kept, np.where(kept, d, 1.0),
+                        float(np.min(d, initial=np.inf, where=kept)), bool(kept.all()))
 
 
 def group_l2_block_min(h: BlockHessian, z: Array, weight: float, start: float = 0.0,
@@ -325,14 +326,15 @@ def group_l2_block_min(h: BlockHessian, z: Array, weight: float, start: float = 
     ||A u - rho||^2 + weight ||u|| is this problem with h =
     block_hessian(evals, vecs), for the eigendecomposition of A^T A, and
     rhs = 2 A^T rho.  Rank-deficient A is allowed; the weight == 0 branch
-    returns the minimum-norm least-squares solution.  With
-    weight > 0 the minimizer is V^T u = z s / (d s + weight), with s = ||u||
-    the root of a secular equation, found by a safeguarded Newton iteration
+    returns the minimum-norm least-squares solution.  With weight > 0 the
+    minimizer is V^T u = q(s) s, q_i(s) = a_i / (s + c_i), with a = z / d and
+    c = weight / d on the kept directions and a = 0 on the others, and
+    s = ||u|| the root of ||q(s)|| = 1, found by a safeguarded Newton iteration
     from start (the block's current norm is a warm start) that never fails;
     one that reaches SECULAR_MAX_ITER calls on_cap, when given.
     """
     if weight == 0.0:
-        return z / h.d if h.all_kept else np.where(h.kept, z / np.where(h.kept, h.d, 1.0), 0.0)
+        return z / h.d_div if h.all_kept else np.where(h.kept, z / h.d_div, 0.0)
     # rhs lies in the range of H: z outside the kept directions is
     # rounding, and without it ||q(s)|| <= ||z|| / (d_min s + weight) bounds the root
     if not h.all_kept:
@@ -340,9 +342,10 @@ def group_l2_block_min(h: BlockHessian, z: Array, weight: float, start: float = 
     zz = float(z.dot(z))
     if zz <= weight * weight:
         return np.zeros_like(z)
-    hi = (math.sqrt(zz) - weight) / h.d_min
-    s, q = _secular_root(z, h.d, weight, hi, start, on_cap)
-    return z * s / (h.d * s + weight) if q is None else q * s
+    # a dropped direction divides by 1: its a is 0 and its shift the weight
+    a, c = z / h.d_div, weight / h.d_div
+    s, q = _secular_root(a, c, (math.sqrt(zz) - weight) / h.d_min, start, on_cap)
+    return (a / (s + c) if q is None else q) * s
 
 
 # ---------------------------------------------------------------------------
@@ -424,60 +427,56 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
     part = make_partition([Ak.shape[1] for Ak in mats])
     cons = _default_constraints(part, constraints)
     A = np.hstack(mats)
-    nonsmooth = tuple(
-        NonsmoothBlock(kind="group-l2", weight=float(w)) for w in weights
-    )
+    nonsmooth = tuple(NonsmoothBlock(kind="group-l2", weight=float(w)) for w in weights)
     smooth = linear_smooth(SQUARES, A, b, part)
     gram = smooth.linear.gram
 
     # V is block diagonal with the blocks' eigenvectors V_k, and H = V^T G V
     # is the Gram matrix in their eigen-coordinates, built block by block.
-    # Per block: its slice, the subproblem's Hessian, its rows of -2 H and the weight.
+    # In y = V^T w, block k's target V_k^T rhs is d y_k + 2 V_k^T A_k^T (b - A w)
+    # = C_k y + c_k: C_k is block k's rows of -2 H with its own diagonal block
+    # (-2 diag(evals) = -d) cut out, and c_k = 2 V_k^T A_k^T b.  A move e of
+    # block k moves grad g by 2 V H[:, k] e, of squared norm e^T P_k e with
+    # P_k = 4 H[k, :] H[:, k].
     slices = [part.block_slice(k) for k in range(part.n_blocks)]
     hess = [block_hessian(*eig) for eig in smooth.linear.block_eigh]
-    vbd, rows = np.zeros_like(gram), np.empty_like(gram)
+    vbd, gv = np.zeros_like(gram), np.empty_like(gram)
     for sl, h in zip(slices, hess):
         vbd[sl, sl] = h.vecs
-        rows[:, sl] = gram[:, sl] @ h.vecs  # G V
-    for sl, h in zip(slices, hess):
-        rows[sl] = h.vecs.T @ rows[sl]
-    rows *= -2.0
-    per_block = [(sl, h, rows[sl], float(wk)) for sl, h, wk in zip(slices, hess, weights)]
-
-    def solver(k, x, on_cap=None):
-        if cons[k].kind != "all-space":
-            raise UnsupportedCombination("exact group solve needs an unconstrained block")
-        # the sweep's step, from a fresh c_k = A_k^T (A x - b)
-        sl, h, _, wk = per_block[k]
-        xk = x[sl]
-        rhs = 2.0 * (gram[sl, sl] @ xk - A[:, sl].T @ (A @ x - b))
-        return h.vecs @ group_l2_block_min(h, h.vecs.T @ rhs, wk, math.sqrt(float(xk @ xk)),
-                                           on_cap)
+        gv[:, sl] = gram[:, sl] @ h.vecs  # G V
+    targets = 2.0 * vbd.T.dot(A.T.dot(b))
+    per_block = []
+    for sl, h, wk in zip(slices, hess, weights):
+        cross = -2.0 * (h.vecs.T @ gv[sl])  # block k's rows of -2 H
+        pk = cross @ cross.T
+        cross[:, sl] = 0.0
+        per_block.append((sl, h, cross, targets[sl], pk, float(wk)))
 
     def sweep(blocks, x, record_grads, on_cap=None):
-        # in eigen-coordinates y = V^T w, and t = -V^T grad g(w) = 2 V^T A^T (b - A w)
-        # is carried: block k's target V_k^T rhs is d y_k + t_k, and its move e
-        # adds -2 H[:, k] e to t.  y is rotated back once; the blocks the sweep
-        # did not visit keep their values.
+        # no quantity is carried from block to block.  y is rotated back once;
+        # the blocks the sweep did not visit keep their values.
         x = np.asarray(x, dtype=float)
         y = vbd.T.dot(x)
-        t = 2.0 * vbd.T.dot(A.T.dot(b - A.dot(x)))
         grad_stat = 0.0 if record_grads else None
         unvisited = [True] * part.n_blocks
         for k in blocks:
-            sl, h, h_rows, wk = per_block[k]
+            sl, h, cross, ck, pk, wk = per_block[k]
             yk = y[sl]  # a view: read before y[sl] is written
-            new = group_l2_block_min(h, h.d * yk + t[sl], wk, math.sqrt(yk.dot(yk)), on_cap)
-            u = (new - yk).dot(h_rows)  # H is symmetric: its rows are its columns
+            new = group_l2_block_min(h, cross.dot(y) + ck, wk, math.sqrt(yk.dot(yk)), on_cap)
+            if record_grads:
+                e = new - yk
+                grad_stat += float(pk.dot(e).dot(e))
             y[sl] = new
-            t += u
             unvisited[k] = False
-            if record_grads:  # grad g moves by -V u, of norm ||u||
-                grad_stat += float(u.dot(u))
         w = vbd.dot(y)
         for sl in compress(slices, unvisited):
             w[sl] = x[sl]
         return w, grad_stat
+
+    def solver(k, x, on_cap=None):
+        if cons[k].kind != "all-space":
+            raise UnsupportedCombination("exact group solve needs an unconstrained block")
+        return sweep((k,), x, False, on_cap)[0][slices[k]]
 
     unconstrained = all(cs.kind == "all-space" for cs in cons)
     return Problem(

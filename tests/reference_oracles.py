@@ -1,5 +1,6 @@
 """Reference implementations of three per-iterate oracles that do all their
-setup on every call, and of the trace checks record by record.
+setup on every call, of the group lasso's exact block step from a fresh
+residual, and of the trace checks record by record.
 
 The objective builds the block values, a concatenation and an accumulation;
 the squared-hinge search takes masked max/min reductions and np.sum; the
@@ -8,7 +9,10 @@ kinds and step constants.  The library reads that setup off the problem's
 layout and the surrogate, built once, and uses numpy idioms of the same
 arithmetic.  The descent, cost-to-go and envelope checks and the decay fit
 here walk the trace one record at a time; the library reads it as columns.
-test_oracle_identity.py asks both for the same bits.
+test_oracle_identity.py asks both for the same bits.  The group lasso's
+sweep reads its block targets from cross-Gram rows in the blocks'
+eigenbases; the block step here forms the target from A x - b, and the
+sweep tests in test_engine.py compare the two to rounding.
 """
 
 import math
@@ -18,7 +22,7 @@ import numpy as np
 
 from bsumkit.diagnostics import CheckReport, RateCertificate, _check_theorem, _report
 from bsumkit.engine import Trace
-from bsumkit.models import _interval_quadratic_min
+from bsumkit.models import _interval_quadratic_min, block_hessian, group_l2_block_min
 from bsumkit.problem import Array, Problem, as_vector, block_norms, full_gradient
 from bsumkit.schedule import VirtualUpdate, candidate_objectives
 from bsumkit.surrogate import prox_coordinates
@@ -101,6 +105,19 @@ def piecewise_quadratic_min(
         else:
             return float(x)
         t = cross / quad if quad > 0.0 else math.nan
+
+
+def group_block_solve(problem: Problem, k: int, x: Array) -> Array:
+    """Block k's exact group-lasso step at x: the target
+    rhs = 2 (G_kk x_k - A_k^T (A x - b)) from a fresh residual, rotated into
+    the block's eigenbasis, solved by group_l2_block_min from ||x_k||."""
+    lin = problem.smooth.linear
+    sl = problem.partition.block_slice(k)
+    h = block_hessian(*lin.block_eigh[k])
+    xk = x[sl]
+    rhs = 2.0 * (lin.gram[sl, sl] @ xk - lin.A[:, sl].T @ (lin.A @ x - lin.b))
+    return h.vecs @ group_l2_block_min(h, h.vecs.T @ rhs, problem.nonsmooth[k].weight,
+                                       math.sqrt(float(xk @ xk)))
 
 
 def virtual_updates(problem: Problem, surrogate, x, f: Optional[float] = None) -> VirtualUpdate:

@@ -515,10 +515,31 @@ def test_tolerance_stops_the_run_at_the_gap(tmp_path):
     # rejected whatever the value, the default included: no a2bsum run reads it
     (TWO_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0, "tolerance": 0},
      "no gap tolerance"),
+    # the family fixes the block count, and the specialization cannot run on it
+    (LASSO_20x50, {"algorithm": "sum"},
+     "algorithm 'sum' needs a block count of 1; family 'lasso' gives 50"),
+    (TWO_BLOCK, {"algorithm": "sum", "surrogate": "exact"},
+     "algorithm 'sum' needs a block count of 1; family 'two-block-quadratic' gives 2"),
+    ({"family": "group-lasso", "m": 8, "sizes": [2, 3, 2], "seed": 3},
+     {"algorithm": "a2bsum", "outer": 1, "inner": 0},
+     "algorithm 'a2bsum' needs a block count of 2; family 'group-lasso' gives 3"),
+    (QUAD_ONE_BLOCK, {"algorithm": "a2bsum", "outer": 1, "inner": 0},
+     "algorithm 'a2bsum' needs a block count of 2; family 'quadratic' gives 1"),
+    ({"family": "fermat-weber", "terms": 4, "n": 2, "eta": 0.1, "seed": 3},
+     {"algorithm": "a2bsum", "outer": 1, "inner": 0},
+     "algorithm 'a2bsum' needs a block count of 2; family 'fermat-weber' gives 1"),
 ])
 def test_parse_rejects_fields_an_algorithm_ignores(tmp_path, model, fields, message):
     with pytest.raises(ConfigError, match=message):
         cli.parse_config(write(tmp_path, run_text("r", model, **fields)))
+
+
+def test_a_specialization_off_its_block_count_exits_1_before_any_run(tmp_path, capsys):
+    path = write(tmp_path, run_text("r", LASSO_20x50, algorithm="sum"))
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    assert ("config error: run 'r': algorithm 'sum' needs a block count of 1; "
+            "family 'lasso' gives 50") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fields,message", [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bsumkit as bk
 from bsumkit import cli, models
-from bsumkit.diagnostics import RateCertificate, plan_checks
+from bsumkit.diagnostics import FD_TOLERANCE, RateCertificate, plan_checks
 from bsumkit.engine import IterationRecord, Trace
 
 
@@ -424,6 +424,28 @@ def test_fd_gradient_check_models():
     pirls = models.build_irls(mats, offs, 0.3)
     pts = [rng.standard_normal(3) for _ in range(5)]
     assert bk.fd_gradient_check(pirls, pts) <= 1e-5
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-last"])
+def test_a_nan_point_fails_the_fd_check_as_an_unbounded_violation(first):
+    # a NaN error is kept wherever its point comes, and its report fails
+    A, b, lam = models.gen_lasso(10, 4, 0.5, seed=3)
+    p = models.build_lasso(A, b, lam)
+    x = np.zeros(4)
+    x[2] = np.nan
+    pts = [np.ones(4), np.full(4, -1.0)]
+    pts.insert(0 if first else 2, x)
+    err = bk.fd_gradient_check(p, pts)
+    assert np.isnan(err)
+    rep = cli._fd_report(err)
+    assert not rep.passed and rep.max_violation == np.inf and rep.n_checked == 1
+
+
+def test_the_fd_report_violation_is_the_error_at_the_fd_tolerance():
+    assert FD_TOLERANCE == 1e-5
+    for err, passed in ((0.0, True), (FD_TOLERANCE, True), (2.0 * FD_TOLERANCE, False)):
+        rep = cli._fd_report(err)
+        assert (rep.max_violation, rep.tolerance, rep.passed) == (err, FD_TOLERANCE, passed)
 
 
 def test_fit_decay_exponent_power_laws():

@@ -9,7 +9,7 @@ from decimal import Context, Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bsumkit as bk
@@ -261,6 +261,26 @@ def test_a_start_one_float_right_of_the_root_stops_on_its_first_evaluation(probl
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         models.group_l2_block_min(h, z, weight, 0.0, lambda: capped.append(1))
     assert capped == [1]
+
+
+@settings(max_examples=200)
+@given(problem=group_subproblems(), scale=st.sampled_from([0.0, 1.0, 1e3]),
+       start=st.sampled_from([0.0, 1.0]))
+def test_a_rank_deficient_solve_is_zero_along_dropped_directions(problem, scale, start):
+    # along a dropped direction z is rounding, or here any value: the shifted
+    # solve divides it by 1, gives it a of 0 and returns exactly 0 there,
+    # with or without a weight and without a floating-point warning
+    evals, vecs, target, weight = problem
+    h = models.block_hessian(evals, vecs)
+    assume(not h.all_kept)
+    z = vecs.T @ (2.0 * target) + np.where(h.kept, 0.0, scale)
+    want = bisect_group_l2_block_min(*problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wk in (0.0, weight):
+            got = models.group_l2_block_min(h, z, wk, start * float(np.linalg.norm(want)))
+            assert np.all(got[~h.kept] == 0.0)
+    assert np.linalg.norm(vecs @ got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_a_block_at_a_small_column_scale_keeps_every_direction():
