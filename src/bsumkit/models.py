@@ -368,46 +368,42 @@ def build_lasso(A, b, lam: float, block_sizes=None, constraints=None) -> Problem
     smooth = linear_smooth(SQUARES, A, b, part)
     gram = smooth.linear.gram
 
-    solver = sweep = None
-    scalar = all(s == 1 for s in part.sizes)
-    col_sq = np.sum(A * A, axis=0)
-    if scalar and np.all(col_sq > 0.0):
-        col_sq_f = col_sq.tolist()
-
-        def solver(k, x, on_cap=None):
-            # the sweep's step from a fresh c_j = a_j^T (A x - b), then the prox
-            j = part.offsets[k]
-            v = float(x[j]) - float(A[:, j] @ (A @ x - b)) / col_sq_f[j]
-            return prox_block(nonsmooth[k], cons[k], 2.0 * col_sq_f[j], [v])
-
-    if solver is not None and all(cs.kind == "all-space" for cs in cons):
-        # prox_block's soft-threshold sign(v) * max(|v| - lam/beta, 0), in Python floats
-        thresh = [lam / (2.0 * q) for q in col_sq_f]
+    sweep = None
+    diag = np.diagonal(gram)  # G_jj = ||a_j||^2
+    if all(s == 1 for s in part.sizes) and np.all(diag > 0.0):
+        diag_f = diag.tolist()
+        with np.errstate(all="ignore"):  # a non-finite b makes a non-finite run, not a warning
+            atb = (A.T @ b).tolist()
+        # prox_block's soft-threshold sign(v) * max(|v| - lam/beta, 0) at
+        # beta = 2 G_jj, in Python floats
+        thresh = [lam / (2.0 * q) for q in diag_f]
+        # a move d of block j moves grad g = 2 (G w - A^T b) by 2 d G[:, j]
+        grad_sq = (4.0 * np.sum(gram * gram, axis=0)).tolist()
+        constrained = {k for k, cs in enumerate(cons) if cs.kind != "all-space"}
 
         def sweep(blocks, x, record_grads, on_cap=None):
-            # c = A^T (A w - b) is carried: block j's minimizer before the
-            # threshold is w_j - c_j / ||a_j||^2, and its move d adds d G[:, j]
+            # block j reads c_j = (A^T (A w - b))_j = G[j] w - (A^T b)_j off its
+            # Gram row; its minimizer before the prox is w_j - c_j / G_jj
             w = np.array(x, dtype=float)
-            c = A.T @ (A @ w - b)
             grad_stat = 0.0 if record_grads else None
             for j in blocks:
                 old = w.item(j)
-                v = old - c.item(j) / col_sq_f[j]
-                if lam != 0.0:
+                v = old - (float(gram[j].dot(w)) - atb[j]) / diag_f[j]
+                if j in constrained:
+                    v = prox_block(nonsmooth[j], cons[j], 2.0 * diag_f[j], [v]).item()
+                elif lam != 0.0:
                     s = abs(v) - thresh[j]
                     s = 0.0 if s <= 0.0 else s
                     v = s if v >= 0.0 else -s
                 if v != old:
                     w[j] = v
-                    u = (v - old) * gram[j]  # gram is symmetric: its row j is column j
-                    c += u
-                    if record_grads:  # grad g = 2c
-                        grad_stat += 4.0 * float(u @ u)
+                    if record_grads:
+                        grad_stat += grad_sq[j] * (v - old) ** 2
             return w, grad_stat
 
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
-        name="lasso", exact_solver=solver, exact_sweep=sweep,
+        name="lasso", exact_sweep=sweep,
     )
 
 
@@ -452,9 +448,13 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
         cross[:, sl] = 0.0
         per_block.append((sl, h, cross, targets[sl], pk, float(wk)))
 
+    constrained = {k for k, cs in enumerate(cons) if cs.kind != "all-space"}
+
     def sweep(blocks, x, record_grads, on_cap=None):
         # no quantity is carried from block to block.  y is rotated back once;
         # the blocks the sweep did not visit keep their values.
+        if constrained and not constrained.isdisjoint(blocks):
+            raise UnsupportedCombination("exact group solve needs an unconstrained block")
         x = np.asarray(x, dtype=float)
         y = vbd.T.dot(x)
         grad_stat = 0.0 if record_grads else None
@@ -473,16 +473,9 @@ def build_group_lasso(block_mats: Sequence[Array], b, weights, constraints=None)
             w[sl] = x[sl]
         return w, grad_stat
 
-    def solver(k, x, on_cap=None):
-        if cons[k].kind != "all-space":
-            raise UnsupportedCombination("exact group solve needs an unconstrained block")
-        return sweep((k,), x, False, on_cap)[0][slices[k]]
-
-    unconstrained = all(cs.kind == "all-space" for cs in cons)
     return Problem(
         partition=part, smooth=smooth, nonsmooth=nonsmooth, constraints=cons,
-        name="group-lasso", exact_solver=solver,
-        exact_sweep=sweep if unconstrained else None,
+        name="group-lasso", exact_sweep=sweep,
     )
 
 

@@ -296,7 +296,9 @@ class Problem:
     name: str = "problem"
     # exact_solver(k, x, on_cap=None): the exact per-block minimizer of
     # g(., x_{-k}) + h_k over X_k; on_cap, when given, is called once for a
-    # solve whose inner loop stopped at its cap (the group solve's Newton iteration)
+    # solve whose inner loop stopped at its cap (the group solve's Newton
+    # iteration).  A model that declares exact_sweep and no solver gets the
+    # sweep run on block k alone.
     exact_solver: Optional[Callable[..., Array]] = None
     # exact_sweep(blocks, x, record_grads, on_cap=None) -> (w, grad_stat): the
     # exact solves of the listed blocks in order from x, as a loop that the
@@ -315,6 +317,13 @@ class Problem:
             if c.dim != s:
                 raise ValueError(f"constraint set of block {j} has dim {c.dim}, block size {s}")
         self.layout = make_layout(self.partition, self.nonsmooth, self.constraints)
+        if self.exact_solver is None and self.exact_sweep is not None:
+            sweep, slices = self.exact_sweep, self.layout.slices
+
+            def solver(k, x, on_cap=None):
+                return sweep((k,), x, False, on_cap)[0][slices[k]]
+
+            self.exact_solver = solver
 
     @property
     def n_blocks(self) -> int:
@@ -409,10 +418,6 @@ def block_norms(problem: Problem, d: Array) -> Array:
         dk = d[lay.slices[k]]
         norms[k] = math.sqrt(float(dk.dot(dk)))
     return norms
-
-
-def nonsmooth_value(problem: Problem, x: Array) -> float:
-    return float(np.add.accumulate(block_values(problem, x))[-1])
 
 
 def _penalized(problem: Problem) -> bool:

@@ -1,6 +1,6 @@
 """Reference implementations of three per-iterate oracles that do all their
-setup on every call, of the group lasso's exact block step from a fresh
-residual, and of the trace checks record by record.
+setup on every call, of the lasso's and the group lasso's exact block steps
+from a fresh residual, and of the trace checks record by record.
 
 The objective builds the block values, a concatenation and an accumulation;
 the squared-hinge search takes masked max/min reductions and np.sum; the
@@ -9,10 +9,11 @@ kinds and step constants.  The library reads that setup off the problem's
 layout and the surrogate, built once, and uses numpy idioms of the same
 arithmetic.  The descent, cost-to-go and envelope checks and the decay fit
 here walk the trace one record at a time; the library reads it as columns.
-test_oracle_identity.py asks both for the same bits.  The group lasso's
-sweep reads its block targets from cross-Gram rows in the blocks'
-eigenbases; the block step here forms the target from A x - b, and the
-sweep tests in test_engine.py compare the two to rounding.
+test_oracle_identity.py asks both for the same bits.  The lasso's sweep
+reads each block's c_j = (A^T (A x - b))_j off its Gram row, and the group
+lasso's its block targets off cross-Gram rows in the blocks' eigenbases;
+the block steps here form them from A x - b, and the sweep tests in
+test_engine.py and test_models.py compare the two to rounding.
 """
 
 import math
@@ -25,7 +26,7 @@ from bsumkit.engine import Trace
 from bsumkit.models import _interval_quadratic_min, block_hessian, group_l2_block_min
 from bsumkit.problem import Array, Problem, as_vector, block_norms, full_gradient
 from bsumkit.schedule import VirtualUpdate, candidate_objectives
-from bsumkit.surrogate import prox_coordinates
+from bsumkit.surrogate import prox_block, prox_coordinates
 
 
 def block_values(problem: Problem, x: Array) -> Array:
@@ -105,6 +106,18 @@ def piecewise_quadratic_min(
         else:
             return float(x)
         t = cross / quad if quad > 0.0 else math.nan
+
+
+def lasso_block_solve(problem: Problem, k: int, x: Array) -> Array:
+    """Scalar block k's exact lasso step at x:
+    v = x_j - a_j^T (A x - b) / ||a_j||^2 from a fresh residual, then
+    prox_block at beta = 2 ||a_j||^2."""
+    lin = problem.smooth.linear
+    j = problem.partition.offsets[k]
+    a = lin.A[:, j]
+    sq = float(a @ a)
+    v = float(x[j]) - float(a @ (lin.A @ x - lin.b)) / sq
+    return prox_block(problem.nonsmooth[k], problem.constraints[k], 2.0 * sq, [v])
 
 
 def group_block_solve(problem: Problem, k: int, x: Array) -> Array:

@@ -43,6 +43,13 @@ run.group_mbi.model.sizes = [2, 3]
 run.group_mbi.model.weight = 0.3
 run.group_mbi.rule = "mbi"
 run.group_mbi.iterations = 5
+run.mixed.model.family = "lasso"
+run.mixed.model.m = 10
+run.mixed.model.n = 6
+run.mixed.model.lam = 0.5
+run.mixed.surrogate = "mixed"
+run.mixed.surrogate_kinds = ["exact", "prox-linear", "exact", "prox-linear", "exact", "exact"]
+run.mixed.iterations = 5
 """
 
 
@@ -57,14 +64,15 @@ def test_tracer_patches_live_sites_and_restores_them(tmp_path):
                                            output_dir=str(tmp_path / "out"))
     finally:
         tracer.uninstall()
-    assert code == 0 and [r.error for r in results] == [None] * 4
+    assert code == 0 and [r.error for r in results] == [None] * 5
     for name in ("cli.parse_config", "cli.build_model", "engine.run_bsum",
                  "engine.reference_solve", "engine.bsum_sweep",
                  "diagnostics.estimate_constants", "diagnostics.checks", "cli.artifacts",
                  "schedule.virtual_updates", "problem.eval_objective",
                  "problem.smooth_value", "problem.smooth_grad", "problem.block_grad",
                  "surrogate.argmin", "surrogate.prox_block",
-                 "models.exact_solver.l2svm", "models.piecewise_quadratic_min",
+                 "models.exact_solver.l2svm", "models.exact_solver.lasso",
+                 "models.piecewise_quadratic_min",
                  "models.group_l2_block_min", "models.spectral_norm_psd"):
         assert tracer.calls[name] > 0, name
     after = [dict(vars(owner)) for owner in OWNERS]

@@ -14,7 +14,8 @@ from bsumkit.problem import UnsupportedCombination, linear_dual, squares_polish
 from bsumkit.surrogate import BLOCK_KINDS
 
 from conftest import MATRIX_MODELS, irls_step
-from reference_oracles import group_block_solve
+from reference_oracles import group_block_solve, lasso_block_solve
+from test_layout import constraint
 
 
 def worked_two_block():
@@ -616,8 +617,8 @@ def test_gap_tolerance_stops_early_when_reference_known():
 
 @st.composite
 def exact_sweeps(draw):
-    """A random lasso or group lasso, a mixed surrogate, a random start and a
-    block order with repeats."""
+    """A random lasso (some blocks in a box or nonnegative) or group lasso, a
+    mixed surrogate, a random start and a block order with repeats."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 12))
     if draw(st.booleans()):
@@ -627,9 +628,12 @@ def exact_sweeps(draw):
         p = models.build_group_lasso([rng.standard_normal((m, s)) for s in sizes],
                                      2.0 * rng.standard_normal(m), weights)
     else:
-        n = draw(st.integers(1, 6))
-        p = models.build_lasso(rng.standard_normal((m, n)), 2.0 * rng.standard_normal(m),
-                               draw(st.sampled_from([0.0, 0.1, 1.0, 5.0])))
+        sets = draw(st.lists(st.sampled_from(("all-space", "box", "nonneg")),
+                             min_size=1, max_size=6))
+        p = models.build_lasso(rng.standard_normal((m, len(sets))),
+                               2.0 * rng.standard_normal(m),
+                               draw(st.sampled_from([0.0, 0.1, 1.0, 5.0])),
+                               constraints=[constraint(kind, 1, rng) for kind in sets])
     K = p.n_blocks
     # half the cases are all-exact, which every sweep hands to the model
     kinds = draw(st.just(["exact"] * K) | st.lists(st.sampled_from(BLOCK_KINDS),
@@ -661,10 +665,9 @@ def test_exact_sweep_matches_rebuilt_solves(case):
     # an all-exact sweep is the model's own loop; any other runs block by block
     assert calls == ([] if all(exact) else [k for k, e in zip(blocks, exact) if e])
 
-    # the group lasso's solver is its sweep on one block, so its steps are
-    # rebuilt from a fresh residual; the lasso's solver already starts from one
-    if p.name == "group-lasso":
-        solve = partial(group_block_solve, p)
+    # each model's solver is its sweep on one block, so the steps are rebuilt
+    # from a fresh residual
+    solve = partial(group_block_solve if p.name == "group-lasso" else lasso_block_solve, p)
     w = x0.copy()
     g_prev = p.smooth.grad(w)
     want = 0.0
@@ -734,3 +737,13 @@ def test_eigenbasis_sweep_on_rank_deficient_blocks_matches_per_block_solves(case
         assert abs(grad_stat - want) <= 1e-9 * want
     else:
         assert grad_stat is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=exact_sweeps(), deficient=rank_deficient_group_sweeps())
+def test_the_per_block_exact_solve_is_the_sweep_on_that_block(case, deficient):
+    # a lasso or group lasso, and a group lasso with rank-deficient blocks
+    for p, x0 in ((case[0], case[2]), deficient[:2]):
+        for k in range(p.n_blocks):
+            want = p.exact_sweep((k,), x0, False)[0][p.partition.block_slice(k)]
+            assert p.exact_solver(k, x0).tobytes() == want.tobytes()

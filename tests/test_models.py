@@ -17,6 +17,7 @@ from bsumkit import models
 from bsumkit.problem import Array, UnsupportedCombination
 
 from conftest import golden_section, grid_min_1d
+from reference_oracles import lasso_block_solve
 
 
 def test_lasso_identity_constants():
@@ -334,9 +335,10 @@ def test_a_scalar_lasso_reference_sweeps_without_block_solver_calls():
     p.exact_solver = refuse
     ref = bk.reference_solve(p)
     assert ref.converged and ref.sweeps > 0
-    # its minimizer is the per-block solves' to rounding
+    # its minimizer is that of per-block steps from a fresh residual, to rounding
     q = models.build_lasso(A, b, lam)
     q.exact_sweep = None
+    q.exact_solver = lambda k, x, on_cap=None: lasso_block_solve(q, k, x)
     want = bk.reference_solve(q)
     assert np.max(np.abs(ref.x - want.x)) <= 1e-9 and abs(ref.f - want.f) <= 1e-12 * want.f
 
