@@ -18,10 +18,11 @@ import csv
 import json
 import math
 import os
+import re
 import stat
 import sys
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -51,6 +52,7 @@ TRACE_HEADER = "r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks"
 SUITES = ("descent", "cost-to-go", "envelope", "nesterov", "fd")
 SURROGATE_KINDS = ("exact", "prox-linear", "mixed", "model-custom")
 ALGORITHMS = ("bsum", "sum", "a2bsum")
+_RUN_ID = re.compile(r"[A-Za-z0-9_-]+").fullmatch  # run ids name artifact files and CSV cells
 
 
 class ConfigError(ValueError):
@@ -86,9 +88,6 @@ class RunConfig:
 
 
 RUN_KEYS = {f.name for f in fields(RunConfig)} - {"run_id"}
-# run fields whose JSON value is checked and converted at parse time
-RUN_NUMBERS = {"q": float, "iterations": int, "tolerance": float, "outer": int, "inner": int,
-               "schedule_seed": int}
 
 
 @dataclass
@@ -140,19 +139,59 @@ def _parse_lines(path: str) -> dict:
     return flat
 
 
-def _number(where: str, key: str, value, convert):
-    """convert(value) when it is of the kind convert names, else a ConfigError
-    that names the key: an int field takes an integer, a float field any
-    finite number, and neither takes a bool or a string."""
-    if convert is int and not is_integer(value):
-        raise ConfigError(f"{where}{key!r} must be an integer, not {value!r}")
-    if not is_number(value):
-        raise ConfigError(f"{where}{key!r} must be a finite number, not {value!r}")
-    return convert(value)
+def _one_of(choices) -> tuple:
+    return "one of " + ", ".join(map(repr, choices)), lambda v: isinstance(v, str) and v in choices
+
+
+INTEGER = ("an integer", is_integer)
+NUMBER = ("a finite number", is_number)
+INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and all(map(is_integer, v)))
+STRING = ("a string", lambda v: isinstance(v, str))
+
+# The kind of every config value: top-level keys, run fields, model fields
+# (and so `bsumkit gen` params).  A kind is its description and a test of a
+# value, which casts nothing.  The values named in LIBRARY_CHECKED have no
+# entry: make_schedule, period_map_slots and check_block_kinds check them.
+KINDS = {
+    "seed": INTEGER,
+    "suites": ("a list of suite names from " + ", ".join(map(repr, SUITES)),
+               lambda v: isinstance(v, list) and all(isinstance(s, str) and s in SUITES
+                                                      for s in v)),
+    "output_dir": STRING,
+    "run_id": ("a name matching [A-Za-z0-9_-]+",
+               lambda v: isinstance(v, str) and _RUN_ID(v) is not None),
+    "surrogate": _one_of(SURROGATE_KINDS),
+    "algorithm": _one_of(ALGORITHMS),
+    "q": NUMBER,
+    "iterations": ("an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    "tolerance": ("a finite number >= 0", lambda v: is_number(v) and v >= 0),
+    "outer": INTEGER,
+    "inner": INTEGER,
+    "schedule_seed": INTEGER,
+    "family": _one_of(models.FAMILIES),
+    **dict.fromkeys(("m", "n", "rows", "terms", "n_inner", "n_outer", "zero_eigs",
+                     "rank_deficit"), INTEGER),
+    **dict.fromkeys(("lam", "density", "weight", "l1_weight", "eta", "min_pos"), NUMBER),
+    **dict.fromkeys(("sizes", "blocks", "deficient"), INTEGERS),
+    **dict.fromkeys(("file_A", "file_b", "file_rows", "file_Q", "file_c"), STRING),
+}
+LIBRARY_CHECKED = ("rule", "period_map", "surrogate_kinds")
+
+
+def check_kinds(values: dict, where: str = "") -> None:
+    """Raise ConfigError naming the first value that is not of the kind KINDS
+    declares for its key; the values are left as given."""
+    for key, value in values.items():
+        if key in LIBRARY_CHECKED:
+            continue
+        what, holds = KINDS[key]
+        if not holds(value):
+            raise ConfigError(f"{where}{key!r} must be {what}, not {value!r}")
 
 
 def parse_config(path: str) -> ExperimentSpec:
-    """Strict parse: unknown keys rejected, rule parameters validated."""
+    """Strict parse: unknown keys rejected, every value checked against KINDS,
+    then the rules that tie fields together."""
     flat = _parse_lines(path)
     runs_raw: dict[str, dict] = {}
     top: dict = {}
@@ -179,67 +218,42 @@ def parse_config(path: str) -> ExperimentSpec:
 
     if not runs_raw:
         raise ConfigError("config defines no runs")
-    seed = _number("", "seed", top.get("seed", 0), int)
-    output_dir = top.get("output_dir")
-    if "output_dir" in top and not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, not {output_dir!r}")
-    suites = top.get("suites", ["descent", "cost-to-go", "envelope"])
-    if not isinstance(suites, list):
-        raise ConfigError(f"suites must be a list of suite names, not {suites!r}")
-    for s in suites:
-        if s not in SUITES:
-            raise ConfigError(f"unknown suite {s!r}; expected subset of {SUITES}")
-
+    check_kinds(top)
     runs = []
     for run_id, bucket in runs_raw.items():
-        unknown = set(bucket) - RUN_KEYS
-        if unknown:
-            raise ConfigError(f"run {run_id!r}: unknown fields {sorted(unknown)}")
-        model = bucket.get("model")
-        if not model or "family" not in model:
-            raise ConfigError(f"run {run_id!r}: model.family is required")
-        name = model["family"]
-        family = models.FAMILIES.get(name) if isinstance(name, str) else None
-        if family is None:
-            raise ConfigError(
-                f"run {run_id!r}: unsupported model family {name!r}"
-            )
-
-        for key, convert in RUN_NUMBERS.items():
-            if key in bucket:
-                bucket[key] = _number(f"run {run_id!r}: ", key, bucket[key], convert)
-        cfg = RunConfig(run_id=run_id, **bucket)
-        if cfg.surrogate not in SURROGATE_KINDS:
-            raise ConfigError(f"run {run_id!r}: unknown surrogate {cfg.surrogate!r}")
-        if cfg.algorithm not in ALGORITHMS:
-            raise ConfigError(f"run {run_id!r}: unknown algorithm {cfg.algorithm!r}")
-        if cfg.iterations < 1:
-            raise ConfigError(f"run {run_id!r}: iterations must be >= 1")
-        if cfg.tolerance < 0:
-            raise ConfigError(f"run {run_id!r}: tolerance must be >= 0")
-        if cfg.algorithm != "bsum" and cfg.rule != "gauss-seidel":
-            raise ConfigError(f"run {run_id!r}: algorithm {cfg.algorithm!r} runs gauss-seidel "
-                              f"only, not {cfg.rule!r}")
-        if cfg.algorithm == "a2bsum" and "tolerance" in bucket:
-            raise ConfigError(f"run {run_id!r}: algorithm 'a2bsum' has no gap tolerance")
-        if "q" in bucket and cfg.rule != "gauss-southwell":
-            raise ConfigError(f"run {run_id!r}: q is a gauss-southwell parameter; "
-                              f"rule {cfg.rule!r} takes none")
-        setting = {"algorithm": cfg.algorithm, "rule": cfg.rule, "surrogate": cfg.surrogate}
-        for f in fields(RunConfig):
-            for what, readers in f.metadata.items():
-                if f.name in bucket and readers is not None and setting[what] not in readers:
-                    raise ConfigError(f"run {run_id!r}: {f.name!r} applies to {what} "
-                                      f"{' or '.join(map(repr, readers))} only")
-
+        check_kinds({"run_id": run_id})
         try:
-            family.check_keys(model)
-            models.check_numbers(model)
+            unknown = set(bucket) - RUN_KEYS
+            if unknown:
+                raise ValueError(f"unknown fields {sorted(unknown)}")
+            model = bucket.pop("model", {})
+            if "family" not in model:
+                raise ValueError("model.family is required")
+            check_kinds({"family": model["family"]}, "model field ")
+            check_kinds(bucket)
+            cfg = RunConfig(run_id=run_id, model=model, **bucket)
+            if cfg.algorithm != "bsum" and cfg.rule != "gauss-seidel":
+                raise ValueError(f"algorithm {cfg.algorithm!r} runs gauss-seidel "
+                                 f"only, not {cfg.rule!r}")
+            if cfg.algorithm == "a2bsum" and "tolerance" in bucket:
+                raise ValueError("algorithm 'a2bsum' has no gap tolerance")
+            if "q" in bucket and cfg.rule != "gauss-southwell":
+                raise ValueError(f"q is a gauss-southwell parameter; rule {cfg.rule!r} takes none")
+            setting = {"algorithm": cfg.algorithm, "rule": cfg.rule, "surrogate": cfg.surrogate}
+            for f in fields(RunConfig):
+                for what, readers in f.metadata.items():
+                    if f.name in bucket and readers is not None and setting[what] not in readers:
+                        raise ValueError(f"{f.name!r} applies to {what} "
+                                         f"{' or '.join(map(repr, readers))} only")
+
+            family = models.FAMILIES[model["family"]]
+            family.check_keys(model.keys() - {"family"})
+            check_kinds(model, "model field ")
             n_blocks = family.block_count(model)
             need = {"sum": 1, "a2bsum": 2}.get(cfg.algorithm)  # the block count it runs on
             if need is not None and n_blocks not in (None, need):
                 raise ValueError(f"algorithm {cfg.algorithm!r} needs a block count of {need}; "
-                                 f"family {name!r} gives {n_blocks}")
+                                 f"family {model['family']!r} gives {n_blocks}")
             if cfg.surrogate == "mixed":
                 cfg.surrogate_kinds = check_block_kinds(cfg.surrogate_kinds, n_blocks)
             if n_blocks is None:  # only the files fix it
@@ -251,7 +265,9 @@ def parse_config(path: str) -> ExperimentSpec:
             raise ConfigError(f"run {run_id!r}: {exc}") from None
         cfg.period_map = schedule.period_map
         runs.append(cfg)
-    return ExperimentSpec(seed=seed, runs=runs, suites=tuple(suites), output_dir=output_dir)
+    if "suites" in top:
+        top["suites"] = tuple(top["suites"])
+    return ExperimentSpec(seed=top.pop("seed", 0), runs=runs, **top)
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +605,16 @@ def certify(trace_path: str, config_path: str, run_id: Optional[str] = None) -> 
 
 
 def generate_instance(family: str, params: dict, prefix: str) -> list[str]:
-    if family not in models.FAMILIES:
-        raise ConfigError(f"unsupported model family {family!r}")
+    check_kinds({"family": family})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be a JSON object, not {params!r}")
     fam = models.FAMILIES[family]
-    unknown = set(params) - fam.gen_keys - {"seed"}
-    if unknown:
-        raise ConfigError(f"unknown model fields {sorted(unknown)}")
-    missing = (fam.required & fam.gen_keys) - set(params)
-    if missing:
-        raise ConfigError(f"missing model fields {sorted(missing)}")
-    models.check_numbers(params)
+    try:  # gen takes the generator keys and seed only
+        replace(fam, build_keys=frozenset(), file_keys=frozenset(),
+                required=fam.required & fam.gen_keys).check_keys(params)
+    except ValueError as exc:
+        raise ConfigError(exc) from None
+    check_kinds(params, "model field ")
     written = []
     for tag, M in fam.generate(params, int(params.get("seed", 0))).items():
         written.append(f"{prefix}_{tag}.txt")

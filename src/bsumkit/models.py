@@ -27,8 +27,6 @@ from .problem import (
     SmoothPart,
     UnsupportedCombination,
     all_space,
-    is_integer,
-    is_number,
     make_partition,
 )
 from .surrogate import Surrogate, prox_block
@@ -880,45 +878,25 @@ class Family:
     file_keys: frozenset = frozenset()
     required: frozenset = frozenset()
 
-    def check_keys(self, params: dict) -> None:
-        """Raise ValueError for an unknown or a missing key.
+    def check_keys(self, keys) -> None:
+        """Raise ValueError for an unknown or a missing key among a model's keys
+        other than family.
 
-        File keys must come all together and without the generator keys.
+        File keys must come all together and without the generator keys or
+        seed, which they replace.
         """
-        given = set(params)
-        unknown = given - {"family", "seed"} - self.gen_keys - self.build_keys - self.file_keys
+        given = set(keys)
+        unknown = given - {"seed"} - self.gen_keys - self.build_keys - self.file_keys
         if unknown:
             raise ValueError(f"unknown model fields {sorted(unknown)}")
         files = given & self.file_keys
-        if files and (files != self.file_keys or given & self.gen_keys):
+        replaced = self.gen_keys | {"seed"}
+        if files and (files != self.file_keys or given & replaced):
             raise ValueError(f"model files {sorted(self.file_keys)} come together and "
-                             f"replace the fields {sorted(self.gen_keys)}")
+                             f"replace the fields {sorted(replaced)}")
         missing = self.required - given - (self.gen_keys if files else frozenset())
         if missing:
             raise ValueError(f"missing model fields {sorted(missing)}")
-
-
-# numeric model fields: JSON integers, finite JSON numbers, and lists of JSON integers
-INT_FIELDS = frozenset({"m", "n", "rows", "terms", "n_inner", "n_outer", "zero_eigs",
-                        "rank_deficit", "seed"})
-FLOAT_FIELDS = frozenset({"lam", "density", "weight", "l1_weight", "eta", "min_pos"})
-INT_LIST_FIELDS = frozenset({"sizes", "blocks", "deficient"})
-
-
-def check_numbers(params: dict) -> None:
-    """Raise ValueError naming the first numeric model field whose value is not
-    of its kind; the values themselves are left as given."""
-    for key, value in params.items():
-        if key in INT_FIELDS and not is_integer(value):
-            kind = "an integer"
-        elif key in FLOAT_FIELDS and not is_number(value):
-            kind = "a finite number"
-        elif key in INT_LIST_FIELDS and not (isinstance(value, list)
-                                             and all(map(is_integer, value))):
-            kind = "a list of integers"
-        else:
-            continue
-        raise ValueError(f"model field {key!r} must be {kind}, not {value!r}")
 
 
 def _group_lasso_arrays(p: dict, seed: int) -> dict:

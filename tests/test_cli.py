@@ -662,6 +662,8 @@ def test_quadratic_blocks_partition_a_generated_q(tmp_path):
     {"family": "quadratic", "file_Q": "Q.txt"},
     {"family": "quadratic", "file_Q": "Q.txt", "file_c": "c.txt", "sizes": [2]},
     {"family": "quadratic", "file_Q": "Q.txt", "file_c": "c.txt", "rank_deficit": 1},
+    # a seed would only echo into the report: the files fix the arrays
+    {"family": "lasso", "file_A": "A.txt", "file_b": "b.txt", "lam": 1.0, "seed": 5},
 ])
 def test_parse_rejects_partial_or_mixed_file_keys(tmp_path, model):
     with pytest.raises(ConfigError, match="come together and replace the fields"):
@@ -801,6 +803,45 @@ def test_bad_model_values_are_config_errors(tmp_path, capsys, model, key):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: run 'r': model field {key!r} must be ")
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model,key", [
+    # fd 1 and fd 0: open() would close stdout or read stdin
+    ({"family": "lasso", "file_A": "A.txt", "file_b": 1, "lam": 0.5}, "file_b"),
+    ({"family": "lasso", "file_A": 0, "file_b": "b.txt", "lam": 0.5}, "file_A"),
+    ({"family": "l2svm", "file_rows": True}, "file_rows"),
+    ({"family": "quadratic", "file_Q": ["Q.txt"], "file_c": "c.txt"}, "file_Q"),
+])
+def test_file_keys_that_are_not_strings_are_config_errors(tmp_path, capsys, model, key):
+    path = write(tmp_path, run_text("r", model))
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: run 'r': model field {key!r} must be a string, "
+                   f"not {model[key]!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("run_id", ["elsewhere/x", "a/b", "a,b"],
+                         ids=["absolute-path", "slash", "comma"])
+def test_run_ids_outside_the_name_pattern_are_config_errors(tmp_path, capsys, run_id):
+    # an absolute id would write its artifacts outside -o, a slash would fail
+    # the trace write, and a comma would add a field to its summary.csv row
+    if run_id.startswith("elsewhere"):
+        run_id = str(tmp_path / run_id)
+        assert "." not in run_id  # a dot would end the id early
+    path = write(tmp_path, run_text(run_id, LASSO_3, iterations=3))
+    assert cli.main(["run", path, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: 'run_id' must be a name matching [A-Za-z0-9_-]+, not {run_id!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_gen_rejects_a_family_key(tmp_path, capsys):
+    # the family is gen's argument, not one of its params
+    params = '{"family": "logistic", "m": 3, "n": 2}'
+    assert cli.main(["gen", "lasso", "--params", params, "-o", str(tmp_path / "gx")]) == 1
+    assert "gen error: unknown model fields ['family']" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_rejects_non_finite_numbers(tmp_path, capsys):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from decimal import Context, Decimal
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bsumkit as bk
-from bsumkit import models
+from bsumkit import cli, models
 from bsumkit.problem import Array, UnsupportedCombination
 
 from conftest import golden_section, grid_min_1d
@@ -476,17 +477,28 @@ def test_lasso_scalar_step_keeps_prox_blocks_refusals():
     assert abs(p0.exact_solver(0, x)[0]) == 1.0
 
 
-def test_numeric_model_fields_are_all_declared():
-    declared = models.INT_FIELDS | models.FLOAT_FIELDS | models.INT_LIST_FIELDS
-    for name, family in models.FAMILIES.items():
-        assert family.gen_keys | family.build_keys <= declared, name
+# the config values whose kind a library function checks, and which one:
+# make_schedule, period_map_slots and check_block_kinds
+LIBRARY_CHECKED = {"rule", "period_map", "surrogate_kinds"}
+
+
+def test_every_config_key_has_one_declared_kind():
+    keys = {f.name for f in fields(cli.ExperimentSpec)} - {"runs"}
+    keys |= {f.name for f in fields(cli.RunConfig)} - {"model"}  # model is a section
+    keys |= {"family", "seed"}
+    for family in models.FAMILIES.values():
+        keys |= family.gen_keys | family.build_keys | family.file_keys
+    assert set(cli.LIBRARY_CHECKED) == LIBRARY_CHECKED
+    assert not LIBRARY_CHECKED & set(cli.KINDS)
+    assert keys - LIBRARY_CHECKED == set(cli.KINDS)  # none missing, none unused
 
 
 def test_numeric_model_fields_take_numpy_integers_and_no_bools():
-    models.check_numbers({"m": np.int64(3), "sizes": [np.int32(2)], "lam": np.int8(1)})
+    cli.check_kinds({"m": np.int64(3), "sizes": [np.int32(2)], "lam": np.int8(1)},
+                    "model field ")
     for params in ({"m": True}, {"sizes": [2, False]}, {"lam": True}, {"m": 3.0}):
         with pytest.raises(ValueError, match="model field"):
-            models.check_numbers(params)
+            cli.check_kinds(params, "model field ")
 
 
 # The scan over every piece that the sorted search below replaced, verbatim
