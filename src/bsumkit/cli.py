@@ -30,6 +30,7 @@ import numpy as np
 from . import models
 from .diagnostics import (
     FD_TOLERANCE,
+    SUITES,
     CheckReport,
     _report,
     check_cost_to_go,
@@ -49,7 +50,6 @@ from .surrogate import check_block_kinds, make_surrogate
 
 OUTPUT_DIR_ENV = "BSUMKIT_OUTPUT_DIR"
 TRACE_HEADER = "r,f,delta,step_sq,virt_step_sq,grad_diff_sq,blocks"
-SUITES = ("descent", "cost-to-go", "envelope", "nesterov", "fd")
 SURROGATE_KINDS = ("exact", "prox-linear", "mixed", "model-custom")
 ALGORITHMS = ("bsum", "sum", "a2bsum")
 _RUN_ID = re.compile(r"[A-Za-z0-9_-]+").fullmatch  # run ids name artifact files and CSV cells
@@ -311,9 +311,12 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
     key = json.dumps(cfg.model, sort_keys=True) + f"|{spec.seed}"
     cached = reference_cache.get(key)
     problem = build_model(cfg.model, spec.seed) if cached is None else cached[0]
-    surrogate = None
+    surrogate = kind = None
     if cfg.algorithm != "a2bsum":
         surrogate = make_surrogate(problem, cfg.surrogate, kinds=cfg.surrogate_kinds)
+        kind = surrogate.kind  # a "mixed" surrogate of one kind plans as that kind
+    plan = plan_checks({"algorithm": cfg.algorithm, "rule": cfg.rule, "surrogate": kind},
+                       surrogate, problem, spec.suites)
 
     # the reference comes first, so that a gap tolerance can stop the run
     if cached is None:
@@ -331,49 +334,38 @@ def execute_run(cfg: RunConfig, spec: ExperimentSpec, reference_cache: dict) -> 
     if ref.capped_solves:
         warnings.append(f"reference inner loop hit its cap: {ref.capped_solves} times")
 
-    result = RunResult(
-        run_id=cfg.run_id, config=cfg, problem=problem, trace=trace,
-        reference=ref, certificate=None,
-    )
+    result = RunResult(run_id=cfg.run_id, config=cfg, problem=problem, trace=trace,
+                       reference=ref, certificate=None)
     result.final_delta = float(trace.deltas()[-1])
     try:
         result.fitted_slope = fit_decay_exponent(trace, burn_in=max(1, cfg.iterations // 10))
     except ValueError:
         result.fitted_slope = None
 
-    if cfg.algorithm == "a2bsum":
-        return result  # no descent certificates for the non-monotone scheme
-
-    cert = estimate_constants(problem, surrogate, trace)
-    result.certificate = cert
-    for check, variant in plan_checks(trace.meta, cert, problem):
-        if check not in spec.suites:
-            continue
+    if surrogate is not None:  # a2bsum has no descent certificate: it is not monotone
+        result.certificate = cert = estimate_constants(problem, surrogate, trace)
+    for check, variant in plan:
         if check == "descent":
             result.checks.append(check_sufficient_descent(trace, cert, variant))
         elif check == "cost-to-go":
             result.checks.append(check_cost_to_go(trace, cert, variant))
-        else:
+        elif check == "envelope":
             sigma, c, offset = sigma_for(variant, cert, problem.n_blocks, problem=problem)
             rep = check_rate_envelope(trace, sigma, c, offset, label=variant)
             # while f(x^r) <= f(x^1), the envelope cannot fail before this r
             first_gap = float(trace.deltas()[1])
             horizon = offset + c / (sigma * first_gap) if first_gap > 0.0 else None
-            result.envelopes.append(
-                {"id": variant, "sigma": sigma, "c": c, "offset": offset,
-                 "horizon": horizon, "max_violation": rep.max_violation,
-                 "passed": rep.passed}
-            )
-    if "nesterov" in spec.suites:
-        result.checks.append(check_nesterov_inequality(problem))
-    if "fd" in spec.suites:
-        rng = np.random.default_rng([0xFD, spec.seed])
-        pts = [project_feasible(problem, rng.standard_normal(problem.dim))
-               for _ in range(5)]
-        result.checks.append(_fd_report(fd_gradient_check(problem, pts)))
-    result.all_passed = all(c.passed for c in result.checks) and all(
-        e["passed"] for e in result.envelopes
-    )
+            result.envelopes.append({"id": variant, "sigma": sigma, "c": c, "offset": offset,
+                                     "horizon": horizon, "max_violation": rep.max_violation,
+                                     "passed": rep.passed})
+        elif check == "nesterov":
+            result.checks.append(check_nesterov_inequality(problem))
+        else:  # fd
+            rng = np.random.default_rng([0xFD, spec.seed])
+            pts = [project_feasible(problem, rng.standard_normal(problem.dim)) for _ in range(5)]
+            result.checks.append(_fd_report(fd_gradient_check(problem, pts)))
+    result.all_passed = (all(c.passed for c in result.checks)
+                         and all(e["passed"] for e in result.envelopes))
     return result
 
 
@@ -425,9 +417,11 @@ def _atomic_write(path: str, text: str) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno and exc.filename in (None, tmp):
+            exc.filename, exc.filename2 = path, None  # the artifact, not its temporary file
         raise
 
 
@@ -542,11 +536,7 @@ def compare_traces(paths: list[str]) -> str:
     names = []
     seen: dict[str, int] = {}
     for path in paths:
-        stem = os.path.basename(path)
-        for suffix in (".trace.csv", ".csv"):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
-                break
+        stem = re.sub(r"(\.trace)?\.csv\Z", "", os.path.basename(path))
         seen[stem] = seen.get(stem, 0) + 1
         if seen[stem] > 1:
             stem = f"{stem}_{seen[stem]}"
@@ -655,7 +645,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_gen.add_argument("-o", "--output-prefix", required=True)
 
     args = parser.parse_args(argv)
+    try:  # an OSError that reaches here is an output path that cannot be written
+        return _command(args)
+    except OSError as exc:
+        print(f"{args.command} error: cannot write {exc.filename or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
 
+
+def _command(args: argparse.Namespace) -> int:
     if args.command == "run":
         try:
             spec = parse_config(args.config)
@@ -698,18 +696,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(text)
         return 0
 
-    if args.command == "gen":
-        try:
-            params = json.loads(args.params)
-            written = generate_instance(args.family, params, args.output_prefix)
-        except (ConfigError, ValueError, KeyError) as exc:
-            print(f"gen error: {exc}", file=sys.stderr)
-            return 1
-        for path in written:
-            print(path)
-        return 0
-
-    return 1
+    try:  # gen
+        written = generate_instance(args.family, json.loads(args.params), args.output_prefix)
+    except (ValueError, KeyError) as exc:
+        print(f"gen error: {exc}", file=sys.stderr)
+        return 1
+    for path in written:
+        print(path)
+    return 0
 
 
 if __name__ == "__main__":

@@ -212,10 +212,13 @@ THEOREMS = (
     # constant, which only its caller knows, so no run plans it
     Theorem("envelope", "two-block", (), ("gauss-seidel",), ("mixed",), ("L_max",)),
 )
+ORACLE_SUITES = ("nesterov", "fd")  # suites that test the problem and need no certificate
+SUITES = ("descent", "cost-to-go", "envelope") + ORACLE_SUITES  # what a config may name
+
 
 def _unmet(t: Theorem, cert: RateCertificate, problem: Optional[Problem] = None,
            lip: Optional[float] = None) -> list[str]:
-    """The needs of t that the certificate and the problem's declared loss leave open."""
+    """The needs of t that the certificate (or surrogate) and the declared loss leave open."""
     step = cert.l_max if lip is None else lip
     linear = None if problem is None else problem.smooth.linear
     loss = None if linear is None else linear.phi.name
@@ -242,17 +245,19 @@ def _check_theorem(check: str, variant: str, cert: RateCertificate, **structure)
                          f"which the certificate lacks")
 
 
-def plan_checks(meta: dict, cert: RateCertificate, problem: Problem) -> list[tuple[str, str]]:
-    """(check, variant) of every certificate that covers a run, in THEOREMS order.
-
-    The run is described by its trace's meta (algorithm, rule, surrogate).
-    """
+def plan_checks(meta: dict, surrogate, problem: Problem,
+                suites: Sequence[str]) -> list[tuple[str, Optional[str]]]:
+    """A run's (suite, variant) checks in run order: each THEOREMS row of a named
+    suite that covers the run and whose needs hold, then ("nesterov", None)
+    and ("fd", None) if named.  meta gives the algorithm, rule and surrogate
+    kind, as a trace's meta does; gamma, g_max and l_max are read off the
+    surrogate (None for a2bsum, which no row covers) or its certificate."""
     return [
         (t.check, t.variant) for t in THEOREMS
-        if meta["algorithm"] in t.algorithms and meta["rule"] in t.rules
+        if t.check in suites and meta["algorithm"] in t.algorithms and meta["rule"] in t.rules
         and (t.surrogates is None or meta["surrogate"] in t.surrogates)
-        and not _unmet(t, cert, problem)
-    ]
+        and not _unmet(t, surrogate, problem)
+    ] + [(suite, None) for suite in ORACLE_SUITES if suite in suites]
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,42 @@ def test_suites_drop_the_planned_checks_they_do_not_name(tmp_path):
         assert [e["id"] for e in res.envelopes] == envelopes
 
 
+A2BSUM = dict(algorithm="a2bsum", outer=1, inner=0, iterations=30)
+
+
+def test_an_a2bsum_run_gets_the_oracle_suites_it_names(tmp_path):
+    text = 'seed = 1\nsuites = ["fd"]\n' + run_text("acc", TWO_BLOCK, **A2BSUM)
+    (res,), code = cli.run_experiment(cli.parse_config(write(tmp_path, text)),
+                                      output_dir=str(tmp_path / "out"))
+    assert code == 0 and res.error is None
+    assert [(c.check_id, c.variant) for c in res.checks] == [("fd-gradient", "points")]
+    assert res.envelopes == [] and res.certificate is None
+
+
+def test_an_a2bsum_run_gets_no_certificate_checks(tmp_path):
+    text = 'seed = 1\nsuites = ["descent", "envelope"]\n' + run_text("acc", TWO_BLOCK, **A2BSUM)
+    out = tmp_path / "out"
+    (res,), code = cli.run_experiment(cli.parse_config(write(tmp_path, text)),
+                                      output_dir=str(out))
+    report = json.loads((out / "acc.report.json").read_text())
+    assert code == 0 and res.error is None
+    assert (report["checks"], report["envelopes"]) == ([], [])
+    assert "certificate" not in report
+
+
+def test_a_run_is_planned_once_before_its_reference_solve(tmp_path, monkeypatch):
+    calls = []
+    for name in ("plan_checks", "reference_solve", "run_bsum"):
+        def traced(*args, name=name, real=getattr(cli, name), **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, traced)
+    text = "seed = 1\n" + run_text("r", LASSO_20x50, iterations=10)
+    (res,), code = cli.run_experiment(cli.parse_config(write(tmp_path, text)),
+                                      output_dir=str(tmp_path / "out"))
+    assert code == 0 and calls == ["plan_checks", "reference_solve", "run_bsum"]
+
+
 def test_tolerance_stops_the_run_at_the_gap(tmp_path):
     text = "seed = 1\n" + run_text("tol", LASSO_20x50, iterations=300, tolerance=1.0) \
         + run_text("full", LASSO_20x50, iterations=300)
@@ -1042,3 +1078,21 @@ def test_capped_newton_iteration_of_the_group_solve_is_reported(tmp_path, monkey
         assert not_converged.startswith("reference did not converge: ")
         assert run_warning.startswith("inner loop hit its cap: ")
         assert ref_warning == f"reference inner loop hit its cap: {capped} times"
+
+
+@pytest.mark.parametrize("command", ["run", "gen", "certify", "compare"])
+def test_an_output_path_that_cannot_be_written_is_one_error_line(tmp_path, capsys, command):
+    config = write(tmp_path, MINIMAL + "run.demo.iterations = 20\n")
+    trace = str(tmp_path / "out" / "demo.trace.csv")
+    cli.run_experiment(cli.parse_config(config), output_dir=str(tmp_path / "out"))
+    nowhere = str(tmp_path / "nodir" / "x")
+    argv = {"run": ["run", config, "-o", config],  # a file, not a directory
+            "gen": ["gen", "lasso", "--params", '{"m": 3, "n": 2}', "-o", nowhere],
+            "certify": ["certify", trace, config, "-o", nowhere],
+            "compare": ["compare", trace, "-o", nowhere]}[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} error: cannot write {argv[-1]}") and err.count("\n") == 1
+    assert not [name for _, _, names in os.walk(tmp_path) for name in names
+                if name.endswith(".tmp")]

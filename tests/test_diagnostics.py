@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bsumkit as bk
 from bsumkit import cli, models
-from bsumkit.diagnostics import FD_TOLERANCE, RateCertificate, plan_checks
+from bsumkit.diagnostics import FD_TOLERANCE, SUITES, RateCertificate, plan_checks
 from bsumkit.engine import IterationRecord, Trace
 
 
@@ -250,7 +250,7 @@ def test_logistic_runs_get_no_structured_envelope():
     assert p.smooth.linear.phi.name == "logistic"
     # even a run described as exact gauss-seidel, which logistic cannot make
     meta = {"algorithm": "bsum", "rule": "gauss-seidel", "surrogate": "exact"}
-    planned = [variant for _, variant in plan_checks(meta, make_cert(), p)]
+    planned = [variant for _, variant in plan_checks(meta, make_cert(), p, SUITES)]
     assert "bcm-gs" in planned and not set(planned) & set(STRUCTURED)
     for rate, need in zip(STRUCTURED, ("composite", "svm")):
         with pytest.raises(ValueError, match=f"needs {need}"):

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from bsumkit import cli
+from bsumkit.surrogate import make_surrogate
 
 ALL_SUITES = ["descent", "cost-to-go", "envelope", "nesterov", "fd"]
 
@@ -106,8 +107,8 @@ EXPECTED = {
     "quad_def_pl_gso": ([DESCENT_GREEDY, COST_GREEDY, CURVATURE, FD], ["bsum-gso"]),
     "quad_ex_sum": ([DESCENT_GS, DESCENT_BCM, COST_GS, COST_BCM, CURVATURE, FD], ["sum"]),
     "tbq_mixed_gs": ([DESCENT_GS, COST_GS, CURVATURE, FD], ["bsum-gs"]),
-    # the accelerated scheme is not monotone: no descent certificates at all
-    "tbq_a2bsum": ([], []),
+    # the accelerated scheme is not monotone: no certificate, only the oracle suites
+    "tbq_a2bsum": ([CURVATURE, FD], []),
     # the reweighting bound declares no anchor constant and no curvature
     "fw_custom_sum": ([DESCENT_GS, CURVATURE, FD], ["sum"]),
     "fw_custom_bsum": ([DESCENT_GS, CURVATURE, FD], []),
@@ -166,3 +167,33 @@ def test_the_l1_svm_references_close_their_gaps(coverage_run):
     for res in results:
         if res.run_id.startswith("svm_l1"):
             assert res.reference.converged and abs(res.reference.gap) <= 1e-12
+
+
+def test_the_certificate_reports_the_constants_the_plan_read(coverage_run):
+    # a run is planned before it runs, from its surrogate's gamma, g_max and
+    # l_max; its certificate must report the same three values
+    results, out = coverage_run
+    for res in results:
+        cfg = res.config
+        report = json.loads((out / f"{res.run_id}.report.json").read_text())
+        if cfg.algorithm == "a2bsum":
+            assert "certificate" not in report
+            continue
+        s = make_surrogate(res.problem, cfg.surrogate, kinds=cfg.surrogate_kinds)
+        cert = report["certificate"]
+        assert (cert["gamma"], cert["G_max"], cert["L_max"]) == (s.gamma, s.g_max, s.l_max), \
+            res.run_id
+
+
+def test_a_mixed_surrogate_of_exact_blocks_is_planned_as_exact(tmp_path):
+    model = {"family": "lasso", "m": 8, "n": 3, "lam": 0.5, "seed": 7}
+    lines = ["seed = 1"] + [f"run.r.model.{k} = {json.dumps(v)}" for k, v in model.items()]
+    lines += ['run.r.surrogate = "mixed"', 'run.r.surrogate_kinds = ["exact", "exact", "exact"]',
+              "run.r.iterations = 30"]
+    cfg = tmp_path / "mixed.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    (res,), code = cli.run_experiment(cli.parse_config(str(cfg)), output_dir=str(tmp_path / "out"))
+    assert code == 0 and res.error is None
+    assert [(c.check_id, c.variant) for c in res.checks] == [DESCENT_GS, DESCENT_BCM,
+                                                               COST_GS, COST_BCM]
+    assert [e["id"] for e in res.envelopes] == ["bsum-gs", "bcm-gs", "composite-gs"]
